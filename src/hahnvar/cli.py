@@ -30,35 +30,13 @@ from typing import Any, Callable, Sequence
 from . import demos
 from .core import DEFAULT_DEPTH, DEFAULT_MAX_TERMS, DEFAULT_TOL, GridFunction, HahnParams
 from .dsl import Expr, Var, evaluate, parse
-from .errors import (
-    ArityError,
-    ConfigError,
-    DegenerateDenominator,
-    DomainError,
-    ExprSyntaxError,
-    HahnvarError,
-    InsufficientDepth,
-    NonFiniteValue,
-    NotAVariation,
-    NotDifferentiable,
-    UnboundVariable,
-    UnknownIdentifier,
-)
+from .errors import ArityError, ConfigError, ExprSyntaxError, HahnvarError, UnknownIdentifier
 from .integrals import integral
 from .minimize import minimize_direct
 from .operators import hahn_derivative_n
 from .variational import Problem, el_report, functional_value
 
 _INPUT_ERRORS = (ConfigError, ExprSyntaxError, UnknownIdentifier, ArityError)
-_EVAL_ERRORS = (
-    DomainError,
-    NonFiniteValue,
-    UnboundVariable,
-    DegenerateDenominator,
-    InsufficientDepth,
-    NotDifferentiable,
-    NotAVariation,
-)
 
 _FORMATS = ("table", "json", "csv")
 
@@ -555,6 +533,31 @@ def _cmd_demo(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+# Flags taking a real value.  argparse reads a separate token such as
+# "-3.1e-05" as an option (only plain forms like "-0.5" count as negative
+# numbers), so such values are joined to their flag before parsing.
+_REAL_FLAGS = ("--q", "--omega", "--t", "--a", "--b", "--tol")
+
+
+def _is_real(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite "--t -3.1e-05" as "--t=-3.1e-05" for the real-valued flags."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _REAL_FLAGS and token.startswith("-") and _is_real(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=_FORMATS, default=None, help="output format")
@@ -622,7 +625,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:
@@ -631,9 +634,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _EVAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except HahnvarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

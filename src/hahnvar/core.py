@@ -7,6 +7,12 @@ converges to omega0 geometrically.  A computational lattice consists of
 the two orbits seeded at the endpoints of a working interval plus the
 fixed point itself.
 
+Every orbit node is realized in one place, ``Orbit``, by the recurrence
+t[n+1] = q*t[n] + omega (the n-fold application of ``HahnParams.sigma``).
+Near omega0 two consecutive nodes eventually round to the same float;
+under the recurrence such a merge is absorbing, since fl(q*t + omega) = t
+fixes t for good, so a single index caps the usable part of an orbit.
+
 Lattice points are identified by the integer pair (origin, n), never by
 their float realizations: close to omega0 distinct points realize to
 floats that are equal or nearly equal, so float comparison would merge
@@ -17,10 +23,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
-from .errors import InsufficientDepth
+from .errors import DegenerateDenominator, InsufficientDepth
 
 # Package-wide numeric defaults.
 DEFAULT_TOL = 1e-12
@@ -72,6 +79,95 @@ def sigma_pow(params: HahnParams, k: int, t: float) -> float:
         return q**k * t + omega * q_bracket(k, q)
     m = -k
     return (t - omega * q_bracket(m, q)) / q**m
+
+
+class Orbit:
+    """The orbit t[0] = seed, t[n+1] = q*t[n] + omega, with values on it.
+
+    Nodes are realized once, by the recurrence, into ``nodes``.  The list
+    stops at the first merge t[n+1] == t[n]: merges are absorbing, so
+    every later node equals the last one.  ``values`` is either grid data,
+    read directly, or filled lazily from a function of t.  The usable
+    depth (the cap) is the smaller of the grid depth and the merge index:
+    up to it every value exists and every step t[j+1] - t[j] is nonzero.
+    ``reach`` finds it.  Built from raw (q, omega, seed), so the omega = 0
+    q-lattice fits too.
+    """
+
+    def __init__(
+        self,
+        q: float,
+        omega: float,
+        seed: float,
+        values: list[float] | Callable[[float], float] | None = None,
+    ):
+        self.q = q
+        self.omega = omega
+        self.prefactor = seed * (1.0 - q) - omega
+        self.degenerate = self.prefactor == 0.0
+        self.nodes = [seed]
+        self.values: list[float] = []
+        self._source: Callable[[int], float] | None = None
+        self._grid_depth = math.inf
+        if callable(values):
+            nodes = self.nodes
+            self._source = lambda n: values(nodes[n])
+        elif values is not None:
+            self.values = values
+            self._grid_depth = len(values) - 1
+
+    def _grow(self, m: int) -> None:
+        nodes = self.nodes
+        while len(nodes) <= m:
+            t = nodes[-1]
+            nxt = self.q * t + self.omega
+            if nxt == t:
+                return
+            nodes.append(nxt)
+
+    def node(self, n: int) -> float:
+        """t[n], the n-fold sigma iterate of the seed."""
+        self._grow(n)
+        return self.nodes[min(n, len(self.nodes) - 1)]
+
+    def value(self, n: int) -> float:
+        """The value at node n.  Past a merge every node is the merged
+        point, so values computed from t repeat there; grid data, indexed
+        by n rather than by point, is read only up to the cap."""
+        m = self.reach(n)
+        if m < n and self._grid_depth < math.inf:
+            raise InsufficientDepth(f"orbit index {n} is past the usable depth {m} of grid data")
+        return self.values[m]
+
+    def reach(self, m: int) -> int:
+        """Realize nodes and values through min(m, cap) and return that index."""
+        m = min(m, self._grid_depth)
+        self._grow(m)
+        m = min(m, len(self.nodes) - 1)
+        source = self._source
+        if source is not None:
+            vals = self.values
+            while len(vals) <= m:
+                vals.append(source(len(vals)))
+        return m
+
+    def window(self, k: int, width: int) -> tuple[list[float], list[float]]:
+        """Nodes and values at indices k .. k + width - 1.  A window past
+        the grid depth raises InsufficientDepth, one past a merge (a zero
+        step) DegenerateDenominator."""
+        end = k + width - 1
+        if end > self._grid_depth:
+            raise InsufficientDepth(f"orbit index {end} exceeds grid depth {self._grid_depth}")
+        if self.reach(end) < end:
+            raise DegenerateDenominator(f"orbit step underflowed to zero near t={self.nodes[-1]!r}")
+        return self.nodes[k : end + 1], self.values[k : end + 1]
+
+    def plus(self, coeff: float, other: "Orbit") -> "Orbit":
+        """The orbit of self + coeff*other on the same nodes, values formed lazily."""
+        out = Orbit(self.q, self.omega, self.nodes[0])
+        out._grid_depth = min(self._grid_depth, other._grid_depth)
+        out._source = lambda n: self.value(n) + coeff * other.value(n)
+        return out
 
 
 class Origin(enum.Enum):
@@ -141,10 +237,12 @@ class Lattice:
         Detected through the exact vanishing of the prefactor
         s*(1-q) - omega rather than a float comparison against omega0.
         """
-        if origin is Origin.FIXED:
-            return True
-        s = self.seed(origin)
-        return s * (1.0 - self.params.q) - self.params.omega == 0.0
+        return origin is Origin.FIXED or self._orbits[origin].degenerate
+
+    @cached_property
+    def _orbits(self) -> dict[Origin, Orbit]:
+        q, omega = self.params.q, self.params.omega
+        return {origin: Orbit(q, omega, self.seed(origin)) for origin in (Origin.A, Origin.B)}
 
     def realize(self, point: LatticePoint) -> float:
         """Float coordinate of a lattice point: sigma^n applied to its seed."""
@@ -154,15 +252,12 @@ class Lattice:
             raise InsufficientDepth(
                 f"point index {point.n} exceeds lattice depth {self.depth}"
             )
-        return sigma_pow(self.params, point.n, self.seed(point.origin))
+        return self._orbits[point.origin].node(point.n)
 
     def interval(self) -> tuple[float, float]:
         """Convex hull of {a, b, omega0}."""
         w0 = self.params.omega0
         return min(self.a, self.b, w0), max(self.a, self.b, w0)
-
-    def orbit(self, origin: Origin) -> list[LatticePoint]:
-        return [LatticePoint(origin, n) for n in range(self.depth + 1)]
 
     def points(self) -> Iterator[LatticePoint]:
         """All points: both orbits to full depth, then the fixed point."""
@@ -205,8 +300,10 @@ class GridFunction:
     @classmethod
     def sample(cls, lattice: Lattice, fn: Callable[[float], float]) -> "GridFunction":
         """Attach fn's values at every realized lattice point."""
-        va = [fn(lattice.realize(LatticePoint(Origin.A, n))) for n in range(lattice.depth + 1)]
-        vb = [fn(lattice.realize(LatticePoint(Origin.B, n))) for n in range(lattice.depth + 1)]
+        va, vb = (
+            [fn(orbit.node(n)) for n in range(lattice.depth + 1)]
+            for orbit in (lattice._orbits[Origin.A], lattice._orbits[Origin.B])
+        )
         return cls(lattice, va, vb, fn(lattice.params.omega0))
 
     def orbit_values(self, origin: Origin) -> list[float]:
@@ -215,6 +312,11 @@ class GridFunction:
         if origin is Origin.B:
             return self.values_b
         raise ValueError("the fixed point is not an orbit")
+
+    def orbit(self, origin: Origin) -> Orbit:
+        """The endpoint orbit of ``origin`` carrying this grid's values."""
+        lat = self.lattice
+        return Orbit(lat.params.q, lat.params.omega, lat.seed(origin), self.orbit_values(origin))
 
     def value(self, point: LatticePoint) -> float:
         if point.origin is Origin.FIXED:

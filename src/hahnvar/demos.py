@@ -17,11 +17,10 @@ Two showcases ship with the package:
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Iterable
 
-from .core import GridFunction, HahnParams, LatticePoint, Origin
+from .core import GridFunction, HahnParams, Orbit, Origin
 from .operators import hahn_derivative_n, iterated_quotient
 from .variational import Problem, el_report, functional_value
 
@@ -113,8 +112,9 @@ def random_admissible_grid(
     fixed = base(params.omega0)
     per_orbit: dict[Origin, list[float]] = {}
     for origin, targets in ((Origin.A, problem.alpha), (Origin.B, problem.beta)):
-        taus = [lattice.realize(LatticePoint(origin, n)) for n in range(depth + 1)]
-        if lattice.orbit_degenerate(origin):
+        orbit = Orbit(params.q, params.omega, lattice.seed(origin))
+        taus = [orbit.node(n) for n in range(depth + 1)]
+        if orbit.degenerate:
             if r > 1:
                 raise ValueError("degenerate endpoint supports value conditions only")
             fixed = targets[0]
@@ -215,11 +215,3 @@ def run_beam(depth: int = 16, cases: Iterable[tuple[float, float]] = BEAM_SEQUEN
         "strictly_decreasing": decreasing,
         "passed": decreasing and clean,
     }
-
-
-def run_demo(name: str, **kwargs) -> dict:
-    if name == "double-well":
-        return run_double_well(**kwargs)
-    if name == "beam":
-        return run_beam(**kwargs)
-    raise ValueError(f"unknown demo {name!r}; choose from {', '.join(DEMO_NAMES)}")

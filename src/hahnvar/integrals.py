@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import DEFAULT_MAX_TERMS, DEFAULT_TOL, HahnParams
+from .core import DEFAULT_MAX_TERMS, DEFAULT_TOL, HahnParams, Orbit
 from .errors import NonFiniteValue
 
 # Samples must stay below the running maximum for this many consecutive
@@ -42,6 +42,16 @@ class SeriesResult:
     tail_bound: float
     converged: bool
 
+    def __sub__(self, other: "SeriesResult") -> "SeriesResult":
+        """Two-sided result self - other: the bounds add, the larger term
+        count is kept, and it converged only if both sides did."""
+        return SeriesResult(
+            value=self.value - other.value,
+            terms_used=max(self.terms_used, other.terms_used),
+            tail_bound=self.tail_bound + other.tail_bound,
+            converged=self.converged and other.converged,
+        )
+
 
 def _validate_controls(tol: float, max_terms: int) -> None:
     if not (tol > 0.0 and math.isfinite(tol)):
@@ -53,18 +63,17 @@ def _validate_controls(tol: float, max_terms: int) -> None:
 def _indexed_series(
     q: float,
     prefactor: float,
-    sample: Callable[[int], float],
+    sample: Callable[[int], float | None],
     tol: float,
     max_terms: int,
-    halt_on: tuple[type[Exception], ...] = (),
 ) -> SeriesResult:
     """prefactor * sum_k q^k * sample(k), Kahan-compensated.
 
     sample(k) is called once per index in increasing order.  A zero
     prefactor is an exact empty sum regardless of the samples.  When
-    sample raises one of halt_on the orbit is treated as exhausted: the
-    partial sum is returned with converged=False (the lattice ran out
-    of usable points, same as running out of terms).
+    sample returns None the orbit is exhausted: the partial sum is
+    returned with converged=False (the orbit ran out of usable points,
+    same as running out of terms).
     """
     _validate_controls(tol, max_terms)
     if prefactor == 0.0:
@@ -77,9 +86,8 @@ def _indexed_series(
     done = 0
     tail = math.inf
     for k in range(max_terms):
-        try:
-            fx = sample(k)
-        except halt_on:
+        fx = sample(k)
+        if fx is None:
             break
         if not math.isfinite(fx):
             raise NonFiniteValue(f"series term {k} evaluated to {fx!r}")
@@ -97,35 +105,6 @@ def _indexed_series(
     return SeriesResult(prefactor * total, done, tail, False)
 
 
-def _orbit_series(
-    q: float,
-    omega: float,
-    f: Callable[[float], float],
-    x: float,
-    tol: float,
-    max_terms: int,
-) -> SeriesResult:
-    """One-sided series for the integral from the fixed point to x."""
-    prefactor = x * (1.0 - q) - omega
-    nodes: list[float] = [x]
-
-    def sample(k: int) -> float:
-        while len(nodes) <= k:
-            nodes.append(q * nodes[-1] + omega)
-        return f(nodes[k])
-
-    return _indexed_series(q, prefactor, sample, tol, max_terms)
-
-
-def _combine_two_sided(at_b: SeriesResult, at_a: SeriesResult) -> SeriesResult:
-    return SeriesResult(
-        value=at_b.value - at_a.value,
-        terms_used=max(at_b.terms_used, at_a.terms_used),
-        tail_bound=at_b.tail_bound + at_a.tail_bound,
-        converged=at_b.converged and at_a.converged,
-    )
-
-
 def integral_from_fixed(
     params: HahnParams,
     f: Callable[[float], float],
@@ -136,7 +115,8 @@ def integral_from_fixed(
     """Integral of f over [omega0, x] (signed; x may sit on either side)."""
     if not math.isfinite(x):
         raise ValueError(f"endpoint must be finite, got {x!r}")
-    return _orbit_series(params.q, params.omega, f, x, tol, max_terms)
+    orbit = Orbit(params.q, params.omega, x, f)
+    return _indexed_series(params.q, orbit.prefactor, orbit.value, tol, max_terms)
 
 
 def integral(
@@ -152,8 +132,7 @@ def integral(
     Antisymmetric in the endpoints; both orbit series share tol and
     max_terms and the reported tail bound is the sum of the two."""
     at_b = integral_from_fixed(params, f, b, tol, max_terms)
-    at_a = integral_from_fixed(params, f, a, tol, max_terms)
-    return _combine_two_sided(at_b, at_a)
+    return at_b - integral_from_fixed(params, f, a, tol, max_terms)
 
 
 def sigma_cell_integral(params: HahnParams, f: Callable[[float], float], t: float) -> float:
@@ -180,9 +159,11 @@ def jackson_q_integral(
         raise ValueError(f"q must lie in (0, 1), got {q!r}")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("endpoints must be finite")
-    at_b = _orbit_series(q, 0.0, f, b, tol, max_terms)
-    at_a = _orbit_series(q, 0.0, f, a, tol, max_terms)
-    return _combine_two_sided(at_b, at_a)
+    at_b, at_a = (
+        _indexed_series(q, orbit.prefactor, orbit.value, tol, max_terms)
+        for orbit in (Orbit(q, 0.0, b, f), Orbit(q, 0.0, a, f))
+    )
+    return at_b - at_a
 
 
 def _norlund_one_sided(
@@ -232,5 +213,4 @@ def norlund_sum(
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("endpoints must be finite")
     at_b = _norlund_one_sided(omega, f, b, tol, max_terms)
-    at_a = _norlund_one_sided(omega, f, a, tol, max_terms)
-    return _combine_two_sided(at_b, at_a)
+    return at_b - _norlund_one_sided(omega, f, a, tol, max_terms)

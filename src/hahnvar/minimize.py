@@ -19,11 +19,11 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .core import DEFAULT_DEPTH, GridFunction, LatticePoint, Origin
+from .core import DEFAULT_DEPTH, GridFunction, Orbit, Origin
 from .dsl import Lagrangian, Neg
 from .errors import DomainError, NonFiniteValue
-from .operators import _orbit_level_values, iterated_quotient
-from .variational import Problem, _extrapolate_to_fixed, traj_components
+from .operators import extrapolate_to_fixed, iterated_quotient
+from .variational import Problem, traj_components
 
 _SHRINK = 0.5
 _ESCALATE = 10.0
@@ -55,20 +55,16 @@ class _Orbit:
     """Mutable per-orbit search state."""
 
     def __init__(self, problem: Problem, origin: Origin, depth: int):
-        lattice = problem.lattice(depth)
+        seed = problem.a if origin is Origin.A else problem.b
+        orbit = Orbit(problem.params.q, problem.params.omega, seed)
         self.origin = origin
-        self.seed_value = problem.a if origin is Origin.A else problem.b
-        self.prefactor = self.seed_value * (1.0 - problem.params.q) - problem.params.omega
+        self.prefactor = orbit.prefactor
         # F = (series at b) - (series at a)
         self.coef = self.prefactor if origin is Origin.B else -self.prefactor
-        self.taus = [lattice.realize(LatticePoint(origin, n)) for n in range(depth + 1)]
-        # Realizations eventually round onto omega0; quotients past the
-        # first merged pair are meaningless, so the orbit is capped there.
-        self.usable = depth
-        for n in range(depth):
-            if self.taus[n + 1] == self.taus[n]:
-                self.usable = n
-                break
+        self.taus = [orbit.node(n) for n in range(depth + 1)]
+        # Quotients past the orbit's first float merge near omega0 are
+        # meaningless, so the search stops at its usable cap.
+        self.usable = orbit.reach(depth)
         self.top_term = self.usable - problem.r  # last valid term index
         self.values: list[float] = []
         self.terms: list[float] = []
@@ -170,9 +166,9 @@ class _Search:
             return self.fixed_value
         live = self.orbits[0]
         top = live.usable
-        level = _orbit_level_values(live.taus[: top + 1], live.values[: top + 1], i)
-        est = _extrapolate_to_fixed(self.q, level)
-        return est if est is not None else self.fixed_value
+        if top < i + 1:
+            return self.fixed_value
+        return extrapolate_to_fixed(self.q, live.taus[: top + 1], live.values[: top + 1], i)
 
     def violations(self) -> list[float]:
         prob = self.problem

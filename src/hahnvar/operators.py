@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .core import GridFunction, HahnParams, Lattice, LatticePoint, Origin, sigma_pow
+from .core import GridFunction, HahnParams, LatticePoint, Orbit, Origin
 from .errors import DegenerateDenominator, InsufficientDepth, NonFiniteValue
 
 
@@ -60,6 +60,15 @@ def iterated_quotient(taus: Sequence[float], vals: Sequence[float]) -> float:
     return row[0]
 
 
+def quotient_levels(taus: Sequence[float], vals: Sequence[float], level: int) -> list[float]:
+    """All level-fold quotients along a usable run of orbit points (no
+    zero steps): entry j is D^level at taus[j], from vals[j .. j + level]."""
+    row = list(vals)
+    for _ in range(level):
+        row = [(row[j + 1] - row[j]) / (taus[j + 1] - taus[j]) for j in range(len(row) - 1)]
+    return row
+
+
 def hahn_derivative(params: HahnParams, f, t) -> float:
     """D[f] at t; f may be a callable on reals or a GridFunction.
 
@@ -90,70 +99,46 @@ def _callable_derivative_n(params: HahnParams, f: Callable[[float], float], r: i
         # D^r at the fixed point is the classical derivative of D^(r-1).
         inner = lambda s: _callable_derivative_n(params, f, r - 1, s)  # noqa: E731
         return _classical_derivative(inner, t)
-    taus = [sigma_pow(params, j, t) for j in range(r + 1)]
+    orbit = Orbit(params.q, params.omega, t)
+    taus = [orbit.node(j) for j in range(r + 1)]
     vals = [_checked(f(tj), tj) for tj in taus]
     return iterated_quotient(taus, vals)
 
 
-def _orbit_arrays(y: GridFunction, origin: Origin) -> tuple[list[float], list[float]]:
-    lat = y.lattice
-    taus = [lat.realize(LatticePoint(origin, n)) for n in range(lat.depth + 1)]
-    return taus, list(y.orbit_values(origin))
-
-
 def _grid_derivative_n(y: GridFunction, r: int, point: LatticePoint) -> float:
-    lat = y.lattice
     if r == 0:
         return y.value(point)
-    if point.origin is Origin.FIXED or lat.orbit_degenerate(point.origin):
+    if point.origin is Origin.FIXED or y.lattice.orbit_degenerate(point.origin):
         return grid_derivative_at_fixed(y, r)
-    if point.n + r > lat.depth:
-        raise InsufficientDepth(
-            f"D^{r} at index {point.n} needs depth {point.n + r}, lattice has {lat.depth}"
-        )
-    taus, vals = _orbit_arrays(y, point.origin)
-    sl = slice(point.n, point.n + r + 1)
-    return iterated_quotient(taus[sl], vals[sl])
+    return iterated_quotient(*y.orbit(point.origin).window(point.n, r + 1))
 
 
-def _orbit_level_values(
-    taus: Sequence[float], vals: Sequence[float], level: int
-) -> list[float | None]:
-    """All level-fold quotients along one orbit; None marks entries whose
-    stencil hit a float-merged pair of points near omega0."""
-    row: list[float | None] = list(vals)
-    for _ in range(level):
-        nxt: list[float | None] = []
-        for j in range(len(row) - 1):
-            den = taus[j + 1] - taus[j]
-            if den == 0.0 or row[j] is None or row[j + 1] is None:
-                nxt.append(None)
-            else:
-                nxt.append((row[j + 1] - row[j]) / den)
-        row = nxt
-    return row
+def extrapolate_to_fixed(q: float, taus: Sequence[float], vals: Sequence[float], r: int) -> float:
+    """Estimate D^r at omega0 from a run of consecutive orbit points.
+
+    Takes the two D^r values at the deepest end of the run and removes
+    the leading O(t - omega0) error geometrically: with
+    v_n = L + C*(t_n - omega0) and t_{n+1} - omega0 = q*(t_n - omega0),
+    L = (v_{n+1} - q*v_n) / (1 - q).
+    """
+    n = len(vals)
+    if n < r + 2:
+        raise InsufficientDepth(f"orbit too shallow to extrapolate D^{r} to omega0")
+    near = iterated_quotient(taus[n - r - 1 : n], vals[n - r - 1 : n])
+    prev = iterated_quotient(taus[n - r - 2 : n - 1], vals[n - r - 2 : n - 1])
+    return (near - q * prev) / (1.0 - q)
 
 
 def grid_derivative_at_fixed(y: GridFunction, r: int) -> float:
-    """Estimate D^r[y](omega0) from grid data.
-
-    Takes the deepest adjacent pair of D^r values along a non-degenerate
-    orbit and removes the leading O(t - omega0) error geometrically:
-    with v_n = L + C*(t_n - omega0) and t_{n+1} - omega0 = q*(t_n - omega0),
-    L = (v_{n+1} - q*v_n) / (1 - q).
-    """
+    """Estimate D^r[y](omega0) by extrapolation along the first
+    non-degenerate orbit whose usable part holds two D^r values."""
     if r == 0:
         return y.value_at_fixed
-    lat = y.lattice
-    q = lat.params.q
     for origin in (Origin.A, Origin.B):
-        if lat.orbit_degenerate(origin):
-            continue
-        taus, vals = _orbit_arrays(y, origin)
-        level = _orbit_level_values(taus, vals, r)
-        for j in range(len(level) - 2, -1, -1):
-            if level[j] is not None and level[j + 1] is not None:
-                return (level[j + 1] - q * level[j]) / (1.0 - q)
+        orbit = y.orbit(origin)
+        top = orbit.reach(y.lattice.depth)
+        if not orbit.degenerate and top >= r + 1:
+            return extrapolate_to_fixed(orbit.q, orbit.nodes[: top + 1], orbit.values[: top + 1], r)
     raise InsufficientDepth(
         f"no orbit offers two adjacent D^{r} values for the omega0 extrapolation"
     )
@@ -170,25 +155,18 @@ def norm_r_inf(y: GridFunction, r: int) -> float:
     lat = y.lattice
     if lat.depth < r + 1:
         raise InsufficientDepth(f"norm of order {r} needs depth >= {r + 1}")
-    total = 0.0
-    per_orbit = {}
+    runs = []
     for origin in (Origin.A, Origin.B):
-        if not lat.orbit_degenerate(origin):
-            per_orbit[origin] = _orbit_arrays(y, origin)
-    for i in range(r + 1):
-        best = abs(y.value_at_fixed) if i == 0 else None
-        for origin, (taus, vals) in per_orbit.items():
-            for v in _orbit_level_values(taus, vals, i):
-                if v is not None and (best is None or abs(v) > best):
-                    best = abs(v)
-        if i == 0:
-            for origin in (Origin.A, Origin.B):
-                if origin not in per_orbit:
-                    for v in y.orbit_values(origin):
-                        best = max(best, abs(v))
-        if best is None:
+        orbit = y.orbit(origin)
+        top = orbit.reach(lat.depth)
+        if not orbit.degenerate:
+            runs.append((orbit.nodes[: top + 1], orbit.values[: top + 1]))
+    total = max(abs(v) for v in (y.value_at_fixed, *y.values_a, *y.values_b))
+    for i in range(1, r + 1):
+        level = [abs(v) for taus, vals in runs for v in quotient_levels(taus, vals, i)]
+        if not level:
             raise InsufficientDepth(f"no computable D^{i} values at depth {lat.depth}")
-        total += best
+        total += max(level)
     return total
 
 

@@ -31,18 +31,18 @@ from .core import (
     Lattice,
     LatticePoint,
     OMEGA0_POINT,
+    Orbit,
     Origin,
-    sigma_pow,
 )
 from .dsl import Expr, Lagrangian, compile_lagrangian, evaluate, parse
-from .errors import DegenerateDenominator, InsufficientDepth, NotAVariation
-from .integrals import SeriesResult, _combine_two_sided, _indexed_series
-from .operators import _orbit_level_values, grid_derivative_at_fixed, iterated_quotient
-
-# Sampling the integrand past the float resolution of the lattice
-# (orbit steps rounded to zero, or a grid candidate's depth) ends the
-# series as data, not as an exception.
-_ORBIT_EXHAUSTED = (DegenerateDenominator, InsufficientDepth)
+from .errors import InsufficientDepth, NotAVariation
+from .integrals import SeriesResult, _indexed_series
+from .operators import (
+    extrapolate_to_fixed,
+    grid_derivative_at_fixed,
+    iterated_quotient,
+    quotient_levels,
+)
 
 # Anything usable as a trajectory candidate: grid data, a plain function
 # of t, or an expression (tree or source) in the variable t.
@@ -117,70 +117,13 @@ def materialize(problem: Problem, y: Candidate, depth: int = DEFAULT_DEPTH) -> G
     return GridFunction.sample(problem.lattice(depth), fn)
 
 
-class _OrbitView:
-    """Lazy realizations and candidate values along one endpoint orbit."""
-
-    def __init__(self, problem: Problem, y: Candidate, origin: Origin):
-        if origin is Origin.FIXED:
-            raise ValueError("views follow the endpoint orbits only")
-        params = problem.params
-        self.params = params
-        self.origin = origin
-        self.seed = problem.a if origin is Origin.A else problem.b
-        self.prefactor = self.seed * (1.0 - params.q) - params.omega
-        self.degenerate = self.prefactor == 0.0
-        self._taus: list[float] = []
-        self._vals: list[float] = []
-        if isinstance(y, GridFunction):
-            _check_grid_compat(problem, y)
-            self.limit: int | None = y.lattice.depth
-            self._grid_vals = y.orbit_values(origin)
-            self._fixed = y.value_at_fixed
-            self._fn = None
-        else:
-            self.limit = None
-            self._grid_vals = None
-            self._fixed = None
-            self._fn = _as_point_fn(y)
-
-    def tau(self, m: int) -> float:
-        while len(self._taus) <= m:
-            self._taus.append(sigma_pow(self.params, len(self._taus), self.seed))
-        return self._taus[m]
-
-    def val(self, m: int) -> float:
-        if self._grid_vals is not None:
-            if m > self.limit:
-                raise InsufficientDepth(
-                    f"orbit index {m} exceeds grid depth {self.limit}"
-                )
-            return self._grid_vals[m]
-        while len(self._vals) <= m:
-            self._vals.append(self._fn(self.tau(len(self._vals))))
-        return self._vals[m]
-
-    def fixed_val(self) -> float:
-        if self._fixed is not None or self._grid_vals is not None:
-            return self._fixed
-        return self._fn(self.params.omega0)
-
-
-class _CombView:
-    """View of y + coeff*eta without materializing the combination."""
-
-    def __init__(self, base: _OrbitView, other: _OrbitView, coeff: float):
-        self.params = base.params
-        self.origin = base.origin
-        self.seed = base.seed
-        self.prefactor = base.prefactor
-        self.degenerate = base.degenerate
-        self._base, self._other, self._coeff = base, other, coeff
-
-    def tau(self, m: int) -> float:
-        return self._base.tau(m)
-
-    def val(self, m: int) -> float:
-        return self._base.val(m) + self._coeff * self._other.val(m)
+def _orbit(problem: Problem, y: Candidate, origin: Origin) -> Orbit:
+    """The endpoint orbit of ``origin`` carrying the candidate's values."""
+    if isinstance(y, GridFunction):
+        _check_grid_compat(problem, y)
+        return y.orbit(origin)
+    seed = problem.a if origin is Origin.A else problem.b
+    return Orbit(problem.params.q, problem.params.omega, seed, _as_point_fn(y))
 
 
 def traj_components(taus: Sequence[float], vals: Sequence[float]) -> list[float]:
@@ -207,10 +150,9 @@ def trajectory(
     orbit extrapolation from grid data."""
     r = problem.r
     if point.origin is not Origin.FIXED:
-        view = _OrbitView(problem, y, point.origin)
-        if not view.degenerate:
-            taus = [view.tau(point.n + j) for j in range(r + 1)]
-            vals = [view.val(point.n + j) for j in range(r + 1)]
+        orbit = _orbit(problem, y, point.origin)
+        if not orbit.degenerate:
+            taus, vals = orbit.window(point.n, r + 1)
             return (taus[0], *traj_components(taus, vals))
     grid = materialize(problem, y, depth)
     q = problem.params.q
@@ -223,21 +165,18 @@ def trajectory(
 # Functional value and first variation
 # ---------------------------------------------------------------------------
 
-def _one_sided_functional(problem: Problem, view, tol: float, max_terms: int) -> SeriesResult:
-    if view.prefactor == 0.0:
-        return SeriesResult(0.0, 0, 0.0, True)
+def _one_sided_functional(problem: Problem, orbit: Orbit, tol: float, max_terms: int) -> SeriesResult:
     r = problem.r
     lagr = problem.lagrangian
 
-    def sample(k: int) -> float:
-        taus = [view.tau(k + j) for j in range(r + 1)]
-        vals = [view.val(k + j) for j in range(r + 1)]
-        return lagr.value(taus[0], traj_components(taus, vals))
+    def sample(k: int) -> float | None:
+        end = k + r
+        if orbit.reach(end) < end:
+            return None
+        taus = orbit.nodes[k : end + 1]
+        return lagr.value(taus[0], traj_components(taus, orbit.values[k : end + 1]))
 
-    return _indexed_series(
-        problem.params.q, view.prefactor, sample, tol, max_terms,
-        halt_on=_ORBIT_EXHAUSTED,
-    )
+    return _indexed_series(problem.params.q, orbit.prefactor, sample, tol, max_terms)
 
 
 def functional_value(
@@ -247,9 +186,8 @@ def functional_value(
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> SeriesResult:
     """The objective integral, as the difference of the two one-sided series."""
-    at_b = _one_sided_functional(problem, _OrbitView(problem, y, Origin.B), tol, max_terms)
-    at_a = _one_sided_functional(problem, _OrbitView(problem, y, Origin.A), tol, max_terms)
-    return _combine_two_sided(at_b, at_a)
+    at_b = _one_sided_functional(problem, _orbit(problem, y, Origin.B), tol, max_terms)
+    return at_b - _one_sided_functional(problem, _orbit(problem, y, Origin.A), tol, max_terms)
 
 
 def _endpoint_derivative(
@@ -257,11 +195,9 @@ def _endpoint_derivative(
 ) -> float:
     """D^i y at an endpoint; degenerate endpoints fall back to the
     omega0 extrapolation (i >= 1) or the fixed value (i = 0)."""
-    view = _OrbitView(problem, y, origin)
-    if not view.degenerate:
-        taus = [view.tau(j) for j in range(i + 1)]
-        vals = [view.val(j) for j in range(i + 1)]
-        return iterated_quotient(taus, vals) if i else vals[0]
+    orbit = _orbit(problem, y, origin)
+    if not orbit.degenerate:
+        return iterated_quotient(*orbit.window(0, i + 1))
     if i == 0:
         grid = y if isinstance(y, GridFunction) else None
         return grid.value_at_fixed if grid is not None else _as_point_fn(y)(problem.params.omega0)
@@ -336,26 +272,21 @@ def first_variation(
     lagr = problem.lagrangian
     parts = []
     for origin in (Origin.B, Origin.A):
-        vy = _OrbitView(problem, y, origin)
-        ve = _OrbitView(problem, eta, origin)
-        if vy.prefactor == 0.0:
-            parts.append(SeriesResult(0.0, 0, 0.0, True))
-            continue
+        vy = _orbit(problem, y, origin)
+        ve = _orbit(problem, eta, origin)
 
-        def sample(k: int, vy=vy, ve=ve) -> float:
-            taus = [vy.tau(k + j) for j in range(r + 1)]
-            ys = traj_components(taus, [vy.val(k + j) for j in range(r + 1)])
-            es = traj_components(taus, [ve.val(k + j) for j in range(r + 1)])
+        def sample(k: int, vy=vy, ve=ve) -> float | None:
+            end = k + r
+            if vy.reach(end) < end or ve.reach(end) < end:
+                return None
+            taus = vy.nodes[k : end + 1]
+            ys = traj_components(taus, vy.values[k : end + 1])
+            es = traj_components(taus, ve.values[k : end + 1])
             t = taus[0]
             return math.fsum(lagr.partial(i, t, ys) * es[i] for i in range(r + 1))
 
-        parts.append(
-            _indexed_series(
-                problem.params.q, vy.prefactor, sample, tol, max_terms,
-                halt_on=_ORBIT_EXHAUSTED,
-            )
-        )
-    return _combine_two_sided(parts[0], parts[1])
+        parts.append(_indexed_series(problem.params.q, vy.prefactor, sample, tol, max_terms))
+    return parts[0] - parts[1]
 
 
 def first_variation_fd(
@@ -369,18 +300,15 @@ def first_variation_fd(
     """Central-difference check value (L[y + eps*eta] - L[y - eps*eta]) / (2*eps)."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
+    ys = [_orbit(problem, y, origin) for origin in (Origin.B, Origin.A)]
+    es = [_orbit(problem, eta, origin) for origin in (Origin.B, Origin.A)]
     shifted = []
-    for sign in (1.0, -1.0):
-        parts = []
-        for origin in (Origin.B, Origin.A):
-            vy = _OrbitView(problem, y, origin)
-            ve = _OrbitView(problem, eta, origin)
-            parts.append(
-                _one_sided_functional(
-                    problem, _CombView(vy, ve, sign * eps), tol, max_terms
-                )
-            )
-        shifted.append(parts[0].value - parts[1].value)
+    for coeff in (eps, -eps):
+        at_b, at_a = (
+            _one_sided_functional(problem, vy.plus(coeff, ve), tol, max_terms)
+            for vy, ve in zip(ys, es)
+        )
+        shifted.append(at_b.value - at_a.value)
     return (shifted[0] - shifted[1]) / (2.0 * eps)
 
 
@@ -415,57 +343,45 @@ def el_residual(
     for r = 1 the value is exactly D[dL/du1] - dL/du0."""
     r = problem.r
     if point.origin is not Origin.FIXED:
-        view = _OrbitView(problem, y, point.origin)
-        if not view.degenerate:
-            taus = [view.tau(point.n + j) for j in range(2 * r + 1)]
-            vals = [view.val(point.n + j) for j in range(2 * r + 1)]
+        orbit = _orbit(problem, y, point.origin)
+        if not orbit.degenerate:
+            taus, vals = orbit.window(point.n, 2 * r + 1)
             return _residual_from_window(problem.params.q, taus, vals, problem.lagrangian, r)
     return _residual_at_fixed(problem, y, depth)
 
 
-def _orbit_partial_values(
-    problem: Problem, view: _OrbitView, top: int
-) -> tuple[list[float], list[list[float]]]:
-    """taus[0..top+r] plus, for each i, dL/du_i along the orbit up to index top."""
+def _orbit_partials(problem: Problem, orbit: Orbit, lo: int, hi: int) -> list[list[float]]:
+    """For each i, dL/du_i along the orbit at indices lo..hi; the orbit
+    must be usable through hi + r."""
     r = problem.r
     lagr = problem.lagrangian
-    taus = [view.tau(m) for m in range(top + r + 1)]
-    vals = [view.val(m) for m in range(top + r + 1)]
+    taus, vals = orbit.nodes, orbit.values
     partials: list[list[float]] = [[] for _ in range(r + 1)]
-    for m in range(top + 1):
+    for m in range(lo, hi + 1):
         us = traj_components(taus[m : m + r + 1], vals[m : m + r + 1])
         for i in range(r + 1):
             partials[i].append(lagr.partial(i, taus[m], us))
-    return taus, partials
-
-
-def _extrapolate_to_fixed(q: float, level: list[float | None]) -> float | None:
-    """Geometric limit estimate from the deepest adjacent pair of orbit values."""
-    for j in range(len(level) - 2, -1, -1):
-        if level[j] is not None and level[j + 1] is not None:
-            return (level[j + 1] - q * level[j]) / (1.0 - q)
-    return None
+    return partials
 
 
 def _residual_at_fixed(problem: Problem, y: Candidate, depth: int) -> float:
-    """Residual estimate at omega0 by orbit extrapolation of each D^i[g_i]."""
+    """Residual estimate at omega0 by orbit extrapolation of each D^i[g_i]
+    from the deepest usable points of the first non-degenerate orbit."""
     r = problem.r
     q = problem.params.q
+    limit = y.lattice.depth if isinstance(y, GridFunction) else depth
     for origin in (Origin.A, Origin.B):
-        view = _OrbitView(problem, y, origin)
-        if view.degenerate:
+        orbit = _orbit(problem, y, origin)
+        if orbit.degenerate:
             continue
-        top = (view.limit if view.limit is not None else depth) - 2 * r
+        top = orbit.reach(limit) - 2 * r
         if top < 1:
             raise InsufficientDepth(f"need depth > {2 * r} for the omega0 residual")
-        taus, partials = _orbit_partial_values(problem, view, top + r)
+        taus = orbit.nodes[top - 1 : top + r + 1]
+        partials = _orbit_partials(problem, orbit, top - 1, top + r)
         total = 0.0
         for i in range(r + 1):
-            level = _orbit_level_values(taus[: top + r + 1], partials[i], i)
-            est = _extrapolate_to_fixed(q, level[: top + 1])
-            if est is None:
-                raise InsufficientDepth("orbit too shallow to extrapolate the residual")
-            total += _coeff(q, i) * est
+            total += _coeff(q, i) * extrapolate_to_fixed(q, taus[: i + 2], partials[i][: i + 2], i)
         return total
     raise InsufficientDepth("both orbits are degenerate")
 
@@ -497,9 +413,9 @@ def el_report(
     include_omega0: bool = False,
 ) -> ElReport:
     """Residuals at every orbit point with full stencil room, plus the
-    boundary check; points whose realizations merged into omega0 in
-    float are silently dropped and depth_used records the deepest index
-    actually evaluated."""
+    boundary check.  Each orbit is evaluated up to its usable cap (the
+    grid depth, or the first float merge of two nodes near omega0), and
+    depth_used records the deepest index actually evaluated."""
     r = problem.r
     q = problem.params.q
     if depth < 2 * r + 1:
@@ -507,25 +423,20 @@ def el_report(
     residuals: dict[LatticePoint, float] = {}
     depth_used = 0
     for origin in (Origin.A, Origin.B):
-        view = _OrbitView(problem, y, origin)
-        if view.degenerate:
+        orbit = _orbit(problem, y, origin)
+        if orbit.degenerate:
             continue
-        top_grid = view.limit if view.limit is not None else depth
-        top = min(depth, top_grid) - 2 * r
+        top = orbit.reach(depth) - 2 * r
         if top < 0:
             continue
-        taus, partials = _orbit_partial_values(problem, view, top + r)
-        per_i = [
-            _orbit_level_values(taus[: top + r + 1], partials[i], i)[: top + 1]
-            for i in range(r + 1)
-        ]
+        taus = orbit.nodes[: top + r + 1]
+        partials = _orbit_partials(problem, orbit, 0, top + r)
+        per_i = [quotient_levels(taus, partials[i], i) for i in range(r + 1)]
         for n in range(top + 1):
-            if any(per_i[i][n] is None for i in range(r + 1)):
-                break
             residuals[LatticePoint(origin, n)] = math.fsum(
                 _coeff(q, i) * per_i[i][n] for i in range(r + 1)
             )
-            depth_used = max(depth_used, n)
+        depth_used = max(depth_used, top)
     orbit_max = max((abs(v) for v in residuals.values()), default=0.0)
     violations = _boundary_violations(problem, y, problem.alpha, problem.beta, tol, depth)
     passed = orbit_max <= tol and not violations

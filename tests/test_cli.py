@@ -25,6 +25,15 @@ def test_deriv_json_value(capsys):
     assert report["value"] == 3.5
 
 
+def test_negative_exponent_value_as_separate_token(capsys):
+    base = ("deriv", "--q", "0.5", "--omega", "0.5", "--expr", "t", "--format", "json")
+    code, out, _ = run(capsys, *base, "--t", "-3.1e-05")
+    code_eq, out_eq, _ = run(capsys, *base, "--t=-3.1e-05")
+    assert code == code_eq == 0
+    assert json.loads(out) == json.loads(out_eq)
+    assert json.loads(out)["t"] == -3.1e-05
+
+
 def test_json_numbers_round_trip_doubles(capsys):
     code, out, _ = run(
         capsys, "integrate", "--q", "0.7", "--omega", "0.3", "--expr", "t^2 - t",

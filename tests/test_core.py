@@ -3,9 +3,10 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hahnvar import (
+    DegenerateDenominator,
     GridFunction,
     HahnParams,
     InsufficientDepth,
@@ -14,6 +15,7 @@ from hahnvar import (
     NonFiniteValue,
     OMEGA0_POINT,
     Origin,
+    integral_from_fixed,
     q_bracket,
     sigma_pow,
 )
@@ -171,3 +173,64 @@ def test_grid_replace_value_copies():
     assert g.value(pt) == 0.0
     k = g.replace_value(OMEGA0_POINT, 3.0)
     assert k.value_at_fixed == 3.0
+
+
+# Orbit realization.  (0.9, 0.1) from -1.5 is an orbit whose closed form
+# sigma_pow rounds two nodes together at index 335 and apart again at 336.
+orbit_params = dict(
+    q=st.floats(0.05, 0.95),
+    omega=st.floats(0.1, 2.0),
+    seed=st.floats(-5.0, 5.0),
+)
+
+
+@given(**orbit_params)
+@example(q=0.9, omega=0.1, seed=-1.5)
+def test_realize_is_sigma_iteration(q, omega, seed):
+    p = HahnParams(q, omega)
+    lat = Lattice(p, seed, seed + 1.0, depth=400)
+    t = seed
+    for n in range(lat.depth + 1):
+        assert lat.realize(LatticePoint(Origin.A, n)) == t
+        t = p.sigma(t)
+
+
+@given(**orbit_params)
+@example(q=0.9, omega=0.1, seed=-1.5)
+def test_realized_merge_is_absorbing(q, omega, seed):
+    lat = Lattice(HahnParams(q, omega), seed, seed + 1.0, depth=1000)
+    nodes = [lat.realize(LatticePoint(Origin.A, n)) for n in range(lat.depth + 1)]
+    merged = next((n for n in range(lat.depth) if nodes[n + 1] == nodes[n]), None)
+    if merged is not None:
+        assert all(t == nodes[merged] for t in nodes[merged:])
+
+
+@given(**orbit_params)
+@example(q=0.9, omega=0.1, seed=-1.5)
+def test_integral_samples_at_realized_nodes(q, omega, seed):
+    p = HahnParams(q, omega)
+    args = []
+
+    def f(t):
+        args.append(t)
+        return t * t
+
+    integral_from_fixed(p, f, seed, max_terms=500)
+    lat = Lattice(p, seed, seed + 1.0, depth=max(1, len(args)))
+    assert args == [lat.realize(LatticePoint(Origin.A, n)) for n in range(len(args))]
+
+
+def test_orbit_cap_is_grid_depth_or_first_merge():
+    from hahnvar.core import Orbit
+
+    grid = Orbit(0.5, 0.5, 2.0, [float(n) for n in range(5)])
+    assert grid.reach(10) == 4
+    with pytest.raises(InsufficientDepth):
+        grid.value(5)
+    lazy = Orbit(0.9, 0.1, -1.5, lambda t: 2.0 * t)
+    cap = lazy.reach(10_000)
+    assert cap < 10_000
+    assert lazy.node(cap + 1) == lazy.node(cap) != lazy.node(cap - 1)
+    assert lazy.value(cap + 7) == 2.0 * lazy.node(cap)
+    with pytest.raises(DegenerateDenominator):
+        lazy.window(cap, 2)
