@@ -29,7 +29,7 @@ from typing import Any, Callable, Sequence
 
 from . import demos
 from .core import DEFAULT_DEPTH, DEFAULT_MAX_TERMS, DEFAULT_TOL, GridFunction, HahnParams
-from .dsl import Expr, Var, evaluate, parse
+from .dsl import Expr, function_of_t, parse, variables
 from .errors import ArityError, ConfigError, ExprSyntaxError, HahnvarError, UnknownIdentifier
 from .integrals import integral
 from .minimize import minimize_direct
@@ -252,15 +252,9 @@ def _build_problem(cfg: dict) -> Problem:
 
 def _expr_of_t(source: str) -> Expr:
     tree = parse(source)
-
-    def check(node: Expr) -> None:
-        if isinstance(node, Var) and node.name != "t":
-            raise ConfigError(f"candidate expression may only use t, found {node.name!r}")
-        for child in getattr(node, "__dict__", {}).values():
-            if isinstance(child, Expr):
-                check(child)
-
-    check(tree)
+    others = sorted(variables(tree) - {"t"})
+    if others:
+        raise ConfigError(f"candidate expression may only use t, found {others[0]!r}")
     return tree
 
 
@@ -352,7 +346,7 @@ def _cmd_deriv(args) -> int:
         raise ConfigError("--order must be nonnegative")
     params = HahnParams(args.q, args.omega)
     expr = _expr_of_t(args.expr)
-    value = hahn_derivative_n(params, lambda t: evaluate(expr, {"t": t}), args.order, args.t)
+    value = hahn_derivative_n(params, function_of_t(expr), args.order, args.t)
     report = {
         "q": args.q,
         "omega": args.omega,
@@ -370,7 +364,7 @@ def _cmd_integrate(args) -> int:
     expr = _expr_of_t(args.expr)
     tol = args.tol if args.tol is not None else DEFAULT_TOL
     max_terms = args.max_terms if args.max_terms is not None else DEFAULT_MAX_TERMS
-    result = integral(params, lambda t: evaluate(expr, {"t": t}), args.a, args.b, tol, max_terms)
+    result = integral(params, function_of_t(expr), args.a, args.b, tol, max_terms)
     report = {
         "q": args.q,
         "omega": args.omega,

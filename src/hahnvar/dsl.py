@@ -9,14 +9,16 @@ Grammar (whitespace-insensitive)::
 
 Variables are ``t`` and the slot values ``u0`` .. ``u9``; functions are
 sin, cos, exp, ln, sqrt and abs.  Note that unary minus binds tighter
-than '^', so ``-u0^2`` means ``(-u0)^2``.
+than '^', so ``-u0^2`` means ``(-u0)^2``.  Nesting past MAX_NESTING
+(brackets, unary minus, '^' or tree levels) is a syntax error.  A power
+with an integer literal exponent is the float power ``**``; any other
+exponent g uses exp(g*ln(f)) and requires a positive base.
 
-Powers with an integer literal exponent are evaluated by repeated
-multiplication, which keeps negative bases legal; any other exponent g
-uses exp(g*ln(f)) and requires a positive base.
-
-Partial derivatives are computed by forward-mode dual numbers, walking
-the same tree as plain evaluation.
+Numbers come from compiled code (``_emit``), with the checked walk
+``evaluate``, which does the same float operations, where it faults or
+is not finite.  ``derivative`` builds partials as trees, folding 0 and 1,
+with d abs(a) = a/abs(a)*da and d sqrt(a) = 0.5/sqrt(a)*da, so kinks
+divide by zero in the slope.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import (
     ArityError,
@@ -36,6 +38,11 @@ from .errors import (
 )
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
+
+# What each function name means, to the checked walk and in compiled code.
+_MATH = dict(zip(FUNCTIONS, (math.sin, math.cos, math.exp, math.log, math.sqrt, abs)))
+
+MAX_NESTING = 100
 
 _VAR_RE = re.compile(r"^(t|u[0-9])$")
 
@@ -82,6 +89,23 @@ class Call(Expr):
     operand: Expr
 
 
+def _walk(e: Expr) -> Iterator[tuple[Expr, int]]:
+    """Every node with its depth (the root is 0); iterative, so any depth is safe."""
+    stack = [(e, 0)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        if isinstance(node, BinOp):
+            stack += ((node.left, depth + 1), (node.right, depth + 1))
+        elif isinstance(node, (Neg, Call)):
+            stack.append((node.operand, depth + 1))
+
+
+def variables(e: Expr) -> set[str]:
+    """Names of the variables the expression uses."""
+    return {node.name for node, _ in _walk(e) if isinstance(node, Var)}
+
+
 # ---------------------------------------------------------------------------
 # Tokenizer and parser
 # ---------------------------------------------------------------------------
@@ -89,6 +113,7 @@ class Call(Expr):
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _OPS = set("+-*/^()")
+_TOO_DEEP = {f"at most {MAX_NESTING} levels of nesting"}
 
 
 @dataclass(frozen=True)
@@ -129,6 +154,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.level = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -141,6 +167,15 @@ class _Parser:
     def fail(self, expected: set[str]) -> None:
         tok = self.peek()
         raise ExprSyntaxError(tok.pos, expected, tok.text or "end of input")
+
+    def nested(self, parse_inner: Callable[[], Expr]) -> Expr:
+        """parse_inner one level deeper, refusing to go past MAX_NESTING."""
+        self.level += 1
+        if self.level > MAX_NESTING:
+            self.fail(_TOO_DEEP)
+        node = parse_inner()
+        self.level -= 1
+        return node
 
     def expr(self) -> Expr:
         node = self.term()
@@ -160,7 +195,7 @@ class _Parser:
         node = self.base()
         if self.peek().kind == "^":
             self.take()
-            node = BinOp("^", node, self.factor())
+            node = BinOp("^", node, self.nested(self.factor))
         return node
 
     def base(self) -> Expr:
@@ -173,27 +208,25 @@ class _Parser:
             if self.peek().kind == "(":
                 if tok.text not in FUNCTIONS:
                     raise UnknownIdentifier(tok.text, tok.pos)
-                self.take()
-                inner = self.expr()
-                if self.peek().kind != ")":
-                    self.fail({"')'"})
-                self.take()
-                return Call(tok.text, inner)
+                return Call(tok.text, self.bracketed())
             if not _VAR_RE.match(tok.text):
                 raise UnknownIdentifier(tok.text, tok.pos)
             return Var(tok.text)
         if tok.kind == "(":
-            self.take()
-            inner = self.expr()
-            if self.peek().kind != ")":
-                self.fail({"')'"})
-            self.take()
-            return inner
+            return self.bracketed()
         if tok.kind == "-":
             self.take()
-            return Neg(self.base())
+            return Neg(self.nested(self.base))
         self.fail({"number", "identifier", "'('", "'-'"})
         raise AssertionError("unreachable")
+
+    def bracketed(self) -> Expr:
+        self.take()
+        inner = self.nested(self.expr)
+        if self.peek().kind != ")":
+            self.fail({"')'"})
+        self.take()
+        return inner
 
 
 def parse(text: str) -> Expr:
@@ -201,6 +234,8 @@ def parse(text: str) -> Expr:
     node = parser.expr()
     if parser.peek().kind != "end":
         parser.fail({"end of input", "operator"})
+    if max(depth for _, depth in _walk(node)) > MAX_NESTING:
+        raise ExprSyntaxError(0, _TOO_DEEP, "a deeper expression tree")
     return node
 
 
@@ -256,39 +291,16 @@ def to_string(e: Expr) -> str:
 
 def _literal_int_exponent(e: Expr) -> int | None:
     """Integer value of a literal (possibly negated) exponent, else None."""
-    if isinstance(e, Number):
-        if float(e.value).is_integer() and abs(e.value) <= 2**31:
-            return int(e.value)
-        return None
     if isinstance(e, Neg):
         inner = _literal_int_exponent(e.operand)
         return None if inner is None else -inner
-    return None
+    return int(e.value) if isinstance(e, Number) and float(e.value).is_integer() else None
 
 
 def _finite(x: float) -> float:
     if not math.isfinite(x):
         raise DomainError("evaluation overflowed the finite range")
     return x
-
-
-def _ipow(x, k: int):
-    """x**k by repeated multiplication; works for floats and duals."""
-    if k < 0:
-        return _one_like(x) / _ipow(x, -k)
-    result = _one_like(x)
-    base = x
-    while k:
-        if k & 1:
-            result = result * base
-        k >>= 1
-        if k:
-            base = base * base
-    return result
-
-
-def _one_like(x):
-    return Dual(1.0, 0.0) if isinstance(x, Dual) else 1.0
 
 
 def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
@@ -309,12 +321,15 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
         if e.op == "^":
             k = _literal_int_exponent(e.right)
             if k is not None:
-                return _finite(_ipow(left, k))
+                if k < 0 and left == 0.0:
+                    raise DomainError("division by zero")
+                try:
+                    return _finite(left**k)
+                except OverflowError:
+                    return _finite(math.inf)
             right = evaluate(e.right, bindings)
             if left <= 0.0:
-                raise DomainError(
-                    f"base {left!r} must be positive for a non-integer exponent"
-                )
+                raise DomainError(f"base {left!r} must be positive for a non-integer exponent")
             return _call_real("exp", right * math.log(left))
         right = evaluate(e.right, bindings)
         if e.op == "+":
@@ -330,124 +345,88 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
 
 
 def _call_real(fn: str, x: float) -> float:
-    if fn == "sin":
-        return math.sin(x)
-    if fn == "cos":
-        return math.cos(x)
-    if fn == "exp":
-        try:
-            return math.exp(x)
-        except OverflowError:
-            raise DomainError(f"exp({x!r}) overflows") from None
-    if fn == "ln":
-        if x <= 0.0:
-            raise DomainError(f"ln needs a positive argument, got {x!r}")
-        return math.log(x)
-    if fn == "sqrt":
-        if x < 0.0:
-            raise DomainError(f"sqrt needs a non-negative argument, got {x!r}")
-        return math.sqrt(x)
-    if fn == "abs":
-        return abs(x)
-    raise UnknownIdentifier(fn)
+    if fn == "ln" and x <= 0.0:
+        raise DomainError(f"ln needs a positive argument, got {x!r}")
+    if fn == "sqrt" and x < 0.0:
+        raise DomainError(f"sqrt needs a non-negative argument, got {x!r}")
+    try:
+        return _MATH[fn](x)
+    except KeyError:
+        raise UnknownIdentifier(fn) from None
+    except OverflowError:
+        raise DomainError(f"{fn}({x!r}) overflows") from None
 
 
-class Dual:
-    """Value together with the derivative along one seed direction."""
-
-    __slots__ = ("val", "dot")
-
-    def __init__(self, val: float, dot: float):
-        self.val = val
-        self.dot = dot
-
-    def __add__(self, other: "Dual") -> "Dual":
-        return Dual(self.val + other.val, self.dot + other.dot)
-
-    def __sub__(self, other: "Dual") -> "Dual":
-        return Dual(self.val - other.val, self.dot - other.dot)
-
-    def __mul__(self, other: "Dual") -> "Dual":
-        return Dual(self.val * other.val, self.dot * other.val + self.val * other.dot)
-
-    def __truediv__(self, other: "Dual") -> "Dual":
-        if other.val == 0.0:
-            raise DomainError("division by zero")
-        v = self.val / other.val
-        return Dual(v, (self.dot - v * other.dot) / other.val)
-
-    def __neg__(self) -> "Dual":
-        return Dual(-self.val, -self.dot)
+# Symbolic partials fold the zeros and ones they make.
+_ZERO, _ONE = Number(0.0), Number(1.0)
 
 
-def _eval_dual(e: Expr, bindings: Mapping[str, float], seed: str) -> Dual:
+def _add(a: Expr, b: Expr) -> Expr:
+    return b if a == _ZERO else a if b == _ZERO else BinOp("+", a, b)
+
+
+def _sub(a: Expr, b: Expr) -> Expr:
+    return a if b == _ZERO else _neg(b) if a == _ZERO else BinOp("-", a, b)
+
+
+def _mul(a: Expr, b: Expr) -> Expr:
+    if a == _ZERO or b == _ZERO:
+        return _ZERO
+    return b if a == _ONE else a if b == _ONE else BinOp("*", a, b)
+
+
+def _neg(a: Expr) -> Expr:
+    return _ZERO if a == _ZERO else Neg(a)
+
+
+def derivative(e: Expr, var: str) -> Expr:
+    """d e / d var as a tree, with 0 and 1 folded so terms free of var drop out."""
     if isinstance(e, Number):
-        return Dual(e.value, 0.0)
+        return _ZERO
     if isinstance(e, Var):
-        try:
-            v = bindings[e.name]
-        except KeyError:
-            raise UnboundVariable(e.name) from None
-        return Dual(v, 1.0 if e.name == seed else 0.0)
+        return _ONE if e.name == var else _ZERO
     if isinstance(e, Neg):
-        return -_eval_dual(e.operand, bindings, seed)
+        return _neg(derivative(e.operand, var))
     if isinstance(e, Call):
-        return _call_dual(e.fn, _eval_dual(e.operand, bindings, seed))
+        a = e.operand
+        outer = {"sin": Call("cos", a), "cos": Neg(Call("sin", a)), "exp": e,
+                 "ln": BinOp("/", _ONE, a), "sqrt": BinOp("/", Number(0.5), e),
+                 "abs": BinOp("/", a, e)}[e.fn]
+        return _mul(outer, derivative(a, var))
     if isinstance(e, BinOp):
-        left = _eval_dual(e.left, bindings, seed)
-        if e.op == "^":
-            k = _literal_int_exponent(e.right)
-            if k is not None:
-                return _ipow(left, k)
-            right = _eval_dual(e.right, bindings, seed)
-            if left.val <= 0.0:
-                raise DomainError(
-                    f"base {left.val!r} must be positive for a non-integer exponent"
-                )
-            return _call_dual("exp", right * _call_dual("ln", left))
-        right = _eval_dual(e.right, bindings, seed)
+        a, b = e.left, e.right
+        da, db = derivative(a, var), derivative(b, var)
+        if da == _ZERO and db == _ZERO:
+            return _ZERO
         if e.op == "+":
-            return left + right
+            return _add(da, db)
         if e.op == "-":
-            return left - right
+            return _sub(da, db)
         if e.op == "*":
-            return left * right
-        return left / right
+            return _add(_mul(da, b), _mul(a, db))
+        if e.op == "/":
+            return BinOp("/", _sub(da, _mul(e, db)), b)
+        k = _literal_int_exponent(b)
+        if k is not None:
+            lower = a if k == 2 else BinOp("^", a, Number(k - 1.0))
+            return _mul(_mul(Number(float(k)), lower), da)
+        slope = _mul(b, da if da == _ZERO else BinOp("/", da, a))
+        return _mul(e, _add(_mul(db, Call("ln", a)), slope))
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _call_dual(fn: str, x: Dual) -> Dual:
-    if fn == "sin":
-        return Dual(math.sin(x.val), math.cos(x.val) * x.dot)
-    if fn == "cos":
-        return Dual(math.cos(x.val), -math.sin(x.val) * x.dot)
-    if fn == "exp":
-        v = _call_real("exp", x.val)
-        return Dual(v, v * x.dot)
-    if fn == "ln":
-        v = _call_real("ln", x.val)
-        return Dual(v, x.dot / x.val)
-    if fn == "sqrt":
-        if x.val < 0.0:
-            raise DomainError(f"sqrt needs a non-negative argument, got {x.val!r}")
-        if x.val == 0.0:
-            raise NotDifferentiable("sqrt has an infinite slope at 0")
-        v = math.sqrt(x.val)
-        return Dual(v, x.dot / (2.0 * v))
-    if fn == "abs":
-        if x.val == 0.0:
-            raise NotDifferentiable("abs is not differentiable at 0")
-        return Dual(abs(x.val), x.dot if x.val > 0.0 else -x.dot)
-    raise UnknownIdentifier(fn)
-
-
 def partial_eval(e: Expr, bindings: Mapping[str, float], var: str) -> float:
-    """Forward-mode partial derivative of the expression with respect to var."""
-    return _eval_dual(e, bindings, var).dot
+    """de/dvar by the checked walk: raises what ``evaluate(e, bindings)`` raises,
+    and NotDifferentiable where e is defined but its slope is not finite."""
+    evaluate(e, bindings)
+    try:
+        return evaluate(derivative(e, var), bindings)
+    except DomainError as exc:
+        raise NotDifferentiable(f"no finite slope in {var} here: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
-# Compiled Lagrangians
+# Compiled evaluation
 # ---------------------------------------------------------------------------
 
 def _emit(e: Expr) -> str:
@@ -459,76 +438,96 @@ def _emit(e: Expr) -> str:
     if isinstance(e, Neg):
         return f"(-{_emit(e.operand)})"
     if isinstance(e, Call):
-        table = {
-            "sin": "math.sin",
-            "cos": "math.cos",
-            "exp": "math.exp",
-            "ln": "math.log",
-            "sqrt": "math.sqrt",
-            "abs": "abs",
-        }
-        return f"{table[e.fn]}({_emit(e.operand)})"
+        return f"{e.fn}({_emit(e.operand)})"
     if isinstance(e, BinOp):
         if e.op == "^":
             k = _literal_int_exponent(e.right)
             if k is not None:
                 return f"({_emit(e.left)})**({k})"
-            return f"math.exp(({_emit(e.right)})*math.log({_emit(e.left)}))"
+            return f"exp(({_emit(e.right)})*ln({_emit(e.left)}))"
         return f"({_emit(e.left)} {e.op} {_emit(e.right)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _max_slot_index(e: Expr) -> int:
-    """Largest i with u<i> appearing in the expression, or -1."""
-    if isinstance(e, Var):
-        return int(e.name[1]) if e.name.startswith("u") else -1
-    if isinstance(e, Neg):
-        return _max_slot_index(e.operand)
-    if isinstance(e, Call):
-        return _max_slot_index(e.operand)
-    if isinstance(e, BinOp):
-        return max(_max_slot_index(e.left), _max_slot_index(e.right))
-    return -1
+# What the unchecked path raises where the checked walk raises a HahnvarError.
+_FAST_FAULTS = (ValueError, ZeroDivisionError, OverflowError, NameError)
+
+
+def _uncompiled(*args: float) -> float:
+    raise ValueError("too deep for Python's compiler")
+
+
+def _compile(names: Sequence[str], *exprs: Expr) -> Callable:
+    """Unchecked lambda over names for the expression (a tuple for several);
+    code too deep for Python's compiler gets a stub that always faults."""
+    try:
+        body = ", ".join(map(_emit, exprs))
+        return eval(f"lambda {', '.join(names)}: ({body})", dict(_MATH))
+    except (SyntaxError, RecursionError, MemoryError):
+        return _uncompiled
+
+
+def function_of_t(e: Expr) -> Callable[[float], float]:
+    """The expression as a function of t, compiled, with the checked walk on faults."""
+    fast = _compile(("t",), e)
+
+    def f(t: float) -> float:
+        try:
+            v = fast(t)
+            if math.isfinite(v):
+                return v
+        except _FAST_FAULTS:
+            pass
+        return evaluate(e, {"t": t})
+
+    return f
 
 
 @dataclass
 class Lagrangian:
     """An expression read as L(t, u0, ..., ur) with the slot count fixed.
 
-    Slot i holds the i-th operator iterate of the trajectory, so r is
-    the problem order.  ``value`` prefers a compiled arithmetic path and
-    falls back to the checked tree walk to produce precise errors.
+    Slot i holds the i-th operator iterate of the trajectory, so r is the
+    problem order.  ``value`` and each slot's ``partial`` compile on first
+    use and fall back to the checked tree walk to produce precise errors.
     """
 
     expr: Expr
     order: int
     _fast: Callable | None = field(default=None, repr=False, compare=False)
+    _slopes: dict[int, Callable] = field(default_factory=dict, repr=False, compare=False)
 
     def arg_names(self) -> tuple[str, ...]:
         return ("t",) + tuple(f"u{i}" for i in range(self.order + 1))
 
     def _bindings(self, t: float, us) -> dict[str, float]:
-        env = {"t": t}
-        for i, u in enumerate(us):
-            env[f"u{i}"] = u
-        return env
+        return dict(zip(self.arg_names(), (t, *us)))
 
     def value(self, t: float, us) -> float:
         if self._fast is None:
-            src = f"lambda {', '.join(self.arg_names())}: {_emit(self.expr)}"
-            self._fast = eval(src, {"math": math})
+            self._fast = _compile(self.arg_names(), self.expr)
         try:
             v = self._fast(t, *us)
             if math.isfinite(v):
                 return v
-        except (ValueError, ZeroDivisionError, OverflowError):
+        except _FAST_FAULTS:
             pass
         return evaluate(self.expr, self._bindings(t, us))
 
     def partial(self, i: int, t: float, us) -> float:
-        """dL/du_i at (t, u0..ur)."""
+        """dL/du_i at (t, u0..ur); raises where ``value`` raises."""
         if not 0 <= i <= self.order:
             raise ArityError(f"slot u{i} is outside order {self.order}")
+        fast = self._slopes.get(i)
+        if fast is None:
+            slope = derivative(self.expr, f"u{i}")
+            fast = self._slopes[i] = _compile(self.arg_names(), self.expr, slope)
+        try:
+            v, d = fast(t, *us)
+            if math.isfinite(v) and math.isfinite(d):
+                return d
+        except _FAST_FAULTS:
+            pass
         return partial_eval(self.expr, self._bindings(t, us), f"u{i}")
 
     def __str__(self) -> str:
@@ -540,7 +539,7 @@ def compile_lagrangian(source: Expr | str, r: int) -> Lagrangian:
     if not 1 <= r <= 9:
         raise ArityError(f"order r must be between 1 and 9, got {r!r}")
     expr = parse(source) if isinstance(source, str) else source
-    top = _max_slot_index(expr)
+    top = max((int(name[1:]) for name in variables(expr) if name != "t"), default=-1)
     if top > r:
         raise ArityError(f"expression uses slot u{top} but the order is {r}")
     return Lagrangian(expr, r)

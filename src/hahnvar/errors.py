@@ -61,7 +61,7 @@ class UnboundVariable(HahnvarError):
 
 
 class NotDifferentiable(HahnvarError):
-    """Forward-mode differentiation hit a kink (abs or sqrt at zero)."""
+    """A partial has no finite value where the expression is defined (abs or sqrt at 0)."""
 
 
 class ArityError(HahnvarError):

@@ -34,7 +34,7 @@ from .core import (
     Orbit,
     Origin,
 )
-from .dsl import Expr, Lagrangian, compile_lagrangian, evaluate, parse
+from .dsl import Expr, Lagrangian, compile_lagrangian, function_of_t, parse
 from .errors import InsufficientDepth, NotAVariation
 from .integrals import SeriesResult, _indexed_series
 from .operators import (
@@ -91,8 +91,7 @@ def _as_point_fn(y: Candidate) -> Callable[[float], float] | None:
     if isinstance(y, str):
         y = parse(y)
     if isinstance(y, Expr):
-        expr = y
-        return lambda t: evaluate(expr, {"t": t})
+        return function_of_t(y)
     if callable(y):
         return y
     raise TypeError(f"not a usable candidate: {y!r}")

@@ -1,8 +1,16 @@
 """Shared builders for randomized test problems."""
 
+import os
 import random
+from pathlib import Path
 
 from hahnvar import GridFunction, HahnParams, Problem
+
+# pytest puts src/ on sys.path (pyproject.toml); subprocess tests that run
+# `python -m hahnvar.cli` from an uninstalled checkout need it as well.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def poly(coeffs):

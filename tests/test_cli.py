@@ -82,6 +82,23 @@ def test_syntax_error_exits_2(capsys):
     assert "error" in err
 
 
+def test_zero_base_under_negative_exponent_exits_3(capsys):
+    shared = ("--q", "0.5", "--omega", "0.5", "--expr", "t^-1")
+    code, _, err = run(capsys, "deriv", *shared, "--t", "0")
+    assert code == 3 and "division by zero" in err
+    code, _, err = run(capsys, "integrate", *shared, "--a", "0", "--b", "1")
+    assert code == 3 and "division by zero" in err
+
+
+def test_nesting_past_the_bound_exits_2(capsys):
+    deep = "(" * 300 + "t" + ")" * 300
+    code, _, err = run(
+        capsys, "deriv", "--q", "0.5", "--omega", "0.5", "--expr", deep, "--t", "0.3",
+    )
+    assert code == 2
+    assert "nesting" in err
+
+
 def test_bad_parameters_exit_2(capsys):
     code, _, err = run(
         capsys, "deriv", "--q", "1.5", "--omega", "0.5", "--expr", "t", "--t", "2",

@@ -1,15 +1,17 @@
-"""Expression language: parsing, printing, evaluation, dual-number partials."""
+"""Expression language: parsing, printing, evaluation, symbolic partials."""
 
 import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hahnvar import (
     ArityError,
     DomainError,
     ExprSyntaxError,
+    HahnvarError,
+    Lagrangian,
     NotDifferentiable,
     UnboundVariable,
     UnknownIdentifier,
@@ -18,7 +20,7 @@ from hahnvar import (
     parse,
     to_string,
 )
-from hahnvar.dsl import BinOp, partial_eval
+from hahnvar.dsl import FUNCTIONS, MAX_NESTING, BinOp, partial_eval
 
 PRODUCT_SRC = "(u0 + 0.5)^2 * (u1^2 - 1)^2"
 
@@ -221,11 +223,12 @@ def test_lagrangian_slot_arity_checked():
 
 
 def test_lagrangian_fast_path_matches_walker():
-    L = compile_lagrangian("0.5*u1^2 + 0.2*u0^2 + 0.1*t*u0", 1)
-    rng = random.Random(11)
-    for _ in range(20):
-        t, u0, u1 = (rng.uniform(-2, 2) for _ in range(3))
-        assert L.value(t, (u0, u1)) == evaluate(L.expr, {"t": t, "u0": u0, "u1": u1})
+    for src in ("0.5*u1^2 + 0.2*u0^2 + 0.1*t*u0", "u0^3 + u1^7 - 0.3*t^-2"):
+        L = compile_lagrangian(src, 1)
+        rng = random.Random(11)
+        for _ in range(20):
+            t, u0, u1 = (rng.uniform(-2, 2) for _ in range(3))
+            assert L.value(t, (u0, u1)) == evaluate(L.expr, {"t": t, "u0": u0, "u1": u1})
 
 
 _leaf = st.sampled_from([parse(s) for s in ("t", "u0", "u1", "2", "0.5")])
@@ -238,10 +241,131 @@ def _trees(depth):
     return st.one_of(
         _leaf,
         st.builds(lambda a, b, op: BinOp(op, a, b), sub, sub, st.sampled_from("+-*/")),
-        st.builds(lambda a: parse(f"sin({to_string(a)})"), sub),
+        st.builds(lambda a, fn: parse(f"{fn}({to_string(a)})"), sub, st.sampled_from(FUNCTIONS)),
+        st.builds(lambda a, k: parse(f"({to_string(a)})^{k}"), sub, st.integers(-3, 4)),
     )
 
 
 @given(_trees(3))
 def test_printing_round_trips_random_trees(tree):
     assert parse(to_string(tree)) == tree
+
+
+def test_zero_base_under_negative_integer_exponent_is_a_domain_error():
+    with pytest.raises(DomainError, match="division by zero"):
+        evaluate(parse("t^-1"), {"t": 0.0})
+    L = compile_lagrangian("u0^-1", 1)
+    with pytest.raises(DomainError, match="division by zero"):
+        L.value(0.0, (0.0, 1.0))
+    with pytest.raises(DomainError, match="division by zero"):
+        L.partial(0, 0.0, (0.0, 1.0))
+
+
+def test_kink_in_a_term_free_of_the_slot_does_not_raise():
+    # d(abs(t)*u0)/du0 = abs(t): the abs kink at t = 0 lies in a factor
+    # that does not depend on u0, so the partial is 0 there.
+    L = compile_lagrangian("abs(t)*u0", 1)
+    assert L.partial(0, 0.0, (1.0, 2.0)) == 0.0
+    assert partial_eval(L.expr, {"t": 0.0, "u0": 1.0}, "u0") == 0.0
+
+
+def test_kinks_in_the_slot_raise_not_differentiable_on_both_paths():
+    for src, slope_u1 in (("abs(u0)*u1", 0.0), ("sqrt(u0) + u1", 1.0)):
+        L = compile_lagrangian(src, 1)
+        with pytest.raises(NotDifferentiable):
+            L.partial(0, 0.3, (0.0, 2.0))
+        with pytest.raises(NotDifferentiable):
+            partial_eval(L.expr, {"t": 0.3, "u0": 0.0, "u1": 2.0}, "u0")
+        assert L.partial(1, 0.3, (0.0, 2.0)) == slope_u1
+
+
+# Sources nested k levels deep, by kind of nesting.
+_NESTINGS = {
+    "brackets": lambda k: "(" * k + "u0*u1" + ")" * k,
+    "minus": lambda k: "-" * k + "u0",
+    "power": lambda k: "u0^" * k + "u1",
+    "product": lambda k: "u0*(" * k + "u1" + ")" * k,
+    "calls": lambda k: "u1/" + "sin(" * (k - 1) + "u0" + ")" * (k - 1),
+    "sum": lambda k: "u0" + " + u1" * k,
+}
+
+
+@pytest.mark.parametrize("make", _NESTINGS.values(), ids=_NESTINGS.keys())
+def test_nesting_past_the_bound_is_a_syntax_error(make):
+    parse(make(MAX_NESTING))
+    with pytest.raises(ExprSyntaxError, match="nesting"):
+        parse(make(MAX_NESTING + 1))
+
+
+@pytest.mark.parametrize("make", _NESTINGS.values(), ids=_NESTINGS.keys())
+def test_trees_at_the_nesting_bound_evaluate_with_their_partials(make):
+    # Partials nest deeper than their source: Python's compiler refuses
+    # those of the power tower, and the checked walk serves them.
+    L = compile_lagrangian(make(MAX_NESTING), 1)
+    t, us = 0.3, (1.1, 0.95)
+    env = {"t": t, "u0": us[0], "u1": us[1]}
+    assert L.value(t, us) == evaluate(L.expr, env)
+    for i in (0, 1):
+        assert L.partial(i, t, us) == partial_eval(L.expr, env, f"u{i}")
+
+
+def test_value_takes_the_walk_where_python_cannot_compile():
+    tree = parse("u1")
+    for _ in range(3 * MAX_NESTING):
+        tree = BinOp("*", parse("u0"), tree)
+    L = Lagrangian(tree, 1)
+    assert L.value(0.0, (1.001, 2.0)) == evaluate(tree, {"u0": 1.001, "u1": 2.0})
+    assert L.partial(1, 0.0, (1.001, 2.0)) == partial_eval(tree, {"u0": 1.001, "u1": 2.0}, "u1")
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class of the package error it raises."""
+    try:
+        return fn(*args)
+    except HahnvarError as exc:
+        return type(exc)
+
+
+_coord = st.floats(-2.0, 2.0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_trees(3), _coord, _coord, _coord)
+def test_compiled_partials_agree_with_the_checked_walk(tree, t, u0, u1):
+    L = compile_lagrangian(tree, 1)
+    env = {"t": t, "u0": u0, "u1": u1}
+    value = _outcome(L.value, t, (u0, u1))
+    for i in (0, 1):
+        fast = _outcome(L.partial, i, t, (u0, u1))
+        slow = _outcome(partial_eval, tree, env, f"u{i}")
+        if isinstance(value, type):
+            assert fast is value
+        if isinstance(fast, float) and isinstance(slow, float):
+            assert fast == slow
+
+
+@settings(deadline=None, max_examples=300)
+@given(_trees(3), _coord, _coord, _coord, st.sampled_from((0, 1)))
+def test_partials_match_central_differences_at_smooth_points(tree, t, u0, u1, i):
+    L = compile_lagrangian(tree, 1)
+    h = 1e-6
+
+    def at(x):
+        us = [u0, u1]
+        us[i] = x
+        return L.value(t, us)
+
+    x = (u0, u1)[i]
+    try:
+        lo, mid, hi = at(x - h), at(x), at(x + h)
+        fast = L.partial(i, t, (u0, u1))
+        slow = partial_eval(tree, {"t": t, "u0": u0, "u1": u1}, f"u{i}")
+    except HahnvarError:
+        return  # not defined on the whole stencil
+    central = (hi - lo) / (2 * h)
+    # rounding in the three values, plus a relative allowance for truncation
+    tol = 1e-4 * (1.0 + abs(central)) + 1e-14 * max(abs(lo), abs(mid), abs(hi)) / h
+    if abs((hi - mid) - (mid - lo)) / h > tol:
+        return  # a kink or a sharp bend inside the stencil: not a smooth point
+    assert fast == slow
+    assert abs(fast - central) <= tol
