@@ -574,7 +574,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hahnvar",
         description="Quantum-lattice variational calculus: derivatives, integrals, "
-        "stationarity checks, and a direct minimizer.",
+        "stationarity checks, and a Newton minimizer.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -605,9 +605,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_el_check)
 
     p = sub.add_parser(
-        "minimize", parents=[shared, config_src], help="direct search for a minimizer"
+        "minimize", parents=[shared, config_src], help="damped Newton minimization"
     )
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=5000)
+    p.add_argument("--max-iters", dest="max_iters", type=int, default=5000,
+                   help="Newton iteration budget (--tol: step tolerance)")
     p.set_defaults(func=_cmd_minimize)
 
     p = sub.add_parser("demo", parents=[shared], help="run a built-in demonstration")

@@ -21,7 +21,7 @@ import random
 from typing import Iterable
 
 from .core import GridFunction, HahnParams, Orbit, Origin
-from .operators import hahn_derivative_n, iterated_quotient
+from .operators import fit_leading_values, hahn_derivative_n
 from .variational import Problem, el_report, functional_value
 
 DEMO_NAMES = ("double-well", "beam")
@@ -124,14 +124,7 @@ def random_admissible_grid(
             base(t) + amplitude * params.q**n * rng.uniform(-1.0, 1.0)
             for n, t in enumerate(taus)
         ]
-        vals[0] = targets[0]
-        for i in range(1, r):
-            # The i-th quotient is linear in vals[i]; solve by two probes.
-            vals[i] = 0.0
-            at_zero = iterated_quotient(taus[: i + 1], vals[: i + 1])
-            vals[i] = 1.0
-            slope = iterated_quotient(taus[: i + 1], vals[: i + 1]) - at_zero
-            vals[i] = (targets[i] - at_zero) / slope
+        fit_leading_values(taus, vals, targets)
         per_orbit[origin] = vals
     return GridFunction(
         lattice,

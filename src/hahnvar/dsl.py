@@ -16,7 +16,10 @@ exponent g uses exp(g*ln(f)) and requires a positive base.
 
 Numbers come from compiled code (``_emit``), with the checked walk
 ``evaluate``, which does the same float operations, where it faults or
-is not finite.  ``derivative`` builds partials as trees, folding 0 and 1,
+is not finite.  The walk refuses every non-finite intermediate; compiled
+code checks only operands that could make one finite again (divisors,
+bases under an exponent that is not a positive literal, function
+arguments).  ``derivative`` builds partials as trees, folding 0 and 1,
 with d abs(a) = a/abs(a)*da and d sqrt(a) = 0.5/sqrt(a)*da, so kinks
 divide by zero in the slope.
 """
@@ -418,11 +421,16 @@ def derivative(e: Expr, var: str) -> Expr:
 def partial_eval(e: Expr, bindings: Mapping[str, float], var: str) -> float:
     """de/dvar by the checked walk: raises what ``evaluate(e, bindings)`` raises,
     and NotDifferentiable where e is defined but its slope is not finite."""
+    return _slopes_eval(e, [derivative(e, var)], bindings)[0]
+
+
+def _slopes_eval(e: Expr, slopes: Sequence[Expr], bindings: Mapping[str, float]) -> list[float]:
+    """The slope trees of e by the checked walk, raising as ``partial_eval`` does."""
     evaluate(e, bindings)
     try:
-        return evaluate(derivative(e, var), bindings)
+        return [evaluate(slope, bindings) for slope in slopes]
     except DomainError as exc:
-        raise NotDifferentiable(f"no finite slope in {var} here: {exc}") from None
+        raise NotDifferentiable(f"no finite slope here: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +438,8 @@ def partial_eval(e: Expr, bindings: Mapping[str, float], var: str) -> float:
 # ---------------------------------------------------------------------------
 
 def _emit(e: Expr) -> str:
-    """Python source for the unchecked fast evaluation path."""
+    """Python source for the fast evaluation path; _fin guards the operands
+    that could turn a non-finite intermediate finite."""
     if isinstance(e, Number):
         return repr(e.value)
     if isinstance(e, Var):
@@ -438,15 +447,24 @@ def _emit(e: Expr) -> str:
     if isinstance(e, Neg):
         return f"(-{_emit(e.operand)})"
     if isinstance(e, Call):
-        return f"{e.fn}({_emit(e.operand)})"
+        return f"{e.fn}(_fin({_emit(e.operand)}))"
     if isinstance(e, BinOp):
         if e.op == "^":
             k = _literal_int_exponent(e.right)
             if k is not None:
-                return f"({_emit(e.left)})**({k})"
-            return f"exp(({_emit(e.right)})*ln({_emit(e.left)}))"
+                base = _emit(e.left) if k > 0 else f"_fin({_emit(e.left)})"
+                return f"({base})**({k})"
+            return f"exp(_fin(({_emit(e.right)})*ln(_fin({_emit(e.left)}))))"
+        if e.op == "/":
+            return f"({_emit(e.left)} / _fin({_emit(e.right)}))"
         return f"({_emit(e.left)} {e.op} {_emit(e.right)})"
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _fin(x: float) -> float:
+    if math.isfinite(x):
+        return x
+    raise ValueError("non-finite intermediate")
 
 
 # What the unchecked path raises where the checked walk raises a HahnvarError.
@@ -462,7 +480,7 @@ def _compile(names: Sequence[str], *exprs: Expr) -> Callable:
     code too deep for Python's compiler gets a stub that always faults."""
     try:
         body = ", ".join(map(_emit, exprs))
-        return eval(f"lambda {', '.join(names)}: ({body})", dict(_MATH))
+        return eval(f"lambda {', '.join(names)}: ({body})", dict(_MATH, _fin=_fin))
     except (SyntaxError, RecursionError, MemoryError):
         return _uncompiled
 
@@ -488,14 +506,16 @@ class Lagrangian:
     """An expression read as L(t, u0, ..., ur) with the slot count fixed.
 
     Slot i holds the i-th operator iterate of the trajectory, so r is the
-    problem order.  ``value`` and each slot's ``partial`` compile on first
-    use and fall back to the checked tree walk to produce precise errors.
+    problem order.  ``value``, each slot's ``partial`` and ``derivatives``
+    compile on first use and fall back to the checked tree walk to produce
+    precise errors.
     """
 
     expr: Expr
     order: int
     _fast: Callable | None = field(default=None, repr=False, compare=False)
     _slopes: dict[int, Callable] = field(default_factory=dict, repr=False, compare=False)
+    _second: tuple[list[Expr], Callable] | None = field(default=None, repr=False, compare=False)
 
     def arg_names(self) -> tuple[str, ...]:
         return ("t",) + tuple(f"u{i}" for i in range(self.order + 1))
@@ -529,6 +549,29 @@ class Lagrangian:
         except _FAST_FAULTS:
             pass
         return partial_eval(self.expr, self._bindings(t, us), f"u{i}")
+
+    def derivatives(self, t: float, us) -> tuple[list[float], list[list[float]]]:
+        """(dL/du_i, d2L/du_i du_j) over the slots at (t, u0..ur); raises
+        where ``value`` raises, NotDifferentiable where a slope is not finite."""
+        if self._second is None:
+            slots = self.arg_names()[1:]
+            grad = [derivative(self.expr, u) for u in slots]
+            trees = grad + [derivative(g, u) for i, g in enumerate(grad) for u in slots[i:]]
+            self._second = trees, _compile(self.arg_names(), self.expr, *trees)
+        trees, fast = self._second
+        try:
+            out = fast(t, *us)
+        except _FAST_FAULTS:
+            out = (math.nan,)
+        if not all(map(math.isfinite, out)):
+            out = (0.0, *_slopes_eval(self.expr, trees, self._bindings(t, us)))
+        n = self.order + 1
+        hess = [[0.0] * n for _ in range(n)]
+        seconds = iter(out[n + 1 :])
+        for i in range(n):
+            for j in range(i, n):
+                hess[i][j] = hess[j][i] = next(seconds)
+        return list(out[1 : n + 1]), hess
 
     def __str__(self) -> str:
         return to_string(self.expr)

@@ -1,16 +1,16 @@
-"""Direct minimization of the truncated functional on the lattice.
+"""Damped Newton minimization of the truncated functional on the lattice.
 
-Free variables are the candidate's values at the orbit points (plus the
-value at omega0); the 2r boundary conditions are enforced by a
-quadratic penalty rather than eliminated, which keeps every coordinate
-plain.  The search is derivative-free coordinate pattern search: probe
-each coordinate by +/- step, accept strict improvements, shrink the
-step when a sweep stalls, and escalate the penalty weight tenfold when
-a stall coincides with boundary violations.  Deterministic for a given
-seed (the rng drives the initial perturbation and the per-sweep
-coordinate order, nothing else).
-
-Failure to converge is reported in the result, never raised.
+The free variables are each live orbit's values past the first r, which
+the boundary data fixes; at a degenerate endpoint (one at omega0) the
+derivative conditions, linear in the live orbit's deepest values, join a
+bordered Newton system.  Gradient and Hessian (banded, half-width r)
+follow from the integrand's first and second partials through each
+window's constant slot coefficients.  A step factors the Hessian by
+banded LDL^T, shifted by lambda*max|diag H| with lambda grown tenfold
+until every pivot is positive, then backtracks until the Armijo condition
+holds; a trial point that faults is no descent (Nocedal & Wright,
+Numerical Optimization, chapters 3 and 6).  Deterministic for a given
+seed; failure to converge is reported, never raised.
 """
 
 from __future__ import annotations
@@ -18,28 +18,28 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from operator import mul
 
 from .core import DEFAULT_DEPTH, GridFunction, Orbit, Origin
 from .dsl import Lagrangian, Neg
-from .errors import DomainError, NonFiniteValue
-from .operators import extrapolate_to_fixed, iterated_quotient
-from .variational import Problem, traj_components
+from .errors import DomainError, InsufficientDepth, NonFiniteValue, NotDifferentiable
+from .operators import extrapolate_to_fixed, fit_leading_values
+from .variational import Problem, is_admissible, traj_components
 
-_SHRINK = 0.5
-_ESCALATE = 10.0
-_MAX_WEIGHT = 1e16
-_VIOLATION_STALL = 1e-8
+_ARMIJO = 1e-4
+_HALVINGS = 40
+_SHIFT_START = 1e-6
+_SHIFT_CAP = 1e16
 
 
 @dataclass
 class MinimizeResult:
-    """Best iterate found plus the trace of the search.
+    """Final iterate of the Newton search plus its trace.
 
-    ``objective`` is the penalized objective of the final iterate
-    (recomputed exactly); ``functional`` is the truncated functional
-    alone.  ``history`` holds the penalized objective after each sweep:
-    non-increasing at fixed penalty weight, but a weight escalation can
-    lift it between sweeps."""
+    ``objective`` and ``functional`` both are the truncated functional at
+    the final iterate; ``history`` holds it at the start and after each of
+    the ``iterations`` Newton steps, and never rises.  The boundary
+    conditions are eliminated, not penalized, so ``penalty_weight`` is 0."""
 
     grid: GridFunction
     objective: float
@@ -52,39 +52,36 @@ class MinimizeResult:
 
 
 class _Orbit:
-    """Mutable per-orbit search state."""
+    """An endpoint orbit: nodes, the r values the boundary data fixes, where
+    its free values start in the variable vector, and per window its weight
+    c*q^k and slot coefficients (slopes[k][m][i] = d v_i / d y_(k+m))."""
 
     def __init__(self, problem: Problem, origin: Origin, depth: int):
-        seed = problem.a if origin is Origin.A else problem.b
-        orbit = Orbit(problem.params.q, problem.params.omega, seed)
+        q, r = problem.params.q, problem.r
+        orbit = Orbit(q, problem.params.omega, problem.a if origin is Origin.A else problem.b)
         self.origin = origin
-        self.prefactor = orbit.prefactor
-        # F = (series at b) - (series at a)
-        self.coef = self.prefactor if origin is Origin.B else -self.prefactor
+        self.degenerate = orbit.degenerate
         self.taus = [orbit.node(n) for n in range(depth + 1)]
-        # Quotients past the orbit's first float merge near omega0 are
-        # meaningless, so the search stops at its usable cap.
+        # The functional stops at the usable cap: quotients past the first
+        # float merge near omega0 are meaningless.
         self.usable = orbit.reach(depth)
-        self.top_term = self.usable - problem.r  # last valid term index
-        self.values: list[float] = []
-        self.terms: list[float] = []
-        self.term_sum = 0.0
+        coef = orbit.prefactor if origin is Origin.B else -orbit.prefactor  # F = at b - at a
+        windows = range(self.usable - r + 1)
+        self.weights = [coef * q**k for k in windows]
+        units = [[float(m == j) for j in range(r + 1)] for m in range(r + 1)]
+        self.slopes = [[traj_components(self.taus[k : k + r + 1], u) for u in units] for k in windows]
+        self.head: list[float] = []
+        self.offset = 0
 
 
-class _Search:
+class _Newton:
+    """The truncated functional, its derivatives and its constraints as
+    functions of the free values x."""
+
     def __init__(self, problem: Problem, depth: int, rng: random.Random):
-        self.problem = problem
-        self.r = problem.r
-        self.q = problem.params.q
-        self.depth = depth
+        self.problem, self.depth, self.r = problem, depth, problem.r
         self.lagr = problem.lagrangian
-        self.orbits = [
-            o
-            for o in (_Orbit(problem, Origin.A, depth), _Orbit(problem, Origin.B, depth))
-            if o.prefactor != 0.0
-        ]
-        self.degenerate_endpoint = len(self.orbits) < 2
-
+        q, r = problem.params.q, problem.r
         a0, b0 = problem.alpha[0], problem.beta[0]
         span = problem.b - problem.a
 
@@ -92,150 +89,127 @@ class _Search:
             return a0 + (b0 - a0) * (t - problem.a) / span
 
         self.scale = 1.0 + max(abs(a0), abs(b0))
-        for orb in self.orbits:
-            orb.values = [interp(t) for t in orb.taus]
-            for n in range(self.r, orb.usable + 1):
-                orb.values[n] += 0.05 * self.scale * self.q**n * rng.uniform(-1.0, 1.0)
-            for n in range(orb.usable + 1, depth + 1):
-                orb.values[n] = orb.values[orb.usable]
         self.fixed_value = interp(problem.params.omega0)
+        self.orbits: list[_Orbit] = []
+        self.x0: list[float] = []
+        for origin, targets in ((Origin.A, problem.alpha), (Origin.B, problem.beta)):
+            orb = _Orbit(problem, origin, depth)
+            if orb.degenerate:
+                self.fixed_value = targets[0]
+                continue
+            vals = [interp(t) for t in orb.taus[: orb.usable + 1]]
+            for n in range(r, orb.usable + 1):
+                vals[n] += 0.05 * self.scale * q**n * rng.uniform(-1.0, 1.0)
+            fit_leading_values(orb.taus, vals, targets)
+            orb.head, orb.offset = vals[:r], len(self.x0)
+            self.x0 += vals[r:]
+            self.orbits.append(orb)
 
-        # Coordinates: every usable orbit value, then the omega0 value.
-        # Term curvature for the value at orbit index n grows like q^-n
-        # (the q^n series weight loses to the 1/spacing^2 of the
-        # quotients), so probes are shrunk by q^(n/2) to equalize it.
-        self.coords: list[tuple[int, int]] = [
-            (oi, n) for oi, orb in enumerate(self.orbits) for n in range(orb.usable + 1)
-        ]
-        self.coords.append((-1, 0))
-        self.step_scale = {
-            coord: self.q ** (coord[1] / 2.0) if coord[0] >= 0 else 1.0
-            for coord in self.coords
-        }
+        # At a degenerate endpoint, D^i (0 < i < r) at omega0 is extrapolated
+        # linearly from the live orbit's r+1 deepest values: one row each.
+        self.rows: list[list[float]] = []
+        self.targets: list[float] = []
+        if len(self.orbits) == 1 and r >= 2:
+            live = self.orbits[0]
+            if live.usable < 2 * r:
+                raise InsufficientDepth("live orbit too shallow for the omega0 conditions")
+            taus = live.taus[live.usable - r : live.usable + 1]
+            for i in range(1, r):
+                row = [0.0] * (len(self.x0) - r - 1)
+                row += [extrapolate_to_fixed(q, taus, [float(j == m) for j in range(r + 1)], i)
+                        for m in range(r + 1)]
+                self.rows.append(row)
+                self.targets.append((problem.beta if live.origin is Origin.A else problem.alpha)[i])
+            # Start feasible: the least-norm correction onto the constraints.
+            identity = ([[0.0] * r] * len(self.x0), [1.0] * len(self.x0))
+            fix = _bordered(identity, [0.0] * len(self.x0), self.rows, self.residuals(self.x0))
+            self.x0 = [xj + dj for xj, dj in zip(self.x0, fix)]
 
-        self.rebuild()
-        self.weight = 0.0  # set by minimize_direct once the scale is known
+    def values(self, orb: _Orbit, x: list[float]) -> list[float]:
+        return orb.head + x[orb.offset : orb.offset + orb.usable + 1 - self.r]
 
-    def rebuild(self) -> None:
+    def residuals(self, x: list[float]) -> list[float]:
+        return [t - math.fsum(map(mul, row, x)) for row, t in zip(self.rows, self.targets)]
+
+    def _windows(self, x: list[float]):
         for orb in self.orbits:
-            orb.terms = [self._term(orb, k) for k in range(orb.top_term + 1)]
-            orb.term_sum = math.fsum(orb.terms)
+            vals = self.values(orb, x)
+            for k, w in enumerate(orb.weights):
+                ts = orb.taus[k : k + self.r + 1]
+                yield orb, k, w, ts[0], traj_components(ts, vals[k : k + self.r + 1])
 
-    def snapshot(self) -> tuple[list[list[float]], float]:
-        return ([list(orb.values) for orb in self.orbits], self.fixed_value)
+    def functional(self, x: list[float]) -> float:
+        return math.fsum(w * self.lagr.value(t, us) for _, _, w, t, us in self._windows(x))
 
-    def restore(self, snap: tuple[list[list[float]], float]) -> None:
-        vals, fixed = snap
-        for orb, v in zip(self.orbits, vals):
-            orb.values = list(v)
-        self.fixed_value = fixed
-        self.rebuild()
+    def derivatives(self, x: list[float]) -> tuple[list[float], list[list[float]]]:
+        """Gradient and upper band (band[j][d] = H[j][j+d]) of the functional."""
+        r = self.r
+        grad = [0.0] * len(x)
+        band = [[0.0] * (r + 1) for _ in x]
+        for orb, k, w, t, us in self._windows(x):
+            g, h = self.lagr.derivatives(t, us)
+            cs = orb.slopes[k]
+            hcs = [[sum(map(mul, hi, c)) for hi in h] for c in cs]
+            for m in range(max(0, r - k), r + 1):
+                j = orb.offset + k + m - r
+                grad[j] += w * sum(map(mul, g, cs[m]))
+                for m2 in range(m, r + 1):
+                    band[j][m2 - m] += w * sum(map(mul, cs[m], hcs[m2]))
+        return grad, band
 
-    def extrapolate(self, base):
-        """Move to 2*current - base (repeat the last displacement).
-
-        Returns (pre-move state, ok); on an evaluation fault the move is
-        rolled back and ok is False."""
-        prev = self.snapshot()
-        base_vals, base_fixed = base
-        for orb, pv, bv in zip(self.orbits, prev[0], base_vals):
-            orb.values = [2.0 * p - b for p, b in zip(pv, bv)]
-        self.fixed_value = 2.0 * prev[1] - base_fixed
-        try:
-            self.rebuild()
-        except (DomainError, NonFiniteValue):
-            self.restore(prev)
-            return prev, False
-        return prev, True
-
-    def _term(self, orb: _Orbit, k: int) -> float:
-        ts = orb.taus[k : k + self.r + 1]
-        us = traj_components(ts, orb.values[k : k + self.r + 1])
-        return self.q**k * self.lagr.value(ts[0], us)
-
-    def functional(self) -> float:
-        return math.fsum(orb.coef * orb.term_sum for orb in self.orbits)
-
-    def _endpoint_value(self, orb: _Orbit | None, i: int) -> float:
-        """D^i of the iterate at the endpoint seeding orb (None = degenerate)."""
-        if orb is not None:
-            if i == 0:
-                return orb.values[0]
-            return iterated_quotient(orb.taus[: i + 1], orb.values[: i + 1])
-        if i == 0:
-            return self.fixed_value
-        live = self.orbits[0]
-        top = live.usable
-        if top < i + 1:
-            return self.fixed_value
-        return extrapolate_to_fixed(self.q, live.taus[: top + 1], live.values[: top + 1], i)
-
-    def violations(self) -> list[float]:
-        prob = self.problem
-        by_origin = {orb.origin: orb for orb in self.orbits}
-        out = []
-        for origin, targets in ((Origin.A, prob.alpha), (Origin.B, prob.beta)):
-            orb = by_origin.get(origin)
-            for i in range(self.r):
-                out.append(self._endpoint_value(orb, i) - targets[i])
-        return out
-
-    def penalty(self) -> float:
-        return math.fsum(v * v for v in self.violations())
-
-    def objective(self) -> float:
-        return self.functional() + self.weight * self.penalty()
-
-    def probe(self, coord: tuple[int, int], delta: float, current: float) -> float | None:
-        """Objective after moving one coordinate, or None if not an improvement.
-
-        The move is kept on success and rolled back otherwise."""
-        oi, n = coord
-        if oi < 0:
-            old = self.fixed_value
-            self.fixed_value = old + delta
-            candidate = self.objective()
-            if candidate < current:
-                return candidate
-            self.fixed_value = old
-            return None
-        orb = self.orbits[oi]
-        old = orb.values[n]
-        lo = max(0, n - self.r)
-        hi = min(orb.top_term, n)
-        old_terms = orb.terms[lo : hi + 1]
-        orb.values[n] = old + delta
-        try:
-            new_terms = [self._term(orb, k) for k in range(lo, hi + 1)]
-        except (DomainError, NonFiniteValue):
-            orb.values[n] = old
-            return None
-        for k, new_t in zip(range(lo, hi + 1), new_terms):
-            orb.term_sum += new_t - orb.terms[k]
-            orb.terms[k] = new_t
-        candidate = self.objective()
-        if candidate < current:
-            return candidate
-        orb.values[n] = old
-        for k in range(lo, hi + 1):
-            orb.term_sum += old_terms[k - lo] - orb.terms[k]
-            orb.terms[k] = old_terms[k - lo]
-        return None
-
-    def refresh(self) -> None:
-        for orb in self.orbits:
-            orb.term_sum = math.fsum(orb.terms)
-
-    def to_grid(self) -> GridFunction:
-        lattice = self.problem.lattice(self.depth)
-        by_origin = {orb.origin: orb.values for orb in self.orbits}
+    def to_grid(self, x: list[float]) -> GridFunction:
+        """Values past an orbit's usable cap repeat its last one."""
         fill = [self.fixed_value] * (self.depth + 1)
-        return GridFunction(
-            lattice,
-            values_a=list(by_origin.get(Origin.A, fill)),
-            values_b=list(by_origin.get(Origin.B, fill)),
-            value_at_fixed=self.fixed_value,
-        )
+        per_origin = {Origin.A: fill, Origin.B: fill}
+        for orb in self.orbits:
+            vals = self.values(orb, x)
+            per_origin[orb.origin] = vals + [vals[-1]] * (self.depth - orb.usable)
+        return GridFunction(self.problem.lattice(self.depth), *per_origin.values(), self.fixed_value)
+
+
+def _ldl(band: list[list[float]], shift: float) -> tuple[list[list[float]], list[float]] | None:
+    """LDL^T of A + shift*I, A symmetric with upper band band[j][d] = A[j][j+d]:
+    (low, diag) with low[i][d-1] = L[i][i-d], or None if a pivot is not positive."""
+    n = len(band)
+    w = len(band[0]) - 1 if n else 0
+    low = [[0.0] * w for _ in range(n)]
+    diag = [0.0] * n
+    for j in range(n):
+        lj = low[j]
+        pivot = band[j][0] + shift - sum(lj[d - 1] ** 2 * diag[j - d] for d in range(1, min(w, j) + 1))
+        if not pivot > 0.0:
+            return None
+        diag[j] = pivot
+        for i in range(j + 1, min(n, j + w + 1)):
+            acc = band[j][i - j] - sum(low[i][i - k - 1] * lj[j - k - 1] * diag[k]
+                                       for k in range(max(0, i - w), j))
+            low[i][i - j - 1] = acc / pivot
+    return low, diag
+
+
+def _solve(factor: tuple[list[list[float]], list[float]], rhs: list[float]) -> list[float]:
+    low, diag = factor
+    n, x = len(rhs), list(rhs)
+    for i in range(n):
+        x[i] -= sum(low[i][d - 1] * x[i - d] for d in range(1, min(len(low[i]), i) + 1))
+    x = [xi / di for xi, di in zip(x, diag)]
+    for i in reversed(range(n)):
+        x[i] -= sum(low[i + d][d - 1] * x[i + d] for d in range(1, min(len(low[i]), n - 1 - i) + 1))
+    return x
+
+
+def _bordered(factor, grad: list[float], rows: list[list[float]], resid: list[float]):
+    """d with H d + A^T lam = -grad and A d = resid, from H's factor (the
+    range-space method); None if the small Schur system is not definite."""
+    d = _solve(factor, [-g for g in grad])
+    if not rows:
+        return d
+    cols = [_solve(factor, row) for row in rows]
+    schur = _ldl([[sum(map(mul, rows[a], y)) for y in cols[a:]] for a in range(len(rows))], 0.0)
+    if schur is None:
+        return None
+    lam = _solve(schur, [sum(map(mul, row, d)) - e for row, e in zip(rows, resid)])
+    return [dj - sum(map(mul, lam, ys)) for dj, ys in zip(d, zip(*cols))]
 
 
 def minimize_direct(
@@ -246,12 +220,12 @@ def minimize_direct(
     maximize: bool = False,
     step_tol: float = 1e-10,
 ) -> MinimizeResult:
-    """Coordinate pattern search on the truncated functional.
+    """Damped Newton on the truncated functional.
 
-    One iteration is one sweep over all coordinates in seeded-random
-    order.  Converged means the search stalled out (step below step_tol
-    times the value scale) before exhausting max_iters; running out of
-    sweeps reports converged=False with the best iterate kept.
+    Converged means the Newton step's largest component fell below
+    step_tol times the value scale.  Running out of iterations, a line
+    search that finds no descent, or a Hessian that no shift makes
+    positive definite reports converged=False with the last iterate.
 
     With maximize=True the negated integrand is minimized and the
     reported objective/history refer to that negated problem.
@@ -264,78 +238,47 @@ def minimize_direct(
         neg = Lagrangian(Neg(problem.lagrangian.expr), problem.lagrangian.order)
         problem = replace(problem, lagrangian=neg)
 
-    rng = random.Random(seed)
-    search = _Search(problem, depth, rng)
-
-    # Penalty weight proportional to the functional's own magnitude so
-    # that scaling the integrand rescales the whole search trace exactly.
-    term_count = sum(orb.top_term + 1 for orb in search.orbits)
-    mean_term = (
-        math.fsum(abs(t) for orb in search.orbits for t in orb.terms) / term_count
-        if term_count
-        else 0.0
-    )
-    size = abs(search.functional()) + mean_term
-    search.weight = 100.0 * size if size > 0.0 else 100.0
-
-    step = 0.25 * search.scale
-    step_floor = step_tol * search.scale
-    # A sweep whose total gain is below this counts as stalled even if a
-    # few probes were accepted; scales with the integrand like weight.
-    improvement_floor = step_tol * size
-    current = search.objective()
+    search = _Newton(problem, depth, random.Random(seed))
+    x = search.x0
+    current = search.functional(x)
     history = [current]
     converged = False
-    sweeps = 0
-    while sweeps < max_iters:
-        sweeps += 1
-        order = list(search.coords)
-        rng.shuffle(order)
-        before = current
-        start = search.snapshot()
-        for coord in order:
-            probe_step = step * search.step_scale[coord]
-            for delta in (probe_step, -probe_step):
-                accepted = search.probe(coord, delta, current)
-                if accepted is not None:
-                    current = accepted
+    try:
+        derivs = search.derivatives(x)
+    except NotDifferentiable:
+        derivs = None
+    while derivs is not None and len(history) <= max_iters:
+        grad, band = derivs
+        base = max((abs(row[0]) for row in band), default=0.0)
+        lam, factor = 0.0, _ldl(band, 0.0)
+        while factor is None and lam < _SHIFT_CAP:
+            lam = 10.0 * lam or _SHIFT_START
+            factor = _ldl(band, lam * base)
+        step = factor and _bordered(factor, grad, search.rows, search.residuals(x))
+        if not step:
+            break
+        small = max(map(abs, step)) <= step_tol * search.scale
+        slope = math.fsum(map(mul, grad, step))
+        derivs, alpha = None, 1.0
+        for _ in range(1 if small else _HALVINGS):
+            trial = [xj + alpha * sj for xj, sj in zip(x, step)]
+            try:
+                value = search.functional(trial)
+                if value <= current + _ARMIJO * alpha * slope:
+                    derivs = search.derivatives(trial)
+                    x, current = trial, value
+                    history.append(current)
                     break
-        if before - current > improvement_floor:
-            # Ride the sweep's aggregate displacement while it pays off
-            # (the pattern move that lets the search track narrow valleys).
-            base = start
-            for _ in range(60):
-                prev, ok = search.extrapolate(base)
-                if not ok:
-                    break
-                candidate = search.objective()
-                if candidate < current:
-                    current = candidate
-                    base = prev
-                else:
-                    search.restore(prev)
-                    break
-        history.append(current)
-        if before - current <= improvement_floor:
-            if search.penalty() > _VIOLATION_STALL**2 and search.weight < _MAX_WEIGHT:
-                search.weight *= _ESCALATE
-                current = search.objective()
-            else:
-                step *= _SHRINK
-                if step < step_floor:
-                    converged = True
-                    break
+            except (DomainError, NonFiniteValue, NotDifferentiable):
+                pass
+            alpha *= 0.5
+        if small or derivs is None:
+            converged = small
+            break
 
-    search.refresh()
-    final_penalty = search.penalty()
-    final_functional = search.functional()
-    return MinimizeResult(
-        grid=search.to_grid(),
-        objective=final_functional + search.weight * final_penalty,
-        functional=final_functional,
-        history=history,
-        converged=converged,
-        iterations=sweeps,
-        boundary_violation_norm=math.sqrt(final_penalty),
-        penalty_weight=search.weight,
-    )
+    grid = search.to_grid(x)
+    violations = is_admissible(problem, grid, tol=0.0, depth=depth)[1]
+    norm = math.sqrt(math.fsum(v.error**2 for v in violations))
+    return MinimizeResult(grid=grid, objective=current, functional=current, history=history,
+                          converged=converged, iterations=len(history) - 1,
+                          boundary_violation_norm=norm, penalty_weight=0.0)

@@ -60,6 +60,20 @@ def iterated_quotient(taus: Sequence[float], vals: Sequence[float]) -> float:
     return row[0]
 
 
+def fit_leading_values(taus: Sequence[float], vals: list[float], targets: Sequence[float]) -> None:
+    """Set vals[:len(targets)] in place so that D^i at taus[0] is targets[i].
+
+    D^i at taus[0] is linear in vals[i] once vals[:i] are set, so each
+    value is solved in turn from two probes."""
+    vals[0] = targets[0]
+    for i in range(1, len(targets)):
+        vals[i] = 0.0
+        at_zero = iterated_quotient(taus[: i + 1], vals[: i + 1])
+        vals[i] = 1.0
+        slope = iterated_quotient(taus[: i + 1], vals[: i + 1]) - at_zero
+        vals[i] = (targets[i] - at_zero) / slope
+
+
 def quotient_levels(taus: Sequence[float], vals: Sequence[float], level: int) -> list[float]:
     """All level-fold quotients along a usable run of orbit points (no
     zero steps): entry j is D^level at taus[j], from vals[j .. j + level]."""

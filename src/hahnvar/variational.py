@@ -193,13 +193,15 @@ def _endpoint_derivative(
     problem: Problem, y: Candidate, origin: Origin, i: int, depth: int
 ) -> float:
     """D^i y at an endpoint; degenerate endpoints fall back to the
-    omega0 extrapolation (i >= 1) or the fixed value (i = 0)."""
+    omega0 extrapolation (i >= 1) or the fixed value (i = 0), from grid
+    data at its own depth or from a function sampled at ``depth``."""
     orbit = _orbit(problem, y, origin)
     if not orbit.degenerate:
         return iterated_quotient(*orbit.window(0, i + 1))
+    if isinstance(y, GridFunction):
+        return grid_derivative_at_fixed(y, i)
     if i == 0:
-        grid = y if isinstance(y, GridFunction) else None
-        return grid.value_at_fixed if grid is not None else _as_point_fn(y)(problem.params.omega0)
+        return _as_point_fn(y)(problem.params.omega0)
     return grid_derivative_at_fixed(materialize(problem, y, depth), i)
 
 

@@ -20,7 +20,7 @@ from hahnvar import (
     parse,
     to_string,
 )
-from hahnvar.dsl import FUNCTIONS, MAX_NESTING, BinOp, partial_eval
+from hahnvar.dsl import FUNCTIONS, MAX_NESTING, BinOp, _emit, derivative, function_of_t, partial_eval
 
 PRODUCT_SRC = "(u0 + 0.5)^2 * (u1^2 - 1)^2"
 
@@ -369,3 +369,63 @@ def test_partials_match_central_differences_at_smooth_points(tree, t, u0, u1, i)
         return  # a kink or a sharp bend inside the stencil: not a smooth point
     assert fast == slow
     assert abs(fast - central) <= tol
+
+
+@pytest.mark.parametrize("source", ["1/(u0*u0)", "1e300/(u0*u0)"])
+def test_an_overflow_divided_away_raises_on_every_path(source):
+    # u0*u0 overflows at 1e200, which the checked walk refuses; dividing
+    # by the infinity would give 0.0 (1e300/(u0*u0) is really 1e-100).
+    L = compile_lagrangian(source, 1)
+    us = (1e200, 0.0)
+    with pytest.raises(DomainError, match="overflowed"):
+        L.value(0.0, us)
+    for i in (0, 1):
+        with pytest.raises(DomainError, match="overflowed"):
+            L.partial(i, 0.0, us)
+    with pytest.raises(DomainError, match="overflowed"):
+        L.derivatives(0.0, us)
+    with pytest.raises(DomainError, match="overflowed"):
+        function_of_t(parse(source.replace("u0", "t")))(1e200)
+
+
+def test_only_operations_that_can_hide_an_infinity_are_checked():
+    # Sums, products and positive powers keep an infinity to the final
+    # check; divisors, non-positive powers and function arguments may not.
+    for src in (PRODUCT_SRC, "0.3*t + 0.2*u0^2 - 0.1*u1 + 0.05*u0*u1", "-u0^3"):
+        assert "_fin" not in _emit(parse(src))
+    for src in ("u1/u0", "exp(u0)", "u0^-2", "u0^0", "u0^u1"):
+        assert "_fin" in _emit(parse(src))
+
+
+def test_derivatives_are_the_partials_and_second_partials():
+    L = compile_lagrangian(PRODUCT_SRC, 1)
+    t, us = 0.3, (0.7, -1.2)
+    env = {"t": t, "u0": us[0], "u1": us[1]}
+    grad, hess = L.derivatives(t, us)
+    assert grad == [L.partial(i, t, us) for i in (0, 1)]
+    for i in (0, 1):
+        for j in (0, 1):
+            second = evaluate(derivative(derivative(L.expr, f"u{i}"), f"u{j}"), env)
+            assert hess[i][j] == pytest.approx(second, rel=1e-14)
+    with pytest.raises(NotDifferentiable):
+        compile_lagrangian("abs(u1) + u0", 1).derivatives(0.0, (1.0, 0.0))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_trees(3), _coord, _coord, _coord)
+def test_compiled_second_partials_agree_with_the_checked_walk(tree, t, u0, u1):
+    L = compile_lagrangian(tree, 1)
+    env = {"t": t, "u0": u0, "u1": u1}
+    value = _outcome(L.value, t, (u0, u1))
+    got = _outcome(L.derivatives, t, (u0, u1))
+    if isinstance(value, type):
+        assert got is value
+    if isinstance(got, type):
+        return
+    grad, hess = got
+    for i in (0, 1):
+        assert grad[i] == partial_eval(tree, env, f"u{i}")
+        for j in range(i, 2):
+            assert hess[i][j] == hess[j][i] == evaluate(
+                derivative(derivative(tree, f"u{i}"), f"u{j}"), env
+            )

@@ -1,8 +1,24 @@
-"""Direct pattern search on the truncated functional."""
+"""Damped Newton on the truncated functional."""
+
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hahnvar import HahnParams, Problem, functional_value, is_admissible, minimize_direct
+from conftest import rand_problem
+from hahnvar import (
+    HahnParams,
+    LatticePoint,
+    Origin,
+    Problem,
+    el_report,
+    el_residual,
+    functional_value,
+    is_admissible,
+    minimize_direct,
+)
+from hahnvar.demos import double_well_problem, random_admissible_grid
+from hahnvar.minimize import _Newton
 
 P = HahnParams(0.5, 0.5)
 QUAD = Problem(P, 1, -1.0, 2.0, (0.0,), (0.0,), "u1^2")
@@ -64,3 +80,87 @@ def test_order_two_stays_finite():
     assert functional_value(prob, got.grid, tol=1e-9).value == pytest.approx(
         got.functional, rel=1e-6, abs=1e-6
     )
+
+
+# ---------------------------------------------------------------------------
+# Newton on the truncated functional
+# ---------------------------------------------------------------------------
+
+# b = omega0 = 1, so the conditions at b bind the omega0 value and the
+# extrapolated D y(omega0) from the deepest values of orbit a.
+DEGENERATE_R2 = Problem(P, 2, -1.0, 1.0, (0.0, 0.0), (0.0, 0.3), "u2^2 + 0.1*u0^2")
+NON_QUADRATIC = Problem(HahnParams(0.6, 0.3), 1, -1.0, 2.0, (0.2,), (-0.4,),
+                        "u1^2 + 0.3*u0^4 - 0.5*t*u0")
+
+
+def test_double_well_depth_12_converges_to_its_zero_minimum():
+    got = minimize_direct(double_well_problem(), depth=12, seed=7)
+    assert got.converged
+    assert got.objective <= 1e-10
+    assert got.objective == got.functional and got.penalty_weight == 0.0
+    assert len(got.history) == got.iterations + 1
+
+
+@pytest.mark.parametrize("seed", [211, 500])
+def test_convex_seeds_pattern_search_left_unconverged_now_converge(seed):
+    got = minimize_direct(QUAD, depth=12, seed=seed)
+    assert got.converged
+    assert got.objective <= 1e-12
+
+
+def test_degenerate_endpoint_order_two_keeps_its_conditions_exactly():
+    got = minimize_direct(DEGENERATE_R2, depth=10, seed=1)
+    assert got.converged
+    assert got.boundary_violation_norm <= 1e-8
+    ok, bad = is_admissible(DEGENERATE_R2, got.grid)
+    assert ok, bad
+    assert got.grid.value_at_fixed == 0.0
+
+
+def test_kinked_integrand_returns_a_result():
+    kinked = Problem(P, 1, -1.0, 2.0, (0.0,), (0.0,), "abs(u1)")
+    got = minimize_direct(kinked, depth=10, seed=1, max_iters=50)
+    assert got.history[-1] == got.objective
+    assert all(y <= x for x, y in zip(got.history, got.history[1:]))
+
+
+@pytest.mark.parametrize(
+    "problem, depth, seed",
+    [(QUAD, 12, 7), (double_well_problem(), 12, 7), (NON_QUADRATIC, 12, 3)],
+    ids=["convex", "double_well", "non_quadratic"],
+)
+def test_minimizers_are_stationary_by_the_euler_lagrange_residual(problem, depth, seed):
+    got = minimize_direct(problem, depth=depth, seed=seed)
+    assert got.converged
+    report = el_report(problem, got.grid, depth=depth)
+    assert report.max_abs_residual <= 1e-8
+    assert report.boundary_violations == []
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 2**32 - 1))
+def test_gradient_of_truncated_functional_is_weighted_el_residual(seed):
+    # r = 1: dF/dy_n = -c * q^(n-1) * EL(n-1), c the orbit's signed prefactor.
+    rng = random.Random(seed)
+    problem = rand_problem(rng, 1)
+    depth = 10
+    grid = random_admissible_grid(problem, rng, depth=depth)
+    q = problem.params.q
+    search = _Newton(problem, depth, random.Random(0))
+    x = [v for orb in search.orbits for v in grid.orbit_values(orb.origin)[1 : orb.usable + 1]]
+    grad = search.derivatives(x)[0]
+
+    def truncated(g):
+        return functional_value(problem, g, tol=1e-300).value
+
+    for orb in search.orbits:
+        prefactor = orb.taus[0] * (1.0 - q) - problem.params.omega
+        c = prefactor if orb.origin is Origin.B else -prefactor
+        for n in range(1, depth):
+            want = -c * q ** (n - 1) * el_residual(problem, grid, LatticePoint(orb.origin, n - 1))
+            point = LatticePoint(orb.origin, n)
+            h = 1e-4
+            up = truncated(grid.replace_value(point, grid.value(point) + h))
+            down = truncated(grid.replace_value(point, grid.value(point) - h))
+            assert (up - down) / (2 * h) == pytest.approx(want, rel=1e-7, abs=1e-9)
+            assert grad[orb.offset + n - 1] == pytest.approx(want, rel=1e-9, abs=1e-12)

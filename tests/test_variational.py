@@ -123,6 +123,15 @@ def test_admissibility_reports_offenders():
     assert bad[0].actual == 0.0 and bad[0].target == -1.0 and bad[0].error == 1.0
 
 
+def test_degenerate_endpoint_checks_read_a_shallow_grid_at_its_own_depth():
+    # b = omega0 = 1, so D y(b) is extrapolated along orbit a from the
+    # depth-10 grid itself rather than from a resample at the default 64.
+    prob = Problem(P, 2, -1.0, 1.0, (0.0, -0.15), (0.0, 0.3), "u2^2 + 0.1*u0^2")
+    grid = materialize(prob, "0.15*(t^2 - 1)", depth=10)
+    assert is_admissible(prob, grid) == (True, [])
+    assert el_report(prob, grid).boundary_violations == []
+
+
 def test_variation_check_and_closure():
     rng = random.Random(9)
     prob = rand_problem(rng, 2)
