@@ -346,7 +346,7 @@ def _cmd_deriv(args) -> int:
         raise ConfigError("--order must be nonnegative")
     params = HahnParams(args.q, args.omega)
     expr = _expr_of_t(args.expr)
-    value = hahn_derivative_n(params, function_of_t(expr), args.order, args.t)
+    value = hahn_derivative_n(params, expr, args.order, args.t)
     report = {
         "q": args.q,
         "omega": args.omega,

@@ -7,8 +7,9 @@ converges to omega0 geometrically.  A computational lattice consists of
 the two orbits seeded at the endpoints of a working interval plus the
 fixed point itself.
 
-Every orbit node is realized in one place, ``Orbit``, by the recurrence
-t[n+1] = q*t[n] + omega (the n-fold application of ``HahnParams.sigma``).
+Every orbit node is realized in one place, ``Orbit.grow``, by the
+recurrence t[n+1] = q*t[n] + omega (the n-fold application of
+``HahnParams.sigma``).
 Near omega0 two consecutive nodes eventually round to the same float;
 under the recurrence such a merge is absorbing, since fl(q*t + omega) = t
 fixes t for good, so a single index caps the usable part of an orbit.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator
 
-from .errors import DegenerateDenominator, InsufficientDepth
+from .errors import DegenerateDenominator, InsufficientDepth, NonFiniteValue
 
 # Package-wide numeric defaults.
 DEFAULT_TOL = 1e-12
@@ -55,7 +56,7 @@ class HahnParams:
         if not math.isfinite(self.omega) or not self.omega > 0.0:
             raise ValueError(f"omega must be finite and strictly positive, got {self.omega!r}")
 
-    @property
+    @cached_property
     def omega0(self) -> float:
         """Fixed point of sigma: omega / (1 - q)."""
         return self.omega / (1.0 - self.q)
@@ -116,19 +117,24 @@ class Orbit:
             self.values = values
             self._grid_depth = len(values) - 1
 
-    def _grow(self, m: int) -> None:
-        nodes = self.nodes
+    @staticmethod
+    def grow(q: float, omega: float, nodes: list[float], m: int) -> list[float]:
+        """Extend the realized orbit prefix ``nodes`` in place by
+        t[n+1] = q*t[n] + omega through index m, stopping early at the
+        first merge t[n+1] == t[n]; returns ``nodes``.  The one node
+        recurrence: every orbit and every point stencil comes from it."""
         while len(nodes) <= m:
             t = nodes[-1]
-            nxt = self.q * t + self.omega
+            nxt = q * t + omega
             if nxt == t:
-                return
+                break
             nodes.append(nxt)
+        return nodes
 
     def node(self, n: int) -> float:
         """t[n], the n-fold sigma iterate of the seed."""
-        self._grow(n)
-        return self.nodes[min(n, len(self.nodes) - 1)]
+        nodes = self.grow(self.q, self.omega, self.nodes, n)
+        return nodes[min(n, len(nodes) - 1)]
 
     def value(self, n: int) -> float:
         """The value at node n.  Past a merge every node is the merged
@@ -142,8 +148,10 @@ class Orbit:
     def reach(self, m: int) -> int:
         """Realize nodes and values through min(m, cap) and return that index."""
         m = min(m, self._grid_depth)
-        self._grow(m)
-        m = min(m, len(self.nodes) - 1)
+        nodes = self.nodes
+        if len(nodes) <= m:
+            self.grow(self.q, self.omega, nodes, m)
+        m = min(m, len(nodes) - 1)
         source = self._source
         if source is not None:
             vals = self.values
@@ -353,6 +361,4 @@ class GridFunction:
 
 def _require_finite(v: float) -> None:
     if not math.isfinite(v):
-        from .errors import NonFiniteValue
-
         raise NonFiniteValue(f"grid value {v!r} is not finite")

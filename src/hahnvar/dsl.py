@@ -14,14 +14,15 @@ than '^', so ``-u0^2`` means ``(-u0)^2``.  Nesting past MAX_NESTING
 with an integer literal exponent is the float power ``**``; any other
 exponent g uses exp(g*ln(f)) and requires a positive base.
 
-Numbers come from compiled code (``_emit``), with the checked walk
-``evaluate``, which does the same float operations, where it faults or
-is not finite.  The walk refuses every non-finite intermediate; compiled
-code checks only operands that could make one finite again (divisors,
-bases under an exponent that is not a positive literal, function
-arguments).  ``derivative`` builds partials as trees, folding 0 and 1,
-with d abs(a) = a/abs(a)*da and d sqrt(a) = 0.5/sqrt(a)*da, so kinks
-divide by zero in the slope.
+Numbers come from code compiled once per tree (``_emit``), with the
+checked walk, which does the same float operations, where that code
+faults or is not finite; ``evaluate`` runs this pair for one tree, as
+``Lagrangian`` does for its value and partials.  The walk refuses every
+non-finite intermediate; compiled code checks only operands that could
+make one finite again (divisors, bases under an exponent that is not a
+positive literal, function arguments).  ``derivative`` builds partials
+as trees, folding 0 and 1, with d abs(a) = a/abs(a)*da and
+d sqrt(a) = 0.5/sqrt(a)*da, so kinks divide by zero in the slope.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -58,6 +60,17 @@ class Expr:
     """Base class for expression nodes."""
 
     __slots__ = ()
+
+    @cached_property
+    def _code(self) -> Callable[..., float]:
+        """The tree compiled once, keyword-only over its variables; extra
+        names go to ``**_`` and a missing one raises TypeError."""
+        names = sorted(variables(self))
+        return _compile(["*", *names, "**_"] if names else ["**_"], self)
+
+    def __getstate__(self) -> dict:
+        # Pickles and copies leave the compiled code behind: it is a cache.
+        return {k: v for k, v in vars(self).items() if k != "_code"}
 
 
 @dataclass(frozen=True)
@@ -306,8 +319,8 @@ def _finite(x: float) -> float:
     return x
 
 
-def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
-    """Plain real evaluation under the given variable bindings."""
+def _walk_eval(e: Expr, bindings: Mapping[str, float]) -> float:
+    """The checked walk: every intermediate must be finite and in its domain."""
     if isinstance(e, Number):
         return e.value
     if isinstance(e, Var):
@@ -316,11 +329,11 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
         except KeyError:
             raise UnboundVariable(e.name) from None
     if isinstance(e, Neg):
-        return -evaluate(e.operand, bindings)
+        return -_walk_eval(e.operand, bindings)
     if isinstance(e, Call):
-        return _call_real(e.fn, evaluate(e.operand, bindings))
+        return _call_real(e.fn, _walk_eval(e.operand, bindings))
     if isinstance(e, BinOp):
-        left = evaluate(e.left, bindings)
+        left = _walk_eval(e.left, bindings)
         if e.op == "^":
             k = _literal_int_exponent(e.right)
             if k is not None:
@@ -330,11 +343,11 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
                     return _finite(left**k)
                 except OverflowError:
                     return _finite(math.inf)
-            right = evaluate(e.right, bindings)
+            right = _walk_eval(e.right, bindings)
             if left <= 0.0:
                 raise DomainError(f"base {left!r} must be positive for a non-integer exponent")
             return _call_real("exp", right * math.log(left))
-        right = evaluate(e.right, bindings)
+        right = _walk_eval(e.right, bindings)
         if e.op == "+":
             return _finite(left + right)
         if e.op == "-":
@@ -426,9 +439,9 @@ def partial_eval(e: Expr, bindings: Mapping[str, float], var: str) -> float:
 
 def _slopes_eval(e: Expr, slopes: Sequence[Expr], bindings: Mapping[str, float]) -> list[float]:
     """The slope trees of e by the checked walk, raising as ``partial_eval`` does."""
-    evaluate(e, bindings)
+    _walk_eval(e, bindings)
     try:
-        return [evaluate(slope, bindings) for slope in slopes]
+        return [_walk_eval(slope, bindings) for slope in slopes]
     except DomainError as exc:
         raise NotDifferentiable(f"no finite slope here: {exc}") from None
 
@@ -467,11 +480,12 @@ def _fin(x: float) -> float:
     raise ValueError("non-finite intermediate")
 
 
-# What the unchecked path raises where the checked walk raises a HahnvarError.
-_FAST_FAULTS = (ValueError, ZeroDivisionError, OverflowError, NameError)
+# What the unchecked path raises where the checked walk raises a HahnvarError;
+# TypeError is a binding that keyword-only code of a tree lacks.
+_FAST_FAULTS = (ValueError, ZeroDivisionError, OverflowError, NameError, TypeError)
 
 
-def _uncompiled(*args: float) -> float:
+def _uncompiled(*args: float, **kwargs: float) -> float:
     raise ValueError("too deep for Python's compiler")
 
 
@@ -485,18 +499,35 @@ def _compile(names: Sequence[str], *exprs: Expr) -> Callable:
         return _uncompiled
 
 
+def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
+    """e under the given variable bindings; extra names are ignored.
+
+    Runs the tree's compiled code, and the checked walk where that code
+    faults or is not finite, so it raises what the walk raises:
+    UnboundVariable for a missing name, DomainError outside a function's
+    domain, at a zero divisor or on an overflow."""
+    try:
+        v = e._code(**bindings)
+        if math.isfinite(v):
+            return v
+    except _FAST_FAULTS:
+        pass
+    return _walk_eval(e, bindings)
+
+
 def function_of_t(e: Expr) -> Callable[[float], float]:
-    """The expression as a function of t, compiled, with the checked walk on faults."""
-    fast = _compile(("t",), e)
+    """The expression as a function of t, evaluated as ``evaluate`` does."""
+    # The same rule inline: a bindings dict per point would cost more than the code.
+    code = e._code
 
     def f(t: float) -> float:
         try:
-            v = fast(t)
+            v = code(t=t)
             if math.isfinite(v):
                 return v
         except _FAST_FAULTS:
             pass
-        return evaluate(e, {"t": t})
+        return _walk_eval(e, {"t": t})
 
     return f
 
@@ -532,7 +563,7 @@ class Lagrangian:
                 return v
         except _FAST_FAULTS:
             pass
-        return evaluate(self.expr, self._bindings(t, us))
+        return _walk_eval(self.expr, self._bindings(t, us))
 
     def partial(self, i: int, t: float, us) -> float:
         """dL/du_i at (t, u0..ur); raises where ``value`` raises."""

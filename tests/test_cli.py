@@ -25,6 +25,21 @@ def test_deriv_json_value(capsys):
     assert report["value"] == 3.5
 
 
+# D^r at omega0 = 1 (q = omega = 0.5) is [r]_q!/r! times the r-th derivative.
+@pytest.mark.parametrize(
+    "expr, order, exact",
+    [("t^2", 1, 2.0), ("t^2", 2, 1.5), ("t^2", 3, 0.0), ("t^2", 4, 0.0),
+     ("t^3", 1, 3.0), ("t^3", 2, 4.5), ("t^3", 3, 2.625), ("t^3", 4, 0.0)],
+)
+def test_deriv_at_the_fixed_point_is_exact(capsys, expr, order, exact):
+    code, out, _ = run(
+        capsys, "deriv", "--q", "0.5", "--omega", "0.5", "--expr", expr, "--t", "1",
+        "--order", str(order), "--format", "json",
+    )
+    assert code == 0
+    assert abs(json.loads(out)["value"] - exact) <= 1e-12
+
+
 def test_negative_exponent_value_as_separate_token(capsys):
     base = ("deriv", "--q", "0.5", "--omega", "0.5", "--expr", "t", "--format", "json")
     code, out, _ = run(capsys, *base, "--t", "-3.1e-05")

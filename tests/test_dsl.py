@@ -1,6 +1,8 @@
 """Expression language: parsing, printing, evaluation, symbolic partials."""
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -20,7 +22,17 @@ from hahnvar import (
     parse,
     to_string,
 )
-from hahnvar.dsl import FUNCTIONS, MAX_NESTING, BinOp, _emit, derivative, function_of_t, partial_eval
+from hahnvar import dsl
+from hahnvar.dsl import (
+    FUNCTIONS,
+    MAX_NESTING,
+    BinOp,
+    _emit,
+    _walk_eval,
+    derivative,
+    function_of_t,
+    partial_eval,
+)
 
 PRODUCT_SRC = "(u0 + 0.5)^2 * (u1^2 - 1)^2"
 
@@ -228,7 +240,7 @@ def test_lagrangian_fast_path_matches_walker():
         rng = random.Random(11)
         for _ in range(20):
             t, u0, u1 = (rng.uniform(-2, 2) for _ in range(3))
-            assert L.value(t, (u0, u1)) == evaluate(L.expr, {"t": t, "u0": u0, "u1": u1})
+            assert L.value(t, (u0, u1)) == _walk_eval(L.expr, {"t": t, "u0": u0, "u1": u1})
 
 
 _leaf = st.sampled_from([parse(s) for s in ("t", "u0", "u1", "2", "0.5")])
@@ -304,7 +316,7 @@ def test_trees_at_the_nesting_bound_evaluate_with_their_partials(make):
     L = compile_lagrangian(make(MAX_NESTING), 1)
     t, us = 0.3, (1.1, 0.95)
     env = {"t": t, "u0": us[0], "u1": us[1]}
-    assert L.value(t, us) == evaluate(L.expr, env)
+    assert L.value(t, us) == _walk_eval(L.expr, env)
     for i in (0, 1):
         assert L.partial(i, t, us) == partial_eval(L.expr, env, f"u{i}")
 
@@ -314,7 +326,7 @@ def test_value_takes_the_walk_where_python_cannot_compile():
     for _ in range(3 * MAX_NESTING):
         tree = BinOp("*", parse("u0"), tree)
     L = Lagrangian(tree, 1)
-    assert L.value(0.0, (1.001, 2.0)) == evaluate(tree, {"u0": 1.001, "u1": 2.0})
+    assert L.value(0.0, (1.001, 2.0)) == _walk_eval(tree, {"u0": 1.001, "u1": 2.0})
     assert L.partial(1, 0.0, (1.001, 2.0)) == partial_eval(tree, {"u0": 1.001, "u1": 2.0}, "u1")
 
 
@@ -405,7 +417,7 @@ def test_derivatives_are_the_partials_and_second_partials():
     assert grad == [L.partial(i, t, us) for i in (0, 1)]
     for i in (0, 1):
         for j in (0, 1):
-            second = evaluate(derivative(derivative(L.expr, f"u{i}"), f"u{j}"), env)
+            second = _walk_eval(derivative(derivative(L.expr, f"u{i}"), f"u{j}"), env)
             assert hess[i][j] == pytest.approx(second, rel=1e-14)
     with pytest.raises(NotDifferentiable):
         compile_lagrangian("abs(u1) + u0", 1).derivatives(0.0, (1.0, 0.0))
@@ -426,6 +438,57 @@ def test_compiled_second_partials_agree_with_the_checked_walk(tree, t, u0, u1):
     for i in (0, 1):
         assert grad[i] == partial_eval(tree, env, f"u{i}")
         for j in range(i, 2):
-            assert hess[i][j] == hess[j][i] == evaluate(
+            assert hess[i][j] == hess[j][i] == _walk_eval(
                 derivative(derivative(tree, f"u{i}"), f"u{j}"), env
             )
+
+
+@settings(deadline=None, max_examples=300)
+@given(_trees(3), _coord, _coord, _coord, st.sampled_from(("all", "extra", "missing")))
+def test_evaluate_is_the_checked_walk_bit_for_bit(tree, t, u0, u1, names):
+    env = {"t": t, "u0": u0, "u1": u1}
+    if names == "extra":
+        env["u7"] = 1.5
+    elif names == "missing":
+        del env["u1"]
+    walk = _outcome(_walk_eval, tree, env)
+    got = _outcome(evaluate, tree, env)
+    if isinstance(walk, type):
+        assert got is walk
+    else:
+        assert isinstance(got, float) and got == walk and math.copysign(1.0, got) == math.copysign(1.0, walk)
+
+
+def test_each_tree_compiles_once_and_fallbacks_compile_nothing(monkeypatch):
+    compiles = []
+    original = dsl._compile
+
+    def counting(*args):
+        compiles.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dsl, "_compile", counting)
+    tree = parse("0.3*t^3 - 1.2*t^2 + 0.5*t + 2")
+    for i in range(1000):
+        evaluate(tree, {"t": i / 1000.0})
+    assert len(compiles) == 1
+
+    L = compile_lagrangian("1/u0 + u1^2", 1)
+    assert L.value(0.0, (2.0, 1.0)) == 1.5
+    assert L.partial(0, 0.0, (2.0, 1.0)) == -0.25
+    before = len(compiles)
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            L.value(0.0, (0.0, 1.0))
+        with pytest.raises(DomainError):
+            L.partial(0, 0.0, (0.0, 1.0))
+    assert len(compiles) == before
+
+
+def test_an_evaluated_tree_still_pickles_and_copies():
+    tree = parse("t^2 + sin(u0)")
+    env = {"t": 2.0, "u0": 0.5}
+    want = evaluate(tree, env)
+    for clone in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
+        assert clone == tree
+        assert evaluate(clone, env) == want

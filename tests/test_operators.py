@@ -23,6 +23,7 @@ from hahnvar import (
     norm_r_inf,
     q_bracket,
 )
+from hahnvar.core import Orbit
 from hahnvar.demos import ystar
 
 P = HahnParams(0.5, 0.5)
@@ -178,3 +179,49 @@ def test_jackson_q_derivative():
     assert jackson_q_derivative(0.5, lambda t: t**3, 0.0) == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(ValueError):
         jackson_q_derivative(1.5, lambda t: t, 1.0)
+
+
+def _seeds_near_the_fixed_point(params, ulps):
+    w0 = params.omega0
+    out, lo, hi = [], w0, w0
+    for _ in range(ulps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+@pytest.mark.parametrize("q, omega", [(0.5, 0.5), (0.9, 0.1), (0.3, 2.0), (0.99, 0.01)])
+def test_point_derivative_takes_the_orbit_nodes(q, omega):
+    params = HahnParams(q, omega)
+    f = lambda t: math.sin(t) + 0.1 * t**3  # noqa: E731
+    seeds = [-2.0, 0.37, 3.5, params.omega0 + 1e-9] + _seeds_near_the_fixed_point(params, 4)
+    merged = 0
+    for t in seeds:
+        for r in range(5):
+            try:
+                want = iterated_quotient(*Orbit(q, omega, t, f).window(0, r + 1))
+            except DegenerateDenominator:
+                merged += 1
+                with pytest.raises(DegenerateDenominator):
+                    hahn_derivative_n(params, f, r, t)
+                continue
+            assert hahn_derivative_n(params, f, r, t) == want
+    assert merged > 0
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_derivative_at_the_fixed_point_is_scaled_classical(r):
+    # In s = t - omega0 sigma is s -> q*s, so D^r f(omega0) = [r]_q!/r! f^(r)(omega0).
+    factor = math.prod(q_bracket(k, P.q) for k in range(1, r + 1)) / math.factorial(r)
+    w0 = P.omega0
+    exact = factor * math.exp(w0)
+    assert hahn_derivative_n(P, "exp(t)", r, w0) == pytest.approx(exact, rel=1e-15)
+    tolerance = (0.0, 3e-13, 3e-10, 2e-8, 5e-7)[r]
+    assert hahn_derivative_n(P, math.exp, r, w0) == pytest.approx(exact, rel=tolerance, abs=0.0)
+
+
+def test_expression_and_callable_agree_off_the_fixed_point():
+    for r in range(4):
+        for t in (-1.0, 0.25, 3.0):
+            want = hahn_derivative_n(P, lambda s: s**3 - 2.0 * s, r, t)
+            assert hahn_derivative_n(P, "t^3 - 2*t", r, t) == want
