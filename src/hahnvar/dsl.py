@@ -17,20 +17,24 @@ exponent g uses exp(g*ln(f)) and requires a positive base.
 Numbers come from code compiled once per tree (``_emit``), with the
 checked walk, which does the same float operations, where that code
 faults or is not finite; ``evaluate`` runs this pair for one tree, as
-``Lagrangian`` does for its value and partials.  The walk refuses every
-non-finite intermediate; compiled code checks only operands that could
-make one finite again (divisors, bases under an exponent that is not a
-positive literal, function arguments).  ``derivative`` builds partials
-as trees, folding 0 and 1, with d abs(a) = a/abs(a)*da and
-d sqrt(a) = 0.5/sqrt(a)*da, so kinks divide by zero in the slope.
+``Lagrangian`` does for its value and, in one function, all its partials.
+The walk refuses every non-finite intermediate, and every product,
+quotient or integer power of nonzero operands that rounds to 0.0 (a
+subnormal result and exp(-1000) are no such zero); compiled code checks
+only operands that could make one finite again (divisors, bases under
+an exponent that is not a positive literal, function arguments), and
+the operands of a zero product, quotient or power.  ``derivative``
+builds partials as trees, folding 0 and 1, with d abs(a) = a/abs(a)*da
+and d sqrt(a) = 0.5/sqrt(a)*da, so kinks divide by zero in the slope.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -313,9 +317,11 @@ def _literal_int_exponent(e: Expr) -> int | None:
     return int(e.value) if isinstance(e, Number) and float(e.value).is_integer() else None
 
 
-def _finite(x: float) -> float:
+def _finite(x: float, nonzero_operands: bool = False) -> float:
     if not math.isfinite(x):
         raise DomainError("evaluation overflowed the finite range")
+    if nonzero_operands and x == 0.0:
+        raise DomainError("evaluation underflowed to zero")
     return x
 
 
@@ -340,7 +346,7 @@ def _walk_eval(e: Expr, bindings: Mapping[str, float]) -> float:
                 if k < 0 and left == 0.0:
                     raise DomainError("division by zero")
                 try:
-                    return _finite(left**k)
+                    return _finite(left**k, left != 0.0)
                 except OverflowError:
                     return _finite(math.inf)
             right = _walk_eval(e.right, bindings)
@@ -353,10 +359,10 @@ def _walk_eval(e: Expr, bindings: Mapping[str, float]) -> float:
         if e.op == "-":
             return _finite(left - right)
         if e.op == "*":
-            return _finite(left * right)
+            return _finite(left * right, left != 0.0 and right != 0.0)
         if right == 0.0:
             raise DomainError("division by zero")
-        return _finite(left / right)
+        return _finite(left / right, left != 0.0)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -450,27 +456,47 @@ def _slopes_eval(e: Expr, slopes: Sequence[Expr], bindings: Mapping[str, float])
 # Compiled evaluation
 # ---------------------------------------------------------------------------
 
-def _emit(e: Expr) -> str:
+def _emit(e: Expr, fresh: Iterator[int] | None = None) -> str:
     """Python source for the fast evaluation path; _fin guards the operands
-    that could turn a non-finite intermediate finite."""
+    that could turn a non-finite intermediate finite, and _nz a zero
+    product, quotient or power that could be an underflow.  A compound
+    operand that _nz tests is kept in a local _0, _1, ... numbered from
+    ``fresh``, so none is evaluated twice."""
+    fresh = itertools.count() if fresh is None else fresh
+
+    def emit(node: Expr) -> str:
+        return _emit(node, fresh)
+
     if isinstance(e, Number):
         return repr(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):
-        return f"(-{_emit(e.operand)})"
+        return f"(-{emit(e.operand)})"
     if isinstance(e, Call):
-        return f"{e.fn}(_fin({_emit(e.operand)}))"
+        return f"{e.fn}(_fin({emit(e.operand)}))"
     if isinstance(e, BinOp):
-        if e.op == "^":
-            k = _literal_int_exponent(e.right)
-            if k is not None:
-                base = _emit(e.left) if k > 0 else f"_fin({_emit(e.left)})"
-                return f"({base})**({k})"
-            return f"exp(_fin(({_emit(e.right)})*ln(_fin({_emit(e.left)}))))"
-        if e.op == "/":
-            return f"({_emit(e.left)} / _fin({_emit(e.right)}))"
-        return f"({_emit(e.left)} {e.op} {_emit(e.right)})"
+        if e.op in "+-":
+            return f"({emit(e.left)} {e.op} {emit(e.right)})"
+        k = _literal_int_exponent(e.right) if e.op == "^" else None
+        if e.op == "^" and k is None:
+            return f"exp(_fin(({emit(e.right)})*ln(_fin({emit(e.left)}))))"
+
+        def operand(node: Expr, checked: bool) -> tuple[str, str]:
+            """Its text in the operation, and what reads it again in _nz: a
+            variable or literal itself, else a local that keeps its value."""
+            text = emit(node)
+            used = f"_fin({text})" if checked else text
+            if isinstance(node, (Var, Number)):
+                return used, text
+            name = f"_{next(fresh)}"
+            return f"({name} := {used})", name
+
+        if k is None:
+            op, (x, a), (y, b) = e.op, operand(e.left, False), operand(e.right, e.op == "/")
+        else:
+            op, (x, a), (y, b) = "**", operand(e.left, k <= 0), (f"({k})",) * 2
+        return f"({x} {op} {y} or _nz({a}, {b}, {a} {op} {b}))"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -478,6 +504,14 @@ def _fin(x: float) -> float:
     if math.isfinite(x):
         return x
     raise ValueError("non-finite intermediate")
+
+
+def _nz(a: float, b: float, zero: float) -> float:
+    """The zero result of a * b, a / b or a ** b; unless a or b was zero (a
+    divisor or an exponent never is), it underflowed."""
+    if a and b:
+        raise ValueError("underflowed intermediate")
+    return zero
 
 
 # What the unchecked path raises where the checked walk raises a HahnvarError;
@@ -493,10 +527,18 @@ def _compile(names: Sequence[str], *exprs: Expr) -> Callable:
     """Unchecked lambda over names for the expression (a tuple for several);
     code too deep for Python's compiler gets a stub that always faults."""
     try:
-        body = ", ".join(map(_emit, exprs))
-        return eval(f"lambda {', '.join(names)}: ({body})", dict(_MATH, _fin=_fin))
+        fresh = itertools.count()
+        body = ", ".join(_emit(e, fresh) for e in exprs)
+        return _lambda(f"lambda {', '.join(names)}: ({body})")
     except (SyntaxError, RecursionError, MemoryError):
         return _uncompiled
+
+
+@lru_cache(maxsize=32)
+def _lambda(source: str) -> Callable:
+    """The compiled source; a pure function of its text, so equal sources
+    (a problem built again from the same strings) share it."""
+    return eval(source, dict(_MATH, _fin=_fin, _nz=_nz))
 
 
 def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
@@ -537,16 +579,18 @@ class Lagrangian:
     """An expression read as L(t, u0, ..., ur) with the slot count fixed.
 
     Slot i holds the i-th operator iterate of the trajectory, so r is the
-    problem order.  ``value``, each slot's ``partial`` and ``derivatives``
-    compile on first use and fall back to the checked tree walk to produce
-    precise errors.
+    problem order.  ``value`` compiles L on first use; ``gradient`` and
+    every slot's ``partial`` share one function compiled for
+    (L, dL/du0, ..., dL/dur), and ``derivatives`` adds the second
+    partials.  Each falls back to the checked tree walk to produce precise
+    errors.  The compiled code is a cache: pickles and copies leave it behind.
     """
 
     expr: Expr
     order: int
-    _fast: Callable | None = field(default=None, repr=False, compare=False)
-    _slopes: dict[int, Callable] = field(default_factory=dict, repr=False, compare=False)
-    _second: tuple[list[Expr], Callable] | None = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        return {"expr": self.expr, "order": self.order}
 
     def arg_names(self) -> tuple[str, ...]:
         return ("t",) + tuple(f"u{i}" for i in range(self.order + 1))
@@ -554,41 +598,63 @@ class Lagrangian:
     def _bindings(self, t: float, us) -> dict[str, float]:
         return dict(zip(self.arg_names(), (t, *us)))
 
+    @cached_property
+    def _slopes(self) -> list[Expr]:
+        """dL/du_i as trees, one per slot."""
+        return [derivative(self.expr, u) for u in self.arg_names()[1:]]
+
+    @cached_property
+    def _value_code(self) -> Callable:
+        return _compile(self.arg_names(), self.expr)
+
+    @cached_property
+    def _gradient_code(self) -> Callable:
+        return _compile(self.arg_names(), self.expr, *self._slopes)
+
+    @cached_property
+    def _second(self) -> tuple[list[Expr], Callable]:
+        slots = self.arg_names()[1:]
+        grad = self._slopes
+        trees = grad + [derivative(g, u) for i, g in enumerate(grad) for u in slots[i:]]
+        return trees, _compile(self.arg_names(), self.expr, *trees)
+
     def value(self, t: float, us) -> float:
-        if self._fast is None:
-            self._fast = _compile(self.arg_names(), self.expr)
         try:
-            v = self._fast(t, *us)
+            v = self._value_code(t, *us)
             if math.isfinite(v):
                 return v
         except _FAST_FAULTS:
             pass
         return _walk_eval(self.expr, self._bindings(t, us))
 
+    def gradient(self, t: float, us) -> tuple[float, ...]:
+        """(dL/du0, ..., dL/dur) at (t, u0..ur) from one compiled call; raises
+        where ``value`` raises, NotDifferentiable where any slope is not finite."""
+        try:
+            out = self._gradient_code(t, *us)
+            if all(map(math.isfinite, out)):
+                return out[1:]
+        except _FAST_FAULTS:
+            pass
+        return tuple(_slopes_eval(self.expr, self._slopes, self._bindings(t, us)))
+
     def partial(self, i: int, t: float, us) -> float:
-        """dL/du_i at (t, u0..ur); raises where ``value`` raises."""
+        """dL/du_i at (t, u0..ur); raises where ``value`` raises.  Only L and
+        slot i must be finite, so a kink in another slot does not raise."""
         if not 0 <= i <= self.order:
             raise ArityError(f"slot u{i} is outside order {self.order}")
-        fast = self._slopes.get(i)
-        if fast is None:
-            slope = derivative(self.expr, f"u{i}")
-            fast = self._slopes[i] = _compile(self.arg_names(), self.expr, slope)
         try:
-            v, d = fast(t, *us)
+            out = self._gradient_code(t, *us)
+            v, d = out[0], out[i + 1]
             if math.isfinite(v) and math.isfinite(d):
                 return d
         except _FAST_FAULTS:
             pass
-        return partial_eval(self.expr, self._bindings(t, us), f"u{i}")
+        return _slopes_eval(self.expr, self._slopes[i : i + 1], self._bindings(t, us))[0]
 
     def derivatives(self, t: float, us) -> tuple[list[float], list[list[float]]]:
         """(dL/du_i, d2L/du_i du_j) over the slots at (t, u0..ur); raises
         where ``value`` raises, NotDifferentiable where a slope is not finite."""
-        if self._second is None:
-            slots = self.arg_names()[1:]
-            grad = [derivative(self.expr, u) for u in slots]
-            trees = grad + [derivative(g, u) for i, g in enumerate(grad) for u in slots[i:]]
-            self._second = trees, _compile(self.arg_names(), self.expr, *trees)
         trees, fast = self._second
         try:
             out = fast(t, *us)

@@ -10,6 +10,11 @@ i < r.  Trajectory slot i is v_i = D^i[y o sigma^(r-i)](t); on the
 lattice the composition with sigma^k is an index shift, so slot values
 come from difference-quotient tables over consecutive orbit points.
 
+Each public function resolves its candidates once, at its top (source
+text is parsed and compiled there).  Along a run of orbit points the
+slots of every window come from one quotient table per slot, and all
+partials of a window from one compiled call.
+
 The Euler-Lagrange residual is oriented so that the first-order case
 reads D[dL/du1] - dL/du0, matching the classical
 d/dt dL/dy' - dL/dy convention; a trajectory is stationary exactly
@@ -35,7 +40,7 @@ from .core import (
     Origin,
 )
 from .dsl import Expr, Lagrangian, compile_lagrangian, function_of_t, parse
-from .errors import InsufficientDepth, NotAVariation
+from .errors import DegenerateDenominator, InsufficientDepth, NotAVariation
 from .integrals import SeriesResult, _indexed_series
 from .operators import (
     extrapolate_to_fixed,
@@ -47,6 +52,9 @@ from .operators import (
 # Anything usable as a trajectory candidate: grid data, a plain function
 # of t, or an expression (tree or source) in the variable t.
 Candidate = Union[GridFunction, Callable[[float], float], Expr, str]
+
+# A candidate after ``_resolve``: grid data or a function of t.
+Resolved = Union[GridFunction, Callable[[float], float]]
 
 
 @dataclass(frozen=True)
@@ -84,10 +92,11 @@ class Problem:
         return Lattice(self.params, self.a, self.b, depth)
 
 
-def _as_point_fn(y: Candidate) -> Callable[[float], float] | None:
-    """Resolve a candidate to a function of t; None when it is grid data."""
+def _resolve(y: Candidate) -> Resolved:
+    """The candidate as grid data or a function of t; source text is parsed
+    and compiled here.  A resolved candidate resolves to itself."""
     if isinstance(y, GridFunction):
-        return None
+        return y
     if isinstance(y, str):
         y = parse(y)
     if isinstance(y, Expr):
@@ -105,6 +114,7 @@ def _check_grid_compat(problem: Problem, grid: GridFunction) -> None:
 
 def materialize(problem: Problem, y: Candidate, depth: int = DEFAULT_DEPTH) -> GridFunction:
     """Candidate values realized on the problem's lattice at the given depth."""
+    y = _resolve(y)
     if isinstance(y, GridFunction):
         _check_grid_compat(problem, y)
         if y.lattice.depth < depth:
@@ -112,17 +122,16 @@ def materialize(problem: Problem, y: Candidate, depth: int = DEFAULT_DEPTH) -> G
                 f"grid candidate has depth {y.lattice.depth}, need {depth}"
             )
         return y
-    fn = _as_point_fn(y)
-    return GridFunction.sample(problem.lattice(depth), fn)
+    return GridFunction.sample(problem.lattice(depth), y)
 
 
-def _orbit(problem: Problem, y: Candidate, origin: Origin) -> Orbit:
-    """The endpoint orbit of ``origin`` carrying the candidate's values."""
+def _orbit(problem: Problem, y: Resolved, origin: Origin) -> Orbit:
+    """The endpoint orbit of ``origin`` carrying a resolved candidate's values."""
     if isinstance(y, GridFunction):
         _check_grid_compat(problem, y)
         return y.orbit(origin)
     seed = problem.a if origin is Origin.A else problem.b
-    return Orbit(problem.params.q, problem.params.omega, seed, _as_point_fn(y))
+    return Orbit(problem.params.q, problem.params.omega, seed, y)
 
 
 def traj_components(taus: Sequence[float], vals: Sequence[float]) -> list[float]:
@@ -148,6 +157,7 @@ def trajectory(
     v_i = q**(i*(r-i)) * D^i[y](omega0), with the iterates estimated by
     orbit extrapolation from grid data."""
     r = problem.r
+    y = _resolve(y)
     if point.origin is not Origin.FIXED:
         orbit = _orbit(problem, y, point.origin)
         if not orbit.degenerate:
@@ -185,23 +195,22 @@ def functional_value(
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> SeriesResult:
     """The objective integral, as the difference of the two one-sided series."""
+    y = _resolve(y)
     at_b = _one_sided_functional(problem, _orbit(problem, y, Origin.B), tol, max_terms)
     return at_b - _one_sided_functional(problem, _orbit(problem, y, Origin.A), tol, max_terms)
 
 
-def _endpoint_derivative(
-    problem: Problem, y: Candidate, origin: Origin, i: int, depth: int
-) -> float:
-    """D^i y at an endpoint; degenerate endpoints fall back to the
-    omega0 extrapolation (i >= 1) or the fixed value (i = 0), from grid
-    data at its own depth or from a function sampled at ``depth``."""
-    orbit = _orbit(problem, y, origin)
+def _endpoint_derivative(problem: Problem, y: Resolved, orbit: Orbit, i: int, depth: int) -> float:
+    """D^i y at the seed of ``orbit``, the endpoint orbit of the resolved
+    candidate y; degenerate endpoints fall back to the omega0
+    extrapolation (i >= 1) or the fixed value (i = 0), from grid data at
+    its own depth or from a function sampled at ``depth``."""
     if not orbit.degenerate:
         return iterated_quotient(*orbit.window(0, i + 1))
     if isinstance(y, GridFunction):
         return grid_derivative_at_fixed(y, i)
     if i == 0:
-        return _as_point_fn(y)(problem.params.omega0)
+        return y(problem.params.omega0)
     return grid_derivative_at_fixed(materialize(problem, y, depth), i)
 
 
@@ -216,7 +225,7 @@ class BoundaryViolation:
 
 def _boundary_violations(
     problem: Problem,
-    y: Candidate,
+    y: Resolved,
     targets_a: Sequence[float],
     targets_b: Sequence[float],
     tol: float,
@@ -224,8 +233,9 @@ def _boundary_violations(
 ) -> list[BoundaryViolation]:
     out = []
     for endpoint, origin, targets in (("a", Origin.A, targets_a), ("b", Origin.B, targets_b)):
+        orbit = _orbit(problem, y, origin)
         for i in range(problem.r):
-            actual = _endpoint_derivative(problem, y, origin, i, depth)
+            actual = _endpoint_derivative(problem, y, orbit, i, depth)
             err = abs(actual - targets[i])
             if not err <= tol:
                 out.append(BoundaryViolation(endpoint, i, actual, targets[i], err))
@@ -236,7 +246,7 @@ def is_admissible(
     problem: Problem, y: Candidate, tol: float = 1e-9, depth: int = DEFAULT_DEPTH
 ) -> tuple[bool, list[BoundaryViolation]]:
     """Whether all 2r endpoint conditions hold within tol, with the offenders."""
-    bad = _boundary_violations(problem, y, problem.alpha, problem.beta, tol, depth)
+    bad = _boundary_violations(problem, _resolve(y), problem.alpha, problem.beta, tol, depth)
     return (not bad, bad)
 
 
@@ -245,7 +255,7 @@ def is_variation(
 ) -> tuple[bool, list[BoundaryViolation]]:
     """Whether D^i eta vanishes at both endpoints (within tol) for i < r."""
     zeros = (0.0,) * problem.r
-    bad = _boundary_violations(problem, eta, zeros, zeros, tol, depth)
+    bad = _boundary_violations(problem, _resolve(eta), zeros, zeros, tol, depth)
     return (not bad, bad)
 
 
@@ -263,6 +273,7 @@ def first_variation(
     trajectory slot of eta.  Raises NotAVariation unless eta's boundary
     iterates vanish within variation_tol.
     """
+    y, eta = _resolve(y), _resolve(eta)
     ok, bad = is_variation(problem, eta, variation_tol)
     if not ok:
         worst = max(v.error for v in bad)
@@ -270,7 +281,7 @@ def first_variation(
             f"perturbation does not vanish at the endpoints (worst error {worst:.3e})"
         )
     r = problem.r
-    lagr = problem.lagrangian
+    gradient = problem.lagrangian.gradient
     parts = []
     for origin in (Origin.B, Origin.A):
         vy = _orbit(problem, y, origin)
@@ -281,10 +292,9 @@ def first_variation(
             if vy.reach(end) < end or ve.reach(end) < end:
                 return None
             taus = vy.nodes[k : end + 1]
-            ys = traj_components(taus, vy.values[k : end + 1])
+            gs = gradient(taus[0], traj_components(taus, vy.values[k : end + 1]))
             es = traj_components(taus, ve.values[k : end + 1])
-            t = taus[0]
-            return math.fsum(lagr.partial(i, t, ys) * es[i] for i in range(r + 1))
+            return math.fsum(g * e for g, e in zip(gs, es))
 
         parts.append(_indexed_series(problem.params.q, vy.prefactor, sample, tol, max_terms))
     return parts[0] - parts[1]
@@ -301,6 +311,7 @@ def first_variation_fd(
     """Central-difference check value (L[y + eps*eta] - L[y - eps*eta]) / (2*eps)."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
+    y, eta = _resolve(y), _resolve(eta)
     ys = [_orbit(problem, y, origin) for origin in (Origin.B, Origin.A)]
     es = [_orbit(problem, eta, origin) for origin in (Origin.B, Origin.A)]
     shifted = []
@@ -322,14 +333,31 @@ def _coeff(q: float, i: int) -> float:
     return (-1.0) ** (i + 1) * (1.0 / q) ** ((i - 1) * i // 2)
 
 
+def _slot_table(taus: Sequence[float], vals: Sequence[float], r: int) -> list[list[float]]:
+    """Entry m of list i is slot i of the window of r + 1 points based at m,
+    along a run with no zero step: the i-fold quotients of the values shifted
+    by r - i, which equal ``traj_components`` window by window, bit for bit."""
+    return [quotient_levels(taus, vals[r - i :], i) for i in range(r + 1)]
+
+
+def _slot_partials(
+    lagr: Lagrangian, taus: Sequence[float], vals: Sequence[float]
+) -> list[tuple[float, ...]]:
+    """For each slot i, dL/du_i at every window of the run, by one
+    ``gradient`` call per window; entry m is at the window based at m."""
+    slots = _slot_table(taus, vals, lagr.order)
+    gradient = lagr.gradient
+    return list(zip(*[gradient(t, us) for t, us in zip(taus, zip(*slots))]))
+
+
 def _residual_from_window(
     q: float, taus: Sequence[float], vals: Sequence[float], lagr: Lagrangian, r: int
 ) -> float:
     """Residual at the window base; taus/vals cover 2r+1 consecutive points."""
-    us = [traj_components(taus[m : m + r + 1], vals[m : m + r + 1]) for m in range(r + 1)]
+    partials = _slot_partials(lagr, taus, vals)
     total = 0.0
     for i in range(r + 1):
-        gs = [lagr.partial(i, taus[m], us[m]) for m in range(i + 1)]
+        gs = partials[i][: i + 1]
         di = iterated_quotient(taus[: i + 1], gs) if i else gs[0]
         total += _coeff(q, i) * di
     return total
@@ -343,6 +371,7 @@ def el_residual(
     Zero along both orbits is the stationarity (necessary) condition;
     for r = 1 the value is exactly D[dL/du1] - dL/du0."""
     r = problem.r
+    y = _resolve(y)
     if point.origin is not Origin.FIXED:
         orbit = _orbit(problem, y, point.origin)
         if not orbit.degenerate:
@@ -351,23 +380,10 @@ def el_residual(
     return _residual_at_fixed(problem, y, depth)
 
 
-def _orbit_partials(problem: Problem, orbit: Orbit, lo: int, hi: int) -> list[list[float]]:
-    """For each i, dL/du_i along the orbit at indices lo..hi; the orbit
-    must be usable through hi + r."""
-    r = problem.r
-    lagr = problem.lagrangian
-    taus, vals = orbit.nodes, orbit.values
-    partials: list[list[float]] = [[] for _ in range(r + 1)]
-    for m in range(lo, hi + 1):
-        us = traj_components(taus[m : m + r + 1], vals[m : m + r + 1])
-        for i in range(r + 1):
-            partials[i].append(lagr.partial(i, taus[m], us))
-    return partials
-
-
-def _residual_at_fixed(problem: Problem, y: Candidate, depth: int) -> float:
+def _residual_at_fixed(problem: Problem, y: Resolved, depth: int) -> float:
     """Residual estimate at omega0 by orbit extrapolation of each D^i[g_i]
-    from the deepest usable points of the first non-degenerate orbit."""
+    from the deepest usable points of the first non-degenerate orbit of
+    the resolved candidate y."""
     r = problem.r
     q = problem.params.q
     limit = y.lattice.depth if isinstance(y, GridFunction) else depth
@@ -378,8 +394,9 @@ def _residual_at_fixed(problem: Problem, y: Candidate, depth: int) -> float:
         top = orbit.reach(limit) - 2 * r
         if top < 1:
             raise InsufficientDepth(f"need depth > {2 * r} for the omega0 residual")
-        taus = orbit.nodes[top - 1 : top + r + 1]
-        partials = _orbit_partials(problem, orbit, top - 1, top + r)
+        end = top + 2 * r + 1
+        taus = orbit.nodes[top - 1 : end]
+        partials = _slot_partials(problem.lagrangian, taus, orbit.values[top - 1 : end])
         total = 0.0
         for i in range(r + 1):
             total += _coeff(q, i) * extrapolate_to_fixed(q, taus[: i + 2], partials[i][: i + 2], i)
@@ -418,9 +435,10 @@ def el_report(
     grid depth, or the first float merge of two nodes near omega0), and
     depth_used records the deepest index actually evaluated."""
     r = problem.r
-    q = problem.params.q
     if depth < 2 * r + 1:
         raise InsufficientDepth(f"el_report needs depth >= {2 * r + 1}")
+    y = _resolve(y)
+    coeffs = [_coeff(problem.params.q, i) for i in range(r + 1)]
     residuals: dict[LatticePoint, float] = {}
     depth_used = 0
     for origin in (Origin.A, Origin.B):
@@ -430,13 +448,12 @@ def el_report(
         top = orbit.reach(depth) - 2 * r
         if top < 0:
             continue
-        taus = orbit.nodes[: top + r + 1]
-        partials = _orbit_partials(problem, orbit, 0, top + r)
+        end = top + 2 * r + 1
+        taus = orbit.nodes[:end]
+        partials = _slot_partials(problem.lagrangian, taus, orbit.values[:end])
         per_i = [quotient_levels(taus, partials[i], i) for i in range(r + 1)]
-        for n in range(top + 1):
-            residuals[LatticePoint(origin, n)] = math.fsum(
-                _coeff(q, i) * per_i[i][n] for i in range(r + 1)
-            )
+        for n, terms in enumerate(zip(*per_i)):
+            residuals[LatticePoint(origin, n)] = math.fsum(c * d for c, d in zip(coeffs, terms))
         depth_used = max(depth_used, top)
     orbit_max = max((abs(v) for v in residuals.values()), default=0.0)
     violations = _boundary_violations(problem, y, problem.alpha, problem.beta, tol, depth)
@@ -472,12 +489,14 @@ def _limit_residual(
 ) -> float:
     if point.origin is Origin.FIXED:
         raise ValueError("limit residuals are defined along the endpoint orbits only")
-    fn = _as_point_fn(y)
-    if fn is None:
+    fn = _resolve(y)
+    if isinstance(fn, GridFunction):
         raise TypeError("limit residuals need a candidate evaluable at arbitrary reals")
     r = problem.r
     seed = problem.a if point.origin is Origin.A else problem.b
     taus = [node(seed, point.n + j) for j in range(2 * r + 1)]
+    if any(s == t for s, t in zip(taus, taus[1:])):
+        raise DegenerateDenominator(f"limit-lattice step underflowed to zero near t={seed!r}")
     vals = [fn(t) for t in taus]
     return _residual_from_window(q_for_coeff, taus, vals, problem.lagrangian, r)
 

@@ -492,3 +492,105 @@ def test_an_evaluated_tree_still_pickles_and_copies():
     for clone in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
         assert clone == tree
         assert evaluate(clone, env) == want
+
+
+def test_an_underflow_of_nonzero_operands_raises_on_every_path():
+    # u0^3 flushes to 0.0 at 1.51e-150 although u0^3/sin(u0), about
+    # 2.3e-300, is representable; read as 0 the quotient rule loses its
+    # -g/u0^2 term and the slope reads 3 where the true one is 1.
+    tree = parse("(u0^3/sin(u0))/u0")
+    L = compile_lagrangian(tree, 1)
+    us = (1.51e-150, 0.0)
+    for call in (
+        lambda: L.value(0.0, us),
+        lambda: L.partial(0, 0.0, us),
+        lambda: L.gradient(0.0, us),
+        lambda: L.derivatives(0.0, us),
+        lambda: evaluate(tree, {"t": 0.0, "u0": us[0], "u1": us[1]}),
+        lambda: function_of_t(parse("(t^3/sin(t))/t"))(us[0]),
+    ):
+        with pytest.raises(DomainError, match="underflowed"):
+            call()
+
+
+@pytest.mark.parametrize("source, env", [
+    ("u0*u1", {"u0": 1e-200, "u1": 1e-200}),
+    ("0.5*u0", {"u0": 5e-324}),
+    ("u0/u1", {"u0": 1e-300, "u1": 1e300}),
+    ("u0^-2", {"u0": 1e200}),
+    ("u0^3", {"u0": -1e-120}),
+])
+def test_each_underflowing_operation_raises_on_both_paths(source, env):
+    tree = parse(source)
+    with pytest.raises(DomainError, match="underflowed"):
+        evaluate(tree, env)
+    with pytest.raises(DomainError, match="underflowed"):
+        _walk_eval(tree, env)
+
+
+@pytest.mark.parametrize("source, env, want", [
+    ("exp(u0)", {"u0": -1000.0}, 0.0),
+    ("exp(u0)*u1", {"u0": -1000.0, "u1": 2.0}, 0.0),
+    ("u0*u1", {"u0": 0.0, "u1": 1e-300}, 0.0),
+    ("u0*u1", {"u0": -0.0, "u1": 3.0}, -0.0),
+    ("u0/u1", {"u0": -0.0, "u1": 1e300}, -0.0),
+    ("u0^2", {"u0": 0.0}, 0.0),
+    ("u0*u1", {"u0": 1e-160, "u1": 1e-160}, 1e-160 * 1e-160),
+    ("0.5*u0", {"u0": 1e-320}, 5e-321),
+])
+def test_true_zeros_and_subnormal_results_do_not_raise(source, env, want):
+    # A zero operand, exp of a large negative number and a subnormal
+    # (nonzero) result are not underflows to zero.
+    tree = parse(source)
+    for got in (evaluate(tree, env), _walk_eval(tree, env)):
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_gradient_is_one_compile_shared_with_every_partial(monkeypatch):
+    compiles = []
+    original = dsl._compile
+
+    def counting(*args):
+        compiles.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dsl, "_compile", counting)
+    L = compile_lagrangian("u0^2*u1 + sin(u2)*u3 - t*u3^3", 3)
+    us = (0.4, -1.3, 0.7, 2.1)
+    partials = [L.partial(i, 0.2, us) for i in range(4)]
+    assert len(compiles) == 1
+    assert list(L.gradient(0.2, us)) == partials
+    assert len(compiles) == 1
+
+
+def test_a_kink_in_one_slot_raises_only_for_that_slot():
+    L = compile_lagrangian("abs(u1) + u0^2", 1)
+    us = (0.75, 0.0)
+    assert L.partial(0, 0.3, us) == 1.5
+    with pytest.raises(NotDifferentiable):
+        L.partial(1, 0.3, us)
+    with pytest.raises(NotDifferentiable):
+        L.gradient(0.3, us)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_trees(3), _coord, _coord, _coord)
+def test_gradient_is_the_checked_walk_bit_for_bit(tree, t, u0, u1):
+    L = compile_lagrangian(tree, 1)
+    env = {"t": t, "u0": u0, "u1": u1}
+    got = _outcome(L.gradient, t, (u0, u1))
+    slow = [_outcome(partial_eval, tree, env, f"u{i}") for i in (0, 1)]
+    if isinstance(got, type):
+        assert got in [s for s in slow if isinstance(s, type)]
+        return
+    for fast, walk in zip(got, slow):
+        assert isinstance(walk, float) and fast.hex() == walk.hex()
+
+
+def test_a_used_lagrangian_pickles_and_copies():
+    L = compile_lagrangian(PRODUCT_SRC, 1)
+    t, us = 0.3, (0.7, -1.2)
+    want = (L.value(t, us), L.gradient(t, us), L.derivatives(t, us))
+    for clone in (pickle.loads(pickle.dumps(L)), copy.deepcopy(L)):
+        assert clone == L
+        assert (clone.value(t, us), clone.gradient(t, us), clone.derivatives(t, us)) == want

@@ -1,9 +1,11 @@
 """Variational layer: trajectories, functionals, variations, residual checks."""
 
 import math
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import grid_variation, poly, rand_problem
 from hahnvar import (
@@ -30,7 +32,10 @@ from hahnvar import (
     sigma_pow,
     trajectory,
 )
+from hahnvar import variational
+from hahnvar.core import Orbit
 from hahnvar.demos import double_well_problem, random_admissible_grid, ystar
+from hahnvar.variational import _slot_table, traj_components
 
 P = HahnParams(0.5, 0.5)
 FREE = Problem(P, 1, -1.0, 2.0, (0.0,), (0.0,), "u1^2/2")
@@ -232,3 +237,70 @@ def test_pure_shift_residual():
     # forward differences of t^2/2 with step h: second difference is exactly 1
     prob = Problem(HahnParams(1.0 - 1e-6, 0.25), 1, 1.0, 3.0, (0.0,), (0.0,), "u1^2/2 + u0")
     assert h_el_residual(prob, lambda t: 0.5 * t * t, LatticePoint(Origin.B, 0)) == 0.0
+
+
+_SMOOTH = {
+    "cubic": lambda t: 0.3 - 1.1 * t + 0.4 * t * t + 0.05 * t**3,
+    "sin": lambda t: math.sin(1.7 * t + 0.2),
+    "exp": lambda t: math.exp(-0.4 * t),
+    "rational": lambda t: 1.0 / (2.0 + t * t),
+}
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.floats(0.3, 0.999),
+    st.floats(0.01, 2.0),
+    st.floats(-6.0, 6.0),
+    st.integers(1, 4),
+    st.sampled_from(sorted(_SMOOTH)),
+    st.integers(4, 60),
+)
+def test_slot_table_is_traj_components_window_by_window(q, omega, seed, r, name, depth):
+    orbit = Orbit(q, omega, seed, _SMOOTH[name])
+    top = orbit.reach(depth)
+    if orbit.degenerate or top < r:
+        return
+    taus, vals = orbit.nodes[: top + 1], orbit.values[: top + 1]
+    table = _slot_table(taus, vals, r)
+    assert [len(slot) for slot in table] == [top + 1 - r] * (r + 1)
+    for m in range(top + 1 - r):
+        want = traj_components(taus[m : m + r + 1], vals[m : m + r + 1])
+        assert [slot[m].hex() for slot in table] == [v.hex() for v in want]
+
+
+def _count_candidate_parses(monkeypatch, source):
+    parses = []
+    original = variational.parse
+
+    def counting(text):
+        parses.append(text)
+        return original(text)
+
+    monkeypatch.setattr(variational, "parse", counting)
+    return lambda: parses.count(source)
+
+
+@pytest.mark.parametrize("call", ["el_report", "functional_value", "first_variation"])
+def test_a_source_candidate_is_parsed_once_per_call(monkeypatch, call):
+    rng = random.Random(17)
+    problem = rand_problem(rng, 2)
+    source = "0.2 - 0.3*t + 0.1*t^2 - 0.02*t^3"
+    eta = grid_variation(problem, rng)
+    count = _count_candidate_parses(monkeypatch, source)
+    {
+        "el_report": lambda: el_report(problem, source, depth=20, include_omega0=True),
+        "functional_value": lambda: functional_value(problem, source),
+        "first_variation": lambda: first_variation(problem, source, eta),
+    }[call]()
+    assert count() == 1
+
+
+def test_a_used_problem_pickles():
+    problem = double_well_problem()
+    want = el_report(problem, ystar, depth=10)
+    clone = pickle.loads(pickle.dumps(problem))
+    assert clone == problem
+    got = el_report(clone, ystar, depth=10)
+    assert got.residuals == want.residuals and got.passed == want.passed
+    assert functional_value(clone, ystar).value == functional_value(problem, ystar).value
