@@ -14,7 +14,8 @@ Exit codes are a stable contract:
   4 series non-convergence (integrate / evaluate)
 
 All numbers are rendered with 17 significant digits in json and csv
-modes, which round-trips IEEE doubles exactly.
+modes, which round-trips IEEE doubles exactly; json renders a
+non-finite number as null, table and csv as inf or nan.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def _json_scalar(v: Any) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return _fmt_num(v)
+        return _fmt_num(v) if math.isfinite(v) else "null"
     if isinstance(v, int):
         return str(v)
     if v is None:
@@ -134,8 +135,10 @@ def _render_csv(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _output(args, report: dict, headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    fmt = args.format or "table"
+def _output(
+    args, cfg: dict, report: dict, headers: Sequence[str], rows: Sequence[Sequence[Any]]
+) -> None:
+    fmt = _setting(args, cfg, "format", "table")
     if fmt == "json":
         print(_emit_json(report))
     elif fmt == "csv":
@@ -355,7 +358,7 @@ def _cmd_deriv(args) -> int:
         "order": args.order,
         "value": value,
     }
-    _output(args, report, list(report.keys()), [list(report.values())])
+    _output(args, {}, report, list(report.keys()), [list(report.values())])
     return 0
 
 
@@ -376,7 +379,7 @@ def _cmd_integrate(args) -> int:
         "tail_bound": result.tail_bound,
         "converged": result.converged,
     }
-    _output(args, report, list(report.keys()), [list(report.values())])
+    _output(args, {}, report, list(report.keys()), [list(report.values())])
     if not result.converged:
         print(
             f"series did not converge within {max_terms} terms "
@@ -414,7 +417,7 @@ def _cmd_evaluate(args) -> int:
         "converged": result.converged,
     }
     headers = ["value", "terms_used", "tail_bound", "converged"]
-    _output(args, report, headers, [[report[h] for h in headers]])
+    _output(args, cfg, report, headers, [[report[h] for h in headers]])
     return 0 if result.converged else 4
 
 
@@ -456,6 +459,7 @@ def _cmd_el_check(args) -> int:
     }
     _output(
         args,
+        cfg,
         out,
         ["origin", "n", "residual"],
         [[r["origin"], r["n"], r["residual"]] for r in residual_rows],
@@ -490,6 +494,7 @@ def _cmd_minimize(args) -> int:
     }
     _output(
         args,
+        cfg,
         report,
         ["iteration", "objective"],
         [[i, v] for i, v in enumerate(result.history)],
@@ -509,13 +514,14 @@ def _cmd_demo(args) -> int:
         kwargs["include_omega0"] = bool(args.include_omega0)
         report = demos.run_double_well(**kwargs)
         rows = [[k, v] for k, v in report["functional"].items()]
-        _output(args, report, ["field", "value"], rows)
+        _output(args, {}, report, ["field", "value"], rows)
     else:
         if args.depth is not None:
             kwargs["depth"] = args.depth
         report = demos.run_beam(**kwargs)
         _output(
             args,
+            {},
             report,
             ["q", "omega", "max_abs_residual"],
             [[c["q"], c["omega"], c["max_abs_residual"]] for c in report["cases"]],

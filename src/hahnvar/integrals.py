@@ -6,11 +6,17 @@ sum
     (x*(1-q) - omega) * sum_{k>=0} q^k * f(sigma^k(x))
 
 and a general interval integral is the difference of two such series.
-Convergence is certified with a geometric tail bound: once the running
-maximum of recent samples is M, the unsummed remainder is at most
-|prefactor| * q^(k+1) * M / (1 - q).  Results carry the bound instead
-of raising, so a caller can distinguish "converged under tol" from
-"ran out of terms" without exception handling.
+The classical limits are parameter values of the same sum, summed by
+the same driver: omega = 0 is Jackson's q-integral (fixed point 0), and
+q = 1 with omega = h is the Noerlund sum -h * sum_k f(x + k*h).
+
+For q < 1 convergence is certified with a geometric tail bound: once
+the running maximum of recent samples is M, the unsummed remainder is
+at most |prefactor| * q^(k+1) * M / (1 - q).  At q = 1 there is no
+envelope; the driver stops once |prefactor| * M <= tol, which is
+empirical, so converged is not a certificate there.  Results carry
+the bound instead of raising, so a caller can distinguish "converged
+under tol" from "ran out of terms" without exception handling.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ class SeriesResult:
 
     converged means the tail bound dropped to the requested tolerance
     before max_terms; the partial value and bound are reported either way.
+    At q = 1 (the Noerlund sum) the bound is the weighted maximum of the
+    last few terms, so converged there is empirical, not a certificate.
     """
 
     value: float
@@ -53,13 +61,6 @@ class SeriesResult:
         )
 
 
-def _validate_controls(tol: float, max_terms: int) -> None:
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if max_terms < 1:
-        raise ValueError(f"max_terms must be at least 1, got {max_terms!r}")
-
-
 def _indexed_series(
     q: float,
     prefactor: float,
@@ -73,15 +74,19 @@ def _indexed_series(
     prefactor is an exact empty sum regardless of the samples.  When
     sample returns None the orbit is exhausted: the partial sum is
     returned with converged=False (the orbit ran out of usable points,
-    same as running out of terms).
+    same as running out of terms).  At q = 1 there is no geometric
+    envelope: the bound is |prefactor| times the largest recent sample.
     """
-    _validate_controls(tol, max_terms)
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if max_terms < 1:
+        raise ValueError(f"max_terms must be at least 1, got {max_terms!r}")
     if prefactor == 0.0:
         return SeriesResult(0.0, 0, 0.0, True)
     total = 0.0
     comp = 0.0
     weight = 1.0
-    scale = abs(prefactor) * q / (1.0 - q)
+    scale = abs(prefactor) * (q / (1.0 - q) if q < 1.0 else 1.0)
     recent: deque[float] = deque(maxlen=_TAIL_WINDOW)
     done = 0
     tail = math.inf
@@ -105,6 +110,16 @@ def _indexed_series(
     return SeriesResult(prefactor * total, done, tail, False)
 
 
+def _one_sided(
+    q: float, omega: float, f: Callable[[float], float], x: float, tol: float, max_terms: int
+) -> SeriesResult:
+    """Integral of f from the fixed point of t -> q*t + omega out to x."""
+    if not math.isfinite(x):
+        raise ValueError(f"endpoint must be finite, got {x!r}")
+    orbit = Orbit(q, omega, x, f)
+    return _indexed_series(q, orbit.prefactor, orbit.value, tol, max_terms)
+
+
 def integral_from_fixed(
     params: HahnParams,
     f: Callable[[float], float],
@@ -113,10 +128,7 @@ def integral_from_fixed(
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> SeriesResult:
     """Integral of f over [omega0, x] (signed; x may sit on either side)."""
-    if not math.isfinite(x):
-        raise ValueError(f"endpoint must be finite, got {x!r}")
-    orbit = Orbit(params.q, params.omega, x, f)
-    return _indexed_series(params.q, orbit.prefactor, orbit.value, tol, max_terms)
+    return _one_sided(params.q, params.omega, f, x, tol, max_terms)
 
 
 def integral(
@@ -131,19 +143,14 @@ def integral(
 
     Antisymmetric in the endpoints; both orbit series share tol and
     max_terms and the reported tail bound is the sum of the two."""
-    at_b = integral_from_fixed(params, f, b, tol, max_terms)
-    return at_b - integral_from_fixed(params, f, a, tol, max_terms)
+    at_b = _one_sided(params.q, params.omega, f, b, tol, max_terms)
+    return at_b - _one_sided(params.q, params.omega, f, a, tol, max_terms)
 
 
 def sigma_cell_integral(params: HahnParams, f: Callable[[float], float], t: float) -> float:
     """Exact integral over the single cell [sigma(t), t]:
     -denominator(t) * f(t), the one-node case of the series."""
-    if not math.isfinite(t):
-        raise ValueError(f"cell anchor must be finite, got {t!r}")
-    fx = f(t)
-    if not math.isfinite(fx):
-        raise NonFiniteValue(f"f({t!r}) evaluated to {fx!r}")
-    return (t * (1.0 - params.q) - params.omega) * fx
+    return _one_sided(params.q, params.omega, f, t, DEFAULT_TOL, 1).value
 
 
 def jackson_q_integral(
@@ -157,46 +164,8 @@ def jackson_q_integral(
     """Pure dilation (omega = 0) integral; the fixed point is 0."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q!r}")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("endpoints must be finite")
-    at_b, at_a = (
-        _indexed_series(q, orbit.prefactor, orbit.value, tol, max_terms)
-        for orbit in (Orbit(q, 0.0, b, f), Orbit(q, 0.0, a, f))
-    )
-    return at_b - at_a
-
-
-def _norlund_one_sided(
-    omega: float,
-    f: Callable[[float], float],
-    x: float,
-    tol: float,
-    max_terms: int,
-) -> SeriesResult:
-    """-omega * sum_{k>=0} f(x + k*omega).
-
-    There is no geometric envelope here, so convergence is empirical:
-    stop once the last few weighted terms all sit below tol.  The
-    reported bound is that recent maximum, not a certificate."""
-    _validate_controls(tol, max_terms)
-    total = 0.0
-    comp = 0.0
-    recent: deque[float] = deque(maxlen=3)
-    t = x
-    for k in range(max_terms):
-        fx = f(t)
-        if not math.isfinite(fx):
-            raise NonFiniteValue(f"series term {k} evaluated to {fx!r}")
-        term = -omega * fx
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        recent.append(abs(term))
-        t += omega
-        if k + 1 >= 3 and max(recent) <= tol:
-            return SeriesResult(total, k + 1, max(recent), True)
-    return SeriesResult(total, max_terms, max(recent), False)
+    at_b = _one_sided(q, 0.0, f, b, tol, max_terms)
+    return at_b - _one_sided(q, 0.0, f, a, tol, max_terms)
 
 
 def norlund_sum(
@@ -207,10 +176,11 @@ def norlund_sum(
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> SeriesResult:
-    """Pure shift (q = 1) integral over [a, b] with step omega > 0."""
+    """Pure shift (q = 1) integral over [a, b] with step omega > 0.
+
+    There is no geometric envelope at q = 1, so converged means only that
+    the last few weighted terms fell below tol (see SeriesResult)."""
     if not (omega > 0.0 and math.isfinite(omega)):
         raise ValueError(f"omega must be positive and finite, got {omega!r}")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("endpoints must be finite")
-    at_b = _norlund_one_sided(omega, f, b, tol, max_terms)
-    return at_b - _norlund_one_sided(omega, f, a, tol, max_terms)
+    at_b = _one_sided(1.0, omega, f, b, tol, max_terms)
+    return at_b - _one_sided(1.0, omega, f, a, tol, max_terms)

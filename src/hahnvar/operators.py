@@ -130,7 +130,7 @@ def hahn_derivative_n(params: HahnParams, f, r: int, t) -> float:
                 expr = derivative(expr, "t")
             return _jackson_factor(params.q, r) * function_of_t(expr)(t)
         f = function_of_t(expr)
-    return _callable_derivative_n(params, f, r, t)
+    return _callable_derivative_n(params.q, params.omega, params.omega0, f, r, t)
 
 
 def _jackson_factor(q: float, r: int) -> float:
@@ -138,11 +138,14 @@ def _jackson_factor(q: float, r: int) -> float:
     return math.prod(q_bracket(k, q) for k in range(1, r + 1)) / math.factorial(r)
 
 
-def _callable_derivative_n(params: HahnParams, f: Callable[[float], float], r: int, t: float) -> float:
-    if t == params.omega0:
-        return _jackson_factor(params.q, r) * _central_derivative(f, r, t)
+def _callable_derivative_n(
+    q: float, omega: float, omega0: float | None, f: Callable[[float], float], r: int, t: float
+) -> float:
+    """D^r of a callable on the scale t -> q*t + omega (omega0 None: no fixed point)."""
+    if t == omega0:
+        return _jackson_factor(q, r) * _central_derivative(f, r, t)
     # Past a merge the orbit repeats its last node, whose zero step raises.
-    taus = Orbit.grow(params.q, params.omega, [t], r)
+    taus = Orbit.grow(q, omega, [t], r)
     taus += taus[-1:] * (r + 1 - len(taus))
     return iterated_quotient(taus, [_checked(f(x), x) for x in taus])
 
@@ -213,16 +216,15 @@ def norm_r_inf(y: GridFunction, r: int) -> float:
 
 
 def forward_h_difference(h: float, f: Callable[[float], float], t: float) -> float:
-    """Forward difference (f(t + h) - f(t)) / h, the q -> 1 operator."""
+    """Forward difference (f(t + h) - f(t)) / ((t + h) - t), the q -> 1
+    operator; t + h == t raises DegenerateDenominator."""
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step h must be finite and positive, got {h!r}")
-    return (_checked(f(t + h), t + h) - _checked(f(t), t)) / h
+    return _callable_derivative_n(1.0, h, None, f, 1, t)
 
 
 def jackson_q_derivative(q: float, f: Callable[[float], float], t: float) -> float:
     """Classical q-derivative (omega = 0 scale); t = 0 falls back to f'(0)."""
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must lie strictly inside (0, 1), got {q!r}")
-    if t == 0.0:
-        return _central_derivative(f, 1, 0.0)
-    return (_checked(f(q * t), q * t) - _checked(f(t), t)) / (t * (q - 1.0))
+    return _callable_derivative_n(q, 0.0, 0.0, f, 1, t)

@@ -40,7 +40,7 @@ from .core import (
     Origin,
 )
 from .dsl import Expr, Lagrangian, compile_lagrangian, function_of_t, parse
-from .errors import DegenerateDenominator, InsufficientDepth, NotAVariation
+from .errors import InsufficientDepth, NotAVariation
 from .integrals import SeriesResult, _indexed_series
 from .operators import (
     extrapolate_to_fixed,
@@ -481,12 +481,9 @@ def el_report(
 # ---------------------------------------------------------------------------
 
 def _limit_residual(
-    problem: Problem,
-    y: Candidate,
-    point: LatticePoint,
-    node: Callable[[float, int], float],
-    q_for_coeff: float,
+    problem: Problem, y: Candidate, point: LatticePoint, q: float, omega: float
 ) -> float:
+    """Residual at point on the orbit of t -> q*t + omega from its endpoint seed."""
     if point.origin is Origin.FIXED:
         raise ValueError("limit residuals are defined along the endpoint orbits only")
     fn = _resolve(y)
@@ -494,22 +491,17 @@ def _limit_residual(
         raise TypeError("limit residuals need a candidate evaluable at arbitrary reals")
     r = problem.r
     seed = problem.a if point.origin is Origin.A else problem.b
-    taus = [node(seed, point.n + j) for j in range(2 * r + 1)]
-    if any(s == t for s, t in zip(taus, taus[1:])):
-        raise DegenerateDenominator(f"limit-lattice step underflowed to zero near t={seed!r}")
-    vals = [fn(t) for t in taus]
-    return _residual_from_window(q_for_coeff, taus, vals, problem.lagrangian, r)
+    taus, vals = Orbit(q, omega, seed, fn).window(point.n, 2 * r + 1)
+    return _residual_from_window(q, taus, vals, problem.lagrangian, r)
 
 
 def q_el_residual(problem: Problem, y: Candidate, point: LatticePoint) -> float:
     """Residual for the omega = 0 (pure dilation) operators on the q-lattice
     {a*q^n} union {b*q^n}; the problem's omega is ignored."""
-    q = problem.params.q
-    return _limit_residual(problem, y, point, lambda s, m: s * q**m, q)
+    return _limit_residual(problem, y, point, problem.params.q, 0.0)
 
 
 def h_el_residual(problem: Problem, y: Candidate, point: LatticePoint) -> float:
-    """Residual for the q = 1 (pure shift) operators with step h = omega on
-    the arithmetic lattice {a + n*h} union {b + n*h}."""
-    h = problem.params.omega
-    return _limit_residual(problem, y, point, lambda s, m: s + m * h, 1.0)
+    """Residual for the q = 1 (pure shift) operators with step h = omega on the
+    lattice {a + n*h} union {b + n*h}; h lost to rounding raises DegenerateDenominator."""
+    return _limit_residual(problem, y, point, 1.0, problem.params.omega)

@@ -227,3 +227,40 @@ def test_console_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == 3.5
+
+
+def _double_well_config(tmp_path, **extra):
+    from hahnvar.cli import _BUILTIN_CONFIGS
+
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**_BUILTIN_CONFIGS["double-well"], "depth": 12, **extra}))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "el-check", "minimize"])
+def test_config_format_applies_and_the_flag_overrides_it(tmp_path, capsys, command):
+    path = _double_well_config(tmp_path, format="json")
+    _, out, _ = run(capsys, command, path)
+    assert isinstance(json.loads(out), dict)
+    _, out, _ = run(capsys, command, path, "--format", "table")
+    assert out.startswith("problem.q = ")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_json_renders_an_unbounded_tail_as_null(tmp_path, capsys):
+    # The b orbit merges before its first r-window, so its tail bound is inf.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "q": 0.5, "omega": 0.5, "a": -1.0, "b": 1.0000000000000002, "r": 2,
+        "lagrangian": "u2^2", "alpha": [0.0, 0.0], "beta": [0.0, 0.0],
+        "candidate": {"type": "expr", "value": "0"},
+    }))
+    code, out, _ = run(capsys, "evaluate", str(cfg), "--format", "json")
+    assert code == 4
+    assert json.loads(out, parse_constant=_reject_constant)["tail_bound"] is None
+    code, out, _ = run(capsys, "evaluate", str(cfg), "--format", "csv")
+    assert code == 4
+    assert out.splitlines()[1].split(",")[2] == "inf"
