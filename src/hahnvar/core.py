@@ -162,12 +162,17 @@ class Orbit:
     def window(self, k: int, width: int) -> tuple[list[float], list[float]]:
         """Nodes and values at indices k .. k + width - 1.  A window past
         the grid depth raises InsufficientDepth, one past a merge (a zero
-        step) DegenerateDenominator."""
+        step) DegenerateDenominator.  Values from a function of t not yet
+        realized through k are evaluated on the window alone, so a deep
+        window costs width calls, and the dense prefix is left unfilled."""
         end = k + width - 1
         if end > self._grid_depth:
             raise InsufficientDepth(f"orbit index {end} exceeds grid depth {self._grid_depth}")
-        if self.reach(end) < end:
+        if len(self.grow(self.q, self.omega, self.nodes, end)) <= end:
             raise DegenerateDenominator(f"orbit step underflowed to zero near t={self.nodes[-1]!r}")
+        if self._source is not None and len(self.values) < k:
+            return self.nodes[k : end + 1], [self._source(n) for n in range(k, end + 1)]
+        self.reach(end)
         return self.nodes[k : end + 1], self.values[k : end + 1]
 
     def plus(self, coeff: float, other: "Orbit") -> "Orbit":

@@ -18,7 +18,6 @@ Two showcases ship with the package:
 from __future__ import annotations
 
 import random
-from typing import Iterable
 
 from .core import GridFunction, HahnParams, Orbit, Origin
 from .operators import fit_leading_values, hahn_derivative_n
@@ -59,19 +58,15 @@ def double_well_problem() -> Problem:
 
 
 def beam_problem(
-    q: float,
-    omega: float,
-    elastic: float = 1.0,
-    load: float = 1.0,
-    a: float = 0.0,
-    b: float = 2.0,
+    q: float, omega: float, elastic: float = 1.0, load: float = 1.0
 ) -> tuple[Problem, str]:
-    """Second-order beam problem plus the classical quartic candidate.
+    """Second-order beam problem on [0, 2] plus the classical quartic candidate.
 
     Boundary data is taken from the candidate's own lattice iterates, so
     the candidate is admissible by construction and only the interior
     residual is informative."""
     params = HahnParams(q=q, omega=omega)
+    a, b = 0.0, 2.0
     source = f"0.5*({elastic!r}*u2)^2 - {load!r}*u0"
     coeff = load / (24.0 * elastic * elastic)
     candidate = f"{coeff!r}*t^4"
@@ -87,19 +82,15 @@ def beam_problem(
     return problem, candidate
 
 
-def random_admissible_grid(
-    problem: Problem,
-    rng: random.Random,
-    depth: int = 48,
-    amplitude: float = 0.25,
-) -> GridFunction:
+def random_admissible_grid(problem: Problem, rng: random.Random, depth: int = 48) -> GridFunction:
     """Random grid candidate satisfying the boundary conditions exactly.
 
-    Values are a linear base profile plus noise that decays like q^n, so
-    difference quotients stay bounded near omega0.  The first r values
-    of each orbit are then re-fit (each endpoint condition is linear in
-    one value) to pin the boundary iterates.  Degenerate endpoints only
-    carry a value condition, so r >= 2 there is not supported.
+    Values are a linear base profile plus noise of amplitude 0.25 that
+    decays like q^n, so difference quotients stay bounded near omega0.
+    The first r values of each orbit are then re-fit (each endpoint
+    condition is linear in one value) to pin the boundary iterates.
+    Degenerate endpoints only carry a value condition, so r >= 2 there
+    is not supported.
     """
     params = problem.params
     r = problem.r
@@ -121,7 +112,7 @@ def random_admissible_grid(
             per_orbit[origin] = [targets[0]] * (depth + 1)
             continue
         vals = [
-            base(t) + amplitude * params.q**n * rng.uniform(-1.0, 1.0)
+            base(t) + 0.25 * params.q**n * rng.uniform(-1.0, 1.0)
             for n, t in enumerate(taus)
         ]
         fit_leading_values(taus, vals, targets)
@@ -135,22 +126,19 @@ def random_admissible_grid(
 
 
 def run_double_well(
-    depth: int = 40,
-    tol: float = 1e-9,
-    sweep: int = 25,
-    seed: int = 0,
-    include_omega0: bool = False,
+    depth: int = 40, tol: float = 1e-9, seed: int = 0, include_omega0: bool = False
 ) -> dict:
-    """Full report dict for the double-well demo (JSON-ready)."""
+    """Full report dict for the double-well demo (JSON-ready), with a sweep
+    over 25 random admissible grids."""
     problem = double_well_problem()
     value = functional_value(problem, ystar)
     report = el_report(problem, ystar, depth=depth, tol=tol, include_omega0=include_omega0)
     rng = random.Random(seed)
     sweep_values = []
-    for _ in range(sweep):
+    for _ in range(25):
         grid = random_admissible_grid(problem, rng)
         sweep_values.append(functional_value(problem, grid).value)
-    min_sweep = min(sweep_values) if sweep_values else 0.0
+    min_sweep = min(sweep_values)
     all_nonneg = all(v >= -1e-10 for v in sweep_values)
     passed = (
         abs(value.value) <= 1e-12
@@ -176,7 +164,7 @@ def run_double_well(
             "passed": report.passed,
         },
         "sweep": {
-            "candidates": sweep,
+            "candidates": len(sweep_values),
             "min_functional": min_sweep,
             "all_nonnegative": all_nonneg,
         },
@@ -184,10 +172,10 @@ def run_double_well(
     }
 
 
-def run_beam(depth: int = 16, cases: Iterable[tuple[float, float]] = BEAM_SEQUENCE) -> dict:
-    """Residual-trend report dict for the beam demo (JSON-ready)."""
+def run_beam(depth: int = 16) -> dict:
+    """Residual-trend report dict for the beam demo (JSON-ready) over BEAM_SEQUENCE."""
     rows = []
-    for q, omega in cases:
+    for q, omega in BEAM_SEQUENCE:
         problem, candidate = beam_problem(q, omega)
         report = el_report(problem, candidate, depth=depth, tol=1e-6)
         rows.append(

@@ -269,6 +269,56 @@ def test_slot_table_is_traj_components_window_by_window(q, omega, seed, r, name,
         assert [slot[m].hex() for slot in table] == [v.hex() for v in want]
 
 
+def _three_forms(rng, problem, depth):
+    """One cubic candidate as a callable, as its source text and as its grid."""
+    coeffs = [rng.uniform(-0.5, 0.5) for _ in range(4)]
+    source = " + ".join(f"({c!r})*t^{i}" for i, c in enumerate(coeffs))
+    return {"callable": poly(coeffs), "source": source, "grid": materialize(problem, source, depth)}
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_el_residual_is_the_el_report_entry_bit_for_bit(seed, r):
+    rng = random.Random(seed)
+    problem = rand_problem(rng, r)
+    for form, y in _three_forms(rng, problem, 24).items():
+        report = el_report(problem, y, depth=24)
+        assert report.residuals
+        for point, value in report.residuals.items():
+            assert el_residual(problem, y, point, 24).hex() == value.hex(), (form, point)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_omega0_residual_extrapolates_the_last_two_orbit_residuals(seed, r):
+    rng = random.Random(seed)
+    problem = rand_problem(rng, r)
+    y = _three_forms(rng, problem, 24)["callable"]
+    residuals = el_report(problem, y, depth=24).residuals
+    first_live = [v for point, v in residuals.items() if point.origin is Origin.A]
+    r_prev, r_top = first_live[-2:]
+    q = problem.params.q
+    want = (r_top - q * r_prev) / (1 - q)
+    assert el_residual(problem, y, OMEGA0_POINT, 24).hex() == want.hex()
+
+
+def test_a_deep_window_evaluates_the_candidate_on_the_window_only():
+    problem = rand_problem(random.Random(4), 2)
+    point = LatticePoint(Origin.A, 20)
+    calls = []
+
+    def y(t):
+        calls.append(t)
+        return 0.2 - 0.3 * t + 0.1 * t * t
+
+    counts = []
+    for call in (q_el_residual, h_el_residual, el_residual, trajectory):
+        calls.clear()
+        call(problem, y, point)
+        counts.append(len(calls))
+    assert counts == [5, 5, 5, 3]
+
+
 def _count_candidate_parses(monkeypatch, source):
     parses = []
     original = variational.parse
