@@ -91,7 +91,8 @@ class Orbit:
     read directly, or filled lazily from a function of t.  The usable
     depth (the cap) is the smaller of the grid depth and the merge index:
     up to it every value exists and every step t[j+1] - t[j] is nonzero.
-    ``reach`` finds it.  Built from raw (q, omega, seed), so the omega = 0
+    ``cap`` finds it from the nodes, ``reach`` also fills the values, and
+    ``walk`` streams both.  Built from raw (q, omega, seed), so the omega = 0
     q-lattice fits too.
     """
 
@@ -145,19 +146,42 @@ class Orbit:
             raise InsufficientDepth(f"orbit index {n} is past the usable depth {m} of grid data")
         return self.values[m]
 
-    def reach(self, m: int) -> int:
-        """Realize nodes and values through min(m, cap) and return that index."""
+    def cap(self, m: int) -> int:
+        """min(m, cap): realizes nodes through that index, values none."""
         m = min(m, self._grid_depth)
         nodes = self.nodes
         if len(nodes) <= m:
             self.grow(self.q, self.omega, nodes, m)
-        m = min(m, len(nodes) - 1)
+        return min(m, len(nodes) - 1)
+
+    def reach(self, m: int) -> int:
+        """Realize nodes and values through min(m, cap) and return that index."""
+        m = self.cap(m)
         source = self._source
         if source is not None:
             vals = self.values
             while len(vals) <= m:
                 vals.append(source(len(vals)))
         return m
+
+    def walk(self) -> Iterator[tuple[float, float]]:
+        """Yield (t[n], value[n]) for n = 0, 1, ... through the cap, realizing
+        each node and value only when it is reached, into ``nodes`` and
+        ``values``; the streaming form of ``reach``."""
+        q, omega, nodes, vals, source = self.q, self.omega, self.nodes, self.values, self._source
+        depth = self._grid_depth
+        n = 0
+        while n <= depth:
+            if n == len(nodes):
+                t = nodes[-1]
+                nxt = q * t + omega
+                if nxt == t:
+                    return
+                nodes.append(nxt)
+            if n == len(vals):
+                vals.append(source(n))
+            yield nodes[n], vals[n]
+            n += 1
 
     def window(self, k: int, width: int) -> tuple[list[float], list[float]]:
         """Nodes and values at indices k .. k + width - 1.  A window past

@@ -8,7 +8,11 @@ sum
 and a general interval integral is the difference of two such series.
 The classical limits are parameter values of the same sum, summed by
 the same driver: omega = 0 is Jackson's q-integral (fixed point 0), and
-q = 1 with omega = h is the Noerlund sum -h * sum_k f(x + k*h).
+q = 1 with omega = h is the Noerlund sum -h * sum_k f(x + k*h).  The
+driver draws its samples from an iterator, one per term, so a series is
+one streaming pass over its orbit (``Orbit.walk``): no sample past the
+stopping term is formed, and an iterator that runs out is an exhausted
+orbit.
 
 For q < 1 convergence is certified with a geometric tail bound: once
 the running maximum of recent samples is M, the unsummed remainder is
@@ -24,7 +28,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from itertools import repeat
+from typing import Callable, Iterable, Iterator
 
 from .core import DEFAULT_MAX_TERMS, DEFAULT_TOL, HahnParams, Orbit
 from .errors import NonFiniteValue
@@ -40,7 +45,9 @@ class SeriesResult:
     """Outcome of one series evaluation.
 
     converged means the tail bound dropped to the requested tolerance
-    before max_terms; the partial value and bound are reported either way.
+    before max_terms, or before the samples ran out (an exhausted orbit);
+    the partial value and bound are reported either way.  terms_used is
+    the number of samples drawn from the iterator.
     At q = 1 (the Noerlund sum) the bound is the weighted maximum of the
     last few terms, so converged there is empirical, not a certificate.
     """
@@ -64,18 +71,20 @@ class SeriesResult:
 def _indexed_series(
     q: float,
     prefactor: float,
-    sample: Callable[[int], float | None],
+    samples: Iterable[float],
     tol: float,
     max_terms: int,
 ) -> SeriesResult:
-    """prefactor * sum_k q^k * sample(k), Kahan-compensated.
+    """prefactor * sum_k q^k * s_k over the samples s_0, s_1, ...,
+    Kahan-compensated.
 
-    sample(k) is called once per index in increasing order.  A zero
-    prefactor is an exact empty sum regardless of the samples.  When
-    sample returns None the orbit is exhausted: the partial sum is
-    returned with converged=False (the orbit ran out of usable points,
-    same as running out of terms).  At q = 1 there is no geometric
-    envelope: the bound is |prefactor| times the largest recent sample.
+    A sample is drawn only when its term is summed, so nothing past the
+    stopping term is evaluated.  A zero prefactor is an exact empty sum
+    regardless of the samples.  When the samples run out the orbit is
+    exhausted: the partial sum is returned with converged=False (the
+    orbit ran out of usable points, same as running out of terms).  At
+    q = 1 there is no geometric envelope: the bound is |prefactor| times
+    the largest recent sample.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -90,10 +99,7 @@ def _indexed_series(
     recent: deque[float] = deque(maxlen=_TAIL_WINDOW)
     done = 0
     tail = math.inf
-    for k in range(max_terms):
-        fx = sample(k)
-        if fx is None:
-            break
+    for k, fx in zip(range(max_terms), samples):
         if not math.isfinite(fx):
             raise NonFiniteValue(f"series term {k} evaluated to {fx!r}")
         term = weight * fx
@@ -110,6 +116,15 @@ def _indexed_series(
     return SeriesResult(prefactor * total, done, tail, False)
 
 
+def _orbit_samples(orbit: Orbit) -> Iterator[float]:
+    """The orbit's values through the cap, then the last one forever: past
+    a merge every node is the merged point."""
+    v = None
+    for _, v in orbit.walk():
+        yield v
+    yield from repeat(v)
+
+
 def _one_sided(
     q: float, omega: float, f: Callable[[float], float], x: float, tol: float, max_terms: int
 ) -> SeriesResult:
@@ -117,7 +132,7 @@ def _one_sided(
     if not math.isfinite(x):
         raise ValueError(f"endpoint must be finite, got {x!r}")
     orbit = Orbit(q, omega, x, f)
-    return _indexed_series(q, orbit.prefactor, orbit.value, tol, max_terms)
+    return _indexed_series(q, orbit.prefactor, _orbit_samples(orbit), tol, max_terms)
 
 
 def integral_from_fixed(

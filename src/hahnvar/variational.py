@@ -11,9 +11,11 @@ lattice the composition with sigma^k is an index shift, so slot values
 come from difference-quotient tables over consecutive orbit points.
 
 Each public function resolves its candidates once, at its top (source
-text is parsed and compiled there).  Every Euler-Lagrange residual comes
-from ``_residuals`` over a run of orbit points: one quotient table per
-slot, and all partials of a window from one compiled call.
+text is parsed and compiled there).  Every window of slots, in a series
+or along a run of residuals, comes from ``_slot_stream``: one pass over
+the orbit points in code compiled once per order.  Every Euler-Lagrange
+residual comes from ``_residuals`` over a run of orbit points, with all
+partials of a window from one compiled call.
 
 The Euler-Lagrange residual is oriented so that the first-order case
 reads D[dL/du1] - dL/du0, matching the classical
@@ -23,9 +25,11 @@ when the residual vanishes along the lattice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from itertools import starmap
+from typing import Callable, Iterator, Sequence, Union
 
 from .core import (
     DEFAULT_DEPTH,
@@ -140,15 +144,61 @@ def traj_components(taus: Sequence[float], vals: Sequence[float]) -> list[float]
     v_i is the i-fold quotient of the index-shifted values
     vals[r-i..r]; all quotient denominators are anchored at the window
     base because that is where the shifted composition is evaluated.
-    It equals ``_slot_table`` window by window, bit for bit, and stays
-    because the series samples one window per term, where it is
-    1.4-1.7x faster than a one-window slot table (r = 1..3).
+    It is the reference form of one window: the series and the residuals
+    take their windows from ``_slot_stream``, which equals it window by
+    window, bit for bit; ``trajectory`` and the minimizer use it.
     """
     r = len(taus) - 1
     out = [vals[r]]
     for i in range(1, r + 1):
         out.append(iterated_quotient(taus[: i + 1], vals[r - i :]))
     return out
+
+
+@functools.cache
+def _slot_stream(r: int) -> Callable[..., Iterator[tuple[float, list[float]]]]:
+    """A generator function turning a run of (t, value) pairs (consecutive
+    orbit points, no zero step) into one (t_k, [v_0, ..., v_r]) window per
+    base k, as soon as point k + r arrives; ``traj_components`` window by
+    window, bit for bit.
+
+    The code is straight-line and built once per order.  Slot i's quotient
+    table is anchored at the window base, so its level-l entry at position
+    p is (E[p+1] - E[p]) / (t[p+1] - t[p]); moving the base one step
+    shifts every entry one position left, and each new point adds one
+    diagonal: i divisions for slot i, kept in rotating locals (s<i>_<l> is
+    the last entry of level l, d<j> the window's j-th step)."""
+    lines = ["def stream(points):", "    points = iter(points)"]
+
+    def add_point(m: int, indent: str) -> None:
+        """The new diagonal of every slot whose table holds point m of the
+        first window (at position m - (r - i)); at m = r the slots' tops."""
+        for i in range(1, r + 1):
+            p = m - (r - i)
+            if p < 1:
+                continue
+            lands = ["x"] * (p - 1) + [f"u{i}" if m == r else f"s{i}_{p}"]
+            lines.append(f"{indent}{lands[0]} = dv / d{p - 1}")
+            for l in range(2, p + 1):
+                old = f"s{i}_{l - 1}"
+                lines.append(f"{indent}{old}, {lands[l - 1]} = x, (x - {old}) / d{p - l}")
+
+    for m in range(r):
+        lines += [f"    for t{m}, v in points:", "        break", "    else:", "        return"]
+        if m:
+            lines += [f"    d{m - 1} = t{m} - t{m - 1}", "    dv = v - vp"]
+            add_point(m, "    ")
+        lines.append("    vp = v")
+    lines += ["    for t, v in points:", f"        d{r - 1} = t - t{r - 1}", "        dv = v - vp"]
+    add_point(r, "        ")
+    lines.append(f"        yield t0, [v, {', '.join(f'u{i}' for i in range(1, r + 1))}]")
+    for rotated in ([f"t{j}" for j in range(r)] + ["t"], [f"d{j}" for j in range(r)]):
+        if len(rotated) > 1:
+            lines.append(f"        {', '.join(rotated[:-1])} = {', '.join(rotated[1:])}")
+    lines.append("        vp = v")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["stream"]
 
 
 def trajectory(
@@ -178,17 +228,8 @@ def trajectory(
 # ---------------------------------------------------------------------------
 
 def _one_sided_functional(problem: Problem, orbit: Orbit, tol: float, max_terms: int) -> SeriesResult:
-    r = problem.r
-    lagr = problem.lagrangian
-
-    def sample(k: int) -> float | None:
-        end = k + r
-        if orbit.reach(end) < end:
-            return None
-        taus = orbit.nodes[k : end + 1]
-        return lagr.value(taus[0], traj_components(taus, orbit.values[k : end + 1]))
-
-    return _indexed_series(problem.params.q, orbit.prefactor, sample, tol, max_terms)
+    samples = starmap(problem.lagrangian.value, _slot_stream(problem.r)(orbit.walk()))
+    return _indexed_series(problem.params.q, orbit.prefactor, samples, tol, max_terms)
 
 
 def functional_value(
@@ -283,23 +324,16 @@ def first_variation(
         raise NotAVariation(
             f"perturbation does not vanish at the endpoints (worst error {worst:.3e})"
         )
-    r = problem.r
+    stream = _slot_stream(problem.r)
     gradient = problem.lagrangian.gradient
     parts = []
     for origin in (Origin.B, Origin.A):
         vy = _orbit(problem, y, origin)
-        ve = _orbit(problem, eta, origin)
-
-        def sample(k: int, vy=vy, ve=ve) -> float | None:
-            end = k + r
-            if vy.reach(end) < end or ve.reach(end) < end:
-                return None
-            taus = vy.nodes[k : end + 1]
-            gs = gradient(taus[0], traj_components(taus, vy.values[k : end + 1]))
-            es = traj_components(taus, ve.values[k : end + 1])
-            return math.fsum(g * e for g, e in zip(gs, es))
-
-        parts.append(_indexed_series(problem.params.q, vy.prefactor, sample, tol, max_terms))
+        windows = zip(stream(vy.walk()), stream(_orbit(problem, eta, origin).walk()))
+        samples = (
+            math.fsum(g * e for g, e in zip(gradient(t, us), es)) for (t, us), (_, es) in windows
+        )
+        parts.append(_indexed_series(problem.params.q, vy.prefactor, samples, tol, max_terms))
     return parts[0] - parts[1]
 
 
@@ -336,20 +370,13 @@ def _coeff(q: float, i: int) -> float:
     return (-1.0) ** (i + 1) * (1.0 / q) ** ((i - 1) * i // 2)
 
 
-def _slot_table(taus: Sequence[float], vals: Sequence[float], r: int) -> list[list[float]]:
-    """Entry m of list i is slot i of the window of r + 1 points based at m,
-    along a run with no zero step: the i-fold quotients of the values shifted
-    by r - i, which equal ``traj_components`` window by window, bit for bit."""
-    return [quotient_levels(taus, vals[r - i :], i) for i in range(r + 1)]
-
-
 def _residuals(
     q: float, lagr: Lagrangian, taus: Sequence[float], vals: Sequence[float]
 ) -> list[float]:
     """The residual, as the ``math.fsum`` of its weighted terms, at every base
     with 2r + 1 points of room along a run (consecutive orbit points, no
     zero step); the one place the module forms a residual."""
-    windows = zip(taus, zip(*_slot_table(taus, vals, lagr.order)))
+    windows = _slot_stream(lagr.order)(zip(taus, vals))
     partials = zip(*[lagr.gradient(t, us) for t, us in windows])
     per_i = [quotient_levels(taus, g, i) for i, g in enumerate(partials)]
     coeffs = [_coeff(q, i) for i in range(len(per_i))]
@@ -363,8 +390,9 @@ def el_residual(
     the stationarity (necessary) condition, and for r = 1 the value is
     exactly D[dL/du1] - dL/du0.  On an orbit it is ``el_report``'s entry bit
     for bit; at omega0 (or on a degenerate orbit) it is the
-    ``_residual_at_fixed`` estimate, from a grid candidate at its own depth
-    (``depth`` is ignored) or a function of t sampled at ``depth``."""
+    ``_residual_at_fixed`` estimate from the orbit read through ``depth``
+    (or the grid depth, if shallower), ``el_report``'s omega0 entry at the
+    same depth."""
     y = _resolve(y)
     if point.origin is not Origin.FIXED:
         orbit = _orbit(problem, y, point.origin)
@@ -377,15 +405,16 @@ def el_residual(
 def _residual_at_fixed(problem: Problem, y: Resolved, depth: int) -> float:
     """Residual at omega0 extrapolated from the residuals R at the two deepest
     bases of the first non-degenerate orbit: (R_top - q*R_(top-1)) / (1 - q).
-    A grid candidate y reaches its own depth, a function of t ``depth``."""
+    The orbit is read through ``depth`` (or the grid depth or the first
+    merge, if shallower), the same points ``el_report`` reads at that
+    depth; only the last 2r + 2 values are formed."""
     r = problem.r
     q = problem.params.q
-    limit = y.lattice.depth if isinstance(y, GridFunction) else depth
     for origin in (Origin.A, Origin.B):
         orbit = _orbit(problem, y, origin)
         if orbit.degenerate:
             continue
-        top = orbit.reach(limit) - 2 * r
+        top = orbit.cap(depth) - 2 * r
         if top < 1:
             raise InsufficientDepth(f"need depth > {2 * r} for the omega0 residual")
         taus, vals = orbit.window(top - 1, 2 * r + 2)
@@ -400,9 +429,10 @@ class ElReport:
 
     ``residuals`` maps orbit points to ``el_residual``'s values, bit for
     bit, and omega0, when included, to the extrapolation of the first
-    non-degenerate orbit's last two residuals; that entry is advisory, so
-    the pass verdict judges it at 100x the tolerance.  ``max_abs_residual``
-    is the max over everything stored."""
+    non-degenerate orbit's last two residuals stored here (at the report's
+    depth, for grid data too); that entry is advisory, so the pass verdict
+    judges it at 100x the tolerance.  ``max_abs_residual`` is the max over
+    everything stored."""
 
     residuals: dict[LatticePoint, float]
     max_abs_residual: float

@@ -138,3 +138,22 @@ def test_series_result_is_frozen():
     got = integral_from_fixed(P, lambda t: t, 2.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         got.value = 0.0
+
+
+def test_a_series_sums_past_the_merge_on_the_merged_value():
+    # the orbit of 3.0 under t -> t/2 + 1/2 merges into 1.0 after 54 steps;
+    # later terms repeat the merged value without evaluating f again
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0 + t
+
+    res = integral_from_fixed(P, f, 3.0, tol=1e-300)
+    assert (res.value, res.terms_used, res.tail_bound) == (
+        6.666666666666667,
+        999,
+        7.466108948025751e-301,
+    )
+    assert res.converged
+    assert len(calls) == 55

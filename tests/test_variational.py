@@ -35,7 +35,7 @@ from hahnvar import (
 from hahnvar import variational
 from hahnvar.core import Orbit
 from hahnvar.demos import double_well_problem, random_admissible_grid, ystar
-from hahnvar.variational import _slot_table, traj_components
+from hahnvar.variational import _slot_stream, traj_components
 
 P = HahnParams(0.5, 0.5)
 FREE = Problem(P, 1, -1.0, 2.0, (0.0,), (0.0,), "u1^2/2")
@@ -252,21 +252,63 @@ _SMOOTH = {
     st.floats(0.3, 0.999),
     st.floats(0.01, 2.0),
     st.floats(-6.0, 6.0),
-    st.integers(1, 4),
+    st.integers(1, 6),
     st.sampled_from(sorted(_SMOOTH)),
-    st.integers(4, 60),
+    st.integers(0, 60),
 )
-def test_slot_table_is_traj_components_window_by_window(q, omega, seed, r, name, depth):
+def test_slot_stream_is_traj_components_window_by_window(q, omega, seed, r, name, depth):
     orbit = Orbit(q, omega, seed, _SMOOTH[name])
-    top = orbit.reach(depth)
-    if orbit.degenerate or top < r:
-        return
-    taus, vals = orbit.nodes[: top + 1], orbit.values[: top + 1]
-    table = _slot_table(taus, vals, r)
-    assert [len(slot) for slot in table] == [top + 1 - r] * (r + 1)
-    for m in range(top + 1 - r):
-        want = traj_components(taus[m : m + r + 1], vals[m : m + r + 1])
-        assert [slot[m].hex() for slot in table] == [v.hex() for v in want]
+    points = [point for _, point in zip(range(depth + 1), orbit.walk())]
+    windows = list(_slot_stream(r)(points))
+    assert len(windows) == max(0, len(points) - r)
+    for k, (t, slots) in enumerate(windows):
+        taus, vals = zip(*points[k : k + r + 1])
+        assert t == taus[0]
+        assert [v.hex() for v in slots] == [v.hex() for v in traj_components(taus, vals)]
+
+
+def _counted(calls):
+    def y(t):
+        calls.append(t)
+        return 0.2 - 0.3 * t + 0.1 * t * t
+
+    return y
+
+
+@pytest.mark.parametrize(
+    "r, value_calls, variation_calls", [(1, 118, 12), (2, 148, 14), (3, 148, 16)]
+)
+def test_a_series_evaluates_the_candidate_through_its_stopping_term_only(
+    r, value_calls, variation_calls
+):
+    problem = rand_problem(random.Random(5), r)
+    calls = []
+    functional_value(problem, _counted(calls))
+    assert len(calls) == value_calls
+    calls.clear()
+    zero = GridFunction.sample(problem.lattice(40), lambda t: 0.0)
+    first_variation(problem, _counted(calls), zero)
+    assert len(calls) == variation_calls
+
+
+def test_the_omega0_residual_evaluates_the_candidate_on_its_window_only():
+    problem = rand_problem(random.Random(5), 2)
+    calls = []
+    el_residual(problem, _counted(calls), OMEGA0_POINT, 40)
+    assert len(calls) == 6
+    calls.clear()
+    el_report(problem, _counted(calls), depth=40, include_omega0=True)
+    assert len(calls) == 92
+
+
+def test_the_omega0_entry_of_a_grid_reads_the_report_depth():
+    problem = rand_problem(random.Random(5), 2)
+    grid = materialize(problem, "0.2 - 0.3*t + 0.1*t^2", 40)
+    report = el_report(problem, grid, depth=20, include_omega0=True)
+    r_prev, r_top = [v for point, v in report.residuals.items() if point.origin is Origin.A][-2:]
+    q = problem.params.q
+    assert report.omega0_residual.hex() == ((r_top - q * r_prev) / (1 - q)).hex()
+    assert el_residual(problem, grid, OMEGA0_POINT, 20) == report.omega0_residual
 
 
 def _three_forms(rng, problem, depth):
