@@ -199,15 +199,6 @@ class Orbit:
         self.reach(end)
         return self.nodes[k : end + 1], self.values[k : end + 1]
 
-    def plus(self, coeff: float, other: "Orbit") -> "Orbit":
-        """The orbit of self + coeff*other on the same nodes, values formed
-        lazily; the recurrence is deterministic, so it shares self's nodes."""
-        out = Orbit(self.q, self.omega, self.nodes[0])
-        out.nodes = self.nodes
-        out._grid_depth = min(self._grid_depth, other._grid_depth)
-        out._source = lambda n: self.value(n) + coeff * other.value(n)
-        return out
-
 
 class Origin(enum.Enum):
     """Which seed a lattice point's orbit starts from."""

@@ -24,7 +24,7 @@ from .core import DEFAULT_DEPTH, GridFunction, Orbit, Origin
 from .dsl import Lagrangian, Neg
 from .errors import DomainError, InsufficientDepth, NonFiniteValue, NotDifferentiable
 from .operators import extrapolate_to_fixed, fit_leading_values
-from .variational import Problem, is_admissible, traj_components
+from .variational import Problem, is_admissible, slot_stream, traj_components
 
 _ARMIJO = 1e-4
 _HALVINGS = 40
@@ -54,7 +54,9 @@ class MinimizeResult:
 class _Orbit:
     """An endpoint orbit: nodes, the r values the boundary data fixes, where
     its free values start in the variable vector, and per window its weight
-    c*q^k and slot coefficients (slopes[k][m][i] = d v_i / d y_(k+m))."""
+    c*q^k and slot coefficients (slopes[k][m][i] = d v_i / d y_(k+m)).  The
+    windows' slot values are not kept: each evaluation streams them from
+    the nodes and the current values."""
 
     def __init__(self, problem: Problem, origin: Origin, depth: int):
         q, r = problem.params.q, problem.r
@@ -76,7 +78,8 @@ class _Orbit:
 
 class _Newton:
     """The truncated functional, its derivatives and its constraints as
-    functions of the free values x."""
+    functions of the free values x.  Each evaluation is one pass over each
+    orbit, its windows from ``slot_stream``."""
 
     def __init__(self, problem: Problem, depth: int, rng: random.Random):
         self.problem, self.depth, self.r = problem, depth, problem.r
@@ -132,11 +135,12 @@ class _Newton:
         return [t - math.fsum(map(mul, row, x)) for row, t in zip(self.rows, self.targets)]
 
     def _windows(self, x: list[float]):
+        """(orbit, k, weight, t_k, [v_0..v_r]) for every window of every orbit."""
+        stream = slot_stream(self.r)
         for orb in self.orbits:
-            vals = self.values(orb, x)
-            for k, w in enumerate(orb.weights):
-                ts = orb.taus[k : k + self.r + 1]
-                yield orb, k, w, ts[0], traj_components(ts, vals[k : k + self.r + 1])
+            windows = stream(zip(orb.taus, self.values(orb, x)))
+            for k, (w, (t, us)) in enumerate(zip(orb.weights, windows)):
+                yield orb, k, w, t, us
 
     def functional(self, x: list[float]) -> float:
         return math.fsum(w * self.lagr.value(t, us) for _, _, w, t, us in self._windows(x))
@@ -223,9 +227,11 @@ def minimize_direct(
     """Damped Newton on the truncated functional.
 
     Converged means the Newton step's largest component fell below
-    step_tol times the value scale.  Running out of iterations, a line
-    search that finds no descent, or a Hessian that no shift makes
-    positive definite reports converged=False with the last iterate.
+    step_tol times the value scale.  That step's point, if it passes the
+    Armijo test, is returned without forming its derivatives, so a fault
+    in them there goes unseen.  Running out of iterations, a line search
+    that finds no descent, or a Hessian that no shift makes positive
+    definite reports converged=False with the last iterate.
 
     With maximize=True the negated integrand is minimized and the
     reported objective/history refer to that negated problem.
@@ -265,7 +271,8 @@ def minimize_direct(
             try:
                 value = search.functional(trial)
                 if value <= current + _ARMIJO * alpha * slope:
-                    derivs = search.derivatives(trial)
+                    if not small:  # a small step ends the search: no Hessian is read
+                        derivs = search.derivatives(trial)
                     x, current = trial, value
                     history.append(current)
                     break

@@ -11,11 +11,11 @@ lattice the composition with sigma^k is an index shift, so slot values
 come from difference-quotient tables over consecutive orbit points.
 
 Each public function resolves its candidates once, at its top (source
-text is parsed and compiled there).  Every window of slots, in a series
-or along a run of residuals, comes from ``_slot_stream``: one pass over
-the orbit points in code compiled once per order.  Every Euler-Lagrange
-residual comes from ``_residuals`` over a run of orbit points, with all
-partials of a window from one compiled call.
+text is parsed and compiled there).  Every window of slots, in a series,
+along a run of residuals or in the minimizer, comes from ``slot_stream``:
+one pass over the orbit points in code compiled once per order.  Every
+Euler-Lagrange residual comes from ``_residuals`` over a run of orbit
+points, with all partials of a window from one compiled call.
 
 The Euler-Lagrange residual is oriented so that the first-order case
 reads D[dL/du1] - dL/du0, matching the classical
@@ -145,8 +145,9 @@ def traj_components(taus: Sequence[float], vals: Sequence[float]) -> list[float]
     vals[r-i..r]; all quotient denominators are anchored at the window
     base because that is where the shifted composition is evaluated.
     It is the reference form of one window: the series and the residuals
-    take their windows from ``_slot_stream``, which equals it window by
-    window, bit for bit; ``trajectory`` and the minimizer use it.
+    take their windows from ``slot_stream``, which equals it window by
+    window, bit for bit; ``trajectory`` and the minimizer's setup slopes
+    use it.
     """
     r = len(taus) - 1
     out = [vals[r]]
@@ -156,7 +157,7 @@ def traj_components(taus: Sequence[float], vals: Sequence[float]) -> list[float]
 
 
 @functools.cache
-def _slot_stream(r: int) -> Callable[..., Iterator[tuple[float, list[float]]]]:
+def slot_stream(r: int) -> Callable[..., Iterator[tuple[float, list[float]]]]:
     """A generator function turning a run of (t, value) pairs (consecutive
     orbit points, no zero step) into one (t_k, [v_0, ..., v_r]) window per
     base k, as soon as point k + r arrives; ``traj_components`` window by
@@ -227,9 +228,12 @@ def trajectory(
 # Functional value and first variation
 # ---------------------------------------------------------------------------
 
-def _one_sided_functional(problem: Problem, orbit: Orbit, tol: float, max_terms: int) -> SeriesResult:
-    samples = starmap(problem.lagrangian.value, _slot_stream(problem.r)(orbit.walk()))
-    return _indexed_series(problem.params.q, orbit.prefactor, samples, tol, max_terms)
+def _one_sided_functional(
+    problem: Problem, prefactor: float, points: Iterator[tuple[float, float]], tol: float, max_terms: int
+) -> SeriesResult:
+    """The one-sided series over a walk of (t, value) orbit points."""
+    samples = starmap(problem.lagrangian.value, slot_stream(problem.r)(points))
+    return _indexed_series(problem.params.q, prefactor, samples, tol, max_terms)
 
 
 def functional_value(
@@ -240,8 +244,9 @@ def functional_value(
 ) -> SeriesResult:
     """The objective integral, as the difference of the two one-sided series."""
     y = _resolve(y)
-    at_b = _one_sided_functional(problem, _orbit(problem, y, Origin.B), tol, max_terms)
-    return at_b - _one_sided_functional(problem, _orbit(problem, y, Origin.A), tol, max_terms)
+    orbits = (_orbit(problem, y, origin) for origin in (Origin.B, Origin.A))
+    at_b, at_a = (_one_sided_functional(problem, o.prefactor, o.walk(), tol, max_terms) for o in orbits)
+    return at_b - at_a
 
 
 def _endpoint_derivative(problem: Problem, y: Resolved, orbit: Orbit, i: int, depth: int) -> float:
@@ -324,7 +329,7 @@ def first_variation(
         raise NotAVariation(
             f"perturbation does not vanish at the endpoints (worst error {worst:.3e})"
         )
-    stream = _slot_stream(problem.r)
+    stream = slot_stream(problem.r)
     gradient = problem.lagrangian.gradient
     parts = []
     for origin in (Origin.B, Origin.A):
@@ -345,7 +350,10 @@ def first_variation_fd(
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> float:
-    """Central-difference check value (L[y + eps*eta] - L[y - eps*eta]) / (2*eps)."""
+    """Central-difference check value (L[y + eps*eta] - L[y - eps*eta]) / (2*eps).
+
+    Each shifted series walks y's and eta's orbits side by side, to the
+    shallower of the two."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     y, eta = _resolve(y), _resolve(eta)
@@ -354,7 +362,13 @@ def first_variation_fd(
     shifted = []
     for coeff in (eps, -eps):
         at_b, at_a = (
-            _one_sided_functional(problem, vy.plus(coeff, ve), tol, max_terms)
+            _one_sided_functional(
+                problem,
+                vy.prefactor,
+                ((t, v + coeff * e) for (t, v), (_, e) in zip(vy.walk(), ve.walk())),
+                tol,
+                max_terms,
+            )
             for vy, ve in zip(ys, es)
         )
         shifted.append(at_b.value - at_a.value)
@@ -376,7 +390,7 @@ def _residuals(
     """The residual, as the ``math.fsum`` of its weighted terms, at every base
     with 2r + 1 points of room along a run (consecutive orbit points, no
     zero step); the one place the module forms a residual."""
-    windows = _slot_stream(lagr.order)(zip(taus, vals))
+    windows = slot_stream(lagr.order)(zip(taus, vals))
     partials = zip(*[lagr.gradient(t, us) for t, us in windows])
     per_i = [quotient_levels(taus, g, i) for i, g in enumerate(partials)]
     coeffs = [_coeff(q, i) for i in range(len(per_i))]

@@ -1,6 +1,7 @@
 """Damped Newton on the truncated functional."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,10 @@ from hahnvar import (
     minimize_direct,
 )
 from hahnvar.demos import double_well_problem, random_admissible_grid
+from hahnvar.dsl import Lagrangian
+from hahnvar.errors import NotDifferentiable
 from hahnvar.minimize import _Newton
+from hahnvar.variational import slot_stream, traj_components
 
 P = HahnParams(0.5, 0.5)
 QUAD = Problem(P, 1, -1.0, 2.0, (0.0,), (0.0,), "u1^2")
@@ -164,3 +168,74 @@ def test_gradient_of_truncated_functional_is_weighted_el_residual(seed):
             down = truncated(grid.replace_value(point, grid.value(point) - h))
             assert (up - down) / (2 * h) == pytest.approx(want, rel=1e-7, abs=1e-9)
             assert grad[orb.offset + n - 1] == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# One pass per iterate
+# ---------------------------------------------------------------------------
+
+@settings(deadline=None, max_examples=100)
+@given(st.floats(0.3, 0.95), st.floats(0.05, 2.0), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_newton_windows_are_traj_components_bit_for_bit(q, omega, r, seed):
+    rng = random.Random(seed)
+    params = HahnParams(q, omega)
+    w0 = params.omega0
+    problem = Problem(params, r, w0 - rng.uniform(0.5, 3.0), w0 + rng.uniform(0.5, 3.0),
+                      (0.0,) * r, (0.0,) * r, f"u{r}^2")
+    search = _Newton(problem, 2 * r + 2 + rng.randrange(20), rng)
+    x = [rng.uniform(-2.0, 2.0) for _ in search.x0]
+    windows = list(search._windows(x))
+    assert len(windows) == sum(len(orb.weights) for orb in search.orbits)
+    for orb, k, w, t, us in windows:
+        taus, vals = orb.taus[k : k + r + 1], search.values(orb, x)[k : k + r + 1]
+        assert w == orb.weights[k]
+        assert t == taus[0]
+        assert [v.hex() for v in us] == [v.hex() for v in traj_components(taus, vals)]
+
+
+@pytest.mark.parametrize(
+    "problem, depth, steps",
+    [(QUAD, 12, 2), (double_well_problem(), 8, 19), (double_well_problem(), 12, 56)],
+    ids=["convex_d12", "double_well_d8", "double_well_d12"],
+)
+def test_hessian_is_built_once_per_newton_step_taken(monkeypatch, problem, depth, steps):
+    # none at the point the converging step reaches: the search ends there
+    calls = []
+    derivatives = _Newton.derivatives
+
+    def counted(self, x):
+        calls.append(x)
+        return derivatives(self, x)
+
+    monkeypatch.setattr(_Newton, "derivatives", counted)
+    got = minimize_direct(problem, depth=depth, seed=7)
+    assert got.converged
+    assert len(calls) == got.iterations == steps
+
+
+def test_second_partials_faulting_at_the_optimum_leave_the_result_unchanged():
+    # The converging step's point is returned without its derivatives, so
+    # a fault in them there is not seen: same history, same grid, converged.
+    problem = double_well_problem()
+    clean = minimize_direct(problem, depth=8, seed=7)
+    optimum = {
+        (t, tuple(us))
+        for origin in (Origin.A, Origin.B)
+        for t, us in slot_stream(1)(clean.grid.orbit(origin).walk())
+    }
+
+    class FaultsAtOptimum(Lagrangian):
+        def derivatives(self, t, us):
+            if (t, tuple(us)) in optimum:
+                raise NotDifferentiable("second partials fault at the optimum")
+            return super().derivatives(t, us)
+
+    faulty = replace(problem, lagrangian=FaultsAtOptimum(problem.lagrangian.expr, 1))
+    with pytest.raises(NotDifferentiable):
+        _Newton(faulty, 8, random.Random(0)).derivatives(
+            [v for origin in (Origin.A, Origin.B) for v in clean.grid.orbit_values(origin)[1:]]
+        )
+    got = minimize_direct(faulty, depth=8, seed=7)
+    assert got.converged
+    assert got.history == clean.history
+    assert got.grid == clean.grid

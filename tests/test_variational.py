@@ -35,7 +35,7 @@ from hahnvar import (
 from hahnvar import variational
 from hahnvar.core import Orbit
 from hahnvar.demos import double_well_problem, random_admissible_grid, ystar
-from hahnvar.variational import _slot_stream, traj_components
+from hahnvar.variational import slot_stream, traj_components
 
 P = HahnParams(0.5, 0.5)
 FREE = Problem(P, 1, -1.0, 2.0, (0.0,), (0.0,), "u1^2/2")
@@ -171,6 +171,24 @@ def test_first_variation_matches_central_difference():
         assert fv.value == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_first_variation_fd_is_two_functional_values_bit_for_bit(r):
+    rng = random.Random(40 + r)
+    prob = rand_problem(rng, r)
+    y = poly([rng.uniform(-0.5, 0.5) for _ in range(4)])
+
+    def eta(t):
+        return 0.2 * math.sin(1.3 * t)
+
+    eps = 1e-4
+    up, down = (
+        functional_value(prob, lambda t: y(t) + coeff * eta(t), tol=1e-12, max_terms=60).value
+        for coeff in (eps, -eps)
+    )
+    fd = first_variation_fd(prob, y, eta, eps=eps, tol=1e-12, max_terms=60)
+    assert fd.hex() == ((up - down) / (2.0 * eps)).hex()
+
+
 def test_first_variation_is_linear_in_eta():
     rng = random.Random(5)
     prob = rand_problem(rng, 1)
@@ -259,7 +277,7 @@ _SMOOTH = {
 def test_slot_stream_is_traj_components_window_by_window(q, omega, seed, r, name, depth):
     orbit = Orbit(q, omega, seed, _SMOOTH[name])
     points = [point for _, point in zip(range(depth + 1), orbit.walk())]
-    windows = list(_slot_stream(r)(points))
+    windows = list(slot_stream(r)(points))
     assert len(windows) == max(0, len(points) - r)
     for k, (t, slots) in enumerate(windows):
         taus, vals = zip(*points[k : k + r + 1])
