@@ -26,22 +26,26 @@ import io
 import json
 import math
 import sys
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from . import demos
 from .core import DEFAULT_DEPTH, DEFAULT_MAX_TERMS, DEFAULT_TOL, GridFunction, HahnParams
 from .dsl import Expr, function_of_t, parse, variables
 from .errors import ArityError, ConfigError, ExprSyntaxError, HahnvarError, UnknownIdentifier
-from .integrals import integral
-from .minimize import minimize_direct
-from .operators import hahn_derivative_n
-from .variational import Problem, el_report, functional_value
+
+if TYPE_CHECKING:
+    from .variational import Problem
+
+# Each subcommand imports the modules it runs when it runs, so a process
+# compiles no module its subcommand does not use.
 
 _INPUT_ERRORS = (ConfigError, ExprSyntaxError, UnknownIdentifier, ArityError)
 
 _FORMATS = ("table", "json", "csv")
 
-_BUILTIN_CANDIDATES: dict[str, Callable[[float], float]] = {"ystar": demos.ystar}
+# Builtin candidates: functions of t in ``demos``, by name.
+_BUILTIN_CANDIDATES = ("ystar",)
+
+_DEMO_NAMES = ("double-well", "beam")
 
 _BUILTIN_CONFIGS: dict[str, dict] = {
     "double-well": {
@@ -239,6 +243,8 @@ def _load_config(args) -> dict:
 
 
 def _build_problem(cfg: dict) -> Problem:
+    from .variational import Problem
+
     try:
         return Problem(
             params=HahnParams(_require_real(cfg, "q"), _require_real(cfg, "omega")),
@@ -302,6 +308,12 @@ def _table_candidate(problem: Problem, entry: dict, depth: int) -> GridFunction:
     )
 
 
+def _builtin_candidate(name: str) -> Callable[[float], float]:
+    from . import demos
+
+    return getattr(demos, name)
+
+
 def _resolve_candidate(args, cfg: dict, problem: Problem, depth: int):
     if getattr(args, "candidate_expr", None) is not None:
         return _expr_of_t(args.candidate_expr)
@@ -309,7 +321,7 @@ def _resolve_candidate(args, cfg: dict, problem: Problem, depth: int):
         name = args.candidate_builtin
         if name not in _BUILTIN_CANDIDATES:
             raise ConfigError(f"unknown builtin candidate {name!r}")
-        return _BUILTIN_CANDIDATES[name]
+        return _builtin_candidate(name)
     entry = cfg.get("candidate")
     if entry is None:
         raise ConfigError("config has no candidate; add one or pass --candidate-expr")
@@ -325,7 +337,7 @@ def _resolve_candidate(args, cfg: dict, problem: Problem, depth: int):
             raise ConfigError(
                 f"builtin candidate must name one of: {', '.join(_BUILTIN_CANDIDATES)}"
             )
-        return _BUILTIN_CANDIDATES[entry["name"]]
+        return _builtin_candidate(entry["name"])
     if kind == "table":
         return _table_candidate(problem, entry, depth)
     raise ConfigError(f"unknown candidate type {kind!r}")
@@ -345,6 +357,8 @@ def _setting(args, cfg: dict, key: str, default):
 # ---------------------------------------------------------------------------
 
 def _cmd_deriv(args) -> int:
+    from .operators import hahn_derivative_n
+
     if args.order < 0:
         raise ConfigError("--order must be nonnegative")
     params = HahnParams(args.q, args.omega)
@@ -363,6 +377,8 @@ def _cmd_deriv(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
+    from .integrals import integral
+
     params = HahnParams(args.q, args.omega)
     expr = _expr_of_t(args.expr)
     tol = args.tol if args.tol is not None else DEFAULT_TOL
@@ -402,6 +418,8 @@ def _problem_echo(problem: Problem) -> dict:
 
 
 def _cmd_evaluate(args) -> int:
+    from .variational import functional_value
+
     cfg = _load_config(args)
     problem = _build_problem(cfg)
     depth = int(_setting(args, cfg, "depth", DEFAULT_DEPTH))
@@ -422,6 +440,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_el_check(args) -> int:
+    from .variational import el_report
+
     cfg = _load_config(args)
     problem = _build_problem(cfg)
     depth = int(_setting(args, cfg, "depth", DEFAULT_DEPTH))
@@ -468,6 +488,8 @@ def _cmd_el_check(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
+    from .minimize import minimize_direct
+
     cfg = _load_config(args)
     problem = _build_problem(cfg)
     depth = int(_setting(args, cfg, "depth", DEFAULT_DEPTH))
@@ -503,6 +525,8 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    from . import demos
+
     kwargs: dict[str, Any] = {}
     if args.name == "double-well":
         if args.depth is not None:
@@ -618,7 +642,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_minimize)
 
     p = sub.add_parser("demo", parents=[shared], help="run a built-in demonstration")
-    p.add_argument("name", choices=list(demos.DEMO_NAMES))
+    p.add_argument("name", choices=list(_DEMO_NAMES))
     p.set_defaults(func=_cmd_demo)
 
     return parser

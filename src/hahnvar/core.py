@@ -137,15 +137,6 @@ class Orbit:
         nodes = self.grow(self.q, self.omega, self.nodes, n)
         return nodes[min(n, len(nodes) - 1)]
 
-    def value(self, n: int) -> float:
-        """The value at node n.  Past a merge every node is the merged
-        point, so values computed from t repeat there; grid data, indexed
-        by n rather than by point, is read only up to the cap."""
-        m = self.reach(n)
-        if m < n and self._grid_depth < math.inf:
-            raise InsufficientDepth(f"orbit index {n} is past the usable depth {m} of grid data")
-        return self.values[m]
-
     def cap(self, m: int) -> int:
         """min(m, cap): realizes nodes through that index, values none."""
         m = min(m, self._grid_depth)

@@ -23,8 +23,6 @@ from .core import GridFunction, HahnParams, Orbit, Origin
 from .operators import fit_leading_values, hahn_derivative_n
 from .variational import Problem, el_report, functional_value
 
-DEMO_NAMES = ("double-well", "beam")
-
 # (q, omega) sequence the beam demo sweeps, approaching the classical limit.
 BEAM_SEQUENCE = ((0.9, 0.1), (0.99, 0.01), (0.999, 0.001))
 

@@ -9,7 +9,9 @@ window's constant slot coefficients.  A step factors the Hessian by
 banded LDL^T, shifted by lambda*max|diag H| with lambda grown tenfold
 until every pivot is positive, then backtracks until the Armijo condition
 holds; a trial point that faults is no descent (Nocedal & Wright,
-Numerical Optimization, chapters 3 and 6).  Deterministic for a given
+Numerical Optimization, chapters 3 and 6).  A step whose slope is not
+finite, as when iterates of a problem unbounded below run off the float
+range, ends the search at the last iterate.  Deterministic for a given
 seed; failure to converge is reported, never raised.
 """
 
@@ -230,8 +232,9 @@ def minimize_direct(
     step_tol times the value scale.  That step's point, if it passes the
     Armijo test, is returned without forming its derivatives, so a fault
     in them there goes unseen.  Running out of iterations, a line search
-    that finds no descent, or a Hessian that no shift makes positive
-    definite reports converged=False with the last iterate.
+    that finds no descent, a step whose slope is not finite, or a Hessian
+    that no shift makes positive definite reports converged=False with
+    the last iterate.
 
     With maximize=True the negated integrand is minimized and the
     reported objective/history refer to that negated problem.
@@ -264,7 +267,12 @@ def minimize_direct(
         if not step:
             break
         small = max(map(abs, step)) <= step_tol * search.scale
-        slope = math.fsum(map(mul, grad, step))
+        try:
+            slope = math.fsum(map(mul, grad, step))
+        except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
+            break
+        if not math.isfinite(slope):
+            break
         derivs, alpha = None, 1.0
         for _ in range(1 if small else _HALVINGS):
             trial = [xj + alpha * sj for xj, sj in zip(x, step)]

@@ -229,6 +229,32 @@ def test_console_entry_point_smoke():
     assert json.loads(proc.stdout)["value"] == 3.5
 
 
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["deriv", "--q", "0.5", "--omega", "0.5", "--expr", "t^2", "--t", "2"],
+         {"minimize", "variational", "demos"}),
+        (["integrate", "--q", "0.5", "--omega", "0.5", "--expr", "t", "--a", "0", "--b", "1"],
+         {"minimize", "variational", "demos"}),
+        (["evaluate", "--builtin", "double-well", "--depth", "12"], {"minimize"}),
+        (["el-check", "--builtin", "double-well", "--depth", "12"], {"minimize"}),
+        (["demo", "beam", "--depth", "12"], {"minimize"}),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_subcommand_imports_only_the_modules_it_runs(argv, unloaded):
+    # -X importtime lists on stderr every module the process imports.
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "hahnvar.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert {"hahnvar.core", "hahnvar.dsl"} <= imported
+    assert imported.isdisjoint(f"hahnvar.{name}" for name in unloaded)
+
+
 def _double_well_config(tmp_path, **extra):
     from hahnvar.cli import _BUILTIN_CONFIGS
 

@@ -1,5 +1,6 @@
 """Damped Newton on the truncated functional."""
 
+import math
 import random
 from dataclasses import replace
 
@@ -119,6 +120,15 @@ def test_degenerate_endpoint_order_two_keeps_its_conditions_exactly():
     ok, bad = is_admissible(DEGENERATE_R2, got.grid)
     assert ok, bad
     assert got.grid.value_at_fixed == 0.0
+
+
+def test_iterates_running_off_the_float_range_end_the_search_unconverged():
+    # Unbounded below: the iterates grow until the line-search slope
+    # overflows math.fsum, which must end the search, not raise.
+    got = minimize_direct(rand_problem(random.Random(1012), 1), depth=10, seed=12)
+    assert not got.converged
+    assert math.isfinite(got.objective) and got.history[-1] == got.objective
+    assert all(y <= x for x, y in zip(got.history, got.history[1:]))
 
 
 def test_kinked_integrand_returns_a_result():
