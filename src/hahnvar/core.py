@@ -91,9 +91,9 @@ class Orbit:
     read directly, or filled lazily from a function of t.  The usable
     depth (the cap) is the smaller of the grid depth and the merge index:
     up to it every value exists and every step t[j+1] - t[j] is nonzero.
-    ``cap`` finds it from the nodes, ``reach`` also fills the values, and
-    ``walk`` streams both.  Built from raw (q, omega, seed), so the omega = 0
-    q-lattice fits too.
+    ``cap`` finds it from the nodes, ``window`` reads nodes and values on
+    a run of indices, and ``walk`` streams both through the cap.  Built
+    from raw (q, omega, seed), so the omega = 0 q-lattice fits too.
     """
 
     def __init__(
@@ -145,20 +145,10 @@ class Orbit:
             self.grow(self.q, self.omega, nodes, m)
         return min(m, len(nodes) - 1)
 
-    def reach(self, m: int) -> int:
-        """Realize nodes and values through min(m, cap) and return that index."""
-        m = self.cap(m)
-        source = self._source
-        if source is not None:
-            vals = self.values
-            while len(vals) <= m:
-                vals.append(source(len(vals)))
-        return m
-
     def walk(self) -> Iterator[tuple[float, float]]:
         """Yield (t[n], value[n]) for n = 0, 1, ... through the cap, realizing
-        each node and value only when it is reached, into ``nodes`` and
-        ``values``; the streaming form of ``reach``."""
+        each node and value when the walk gets to it, into ``nodes`` and
+        ``values``."""
         q, omega, nodes, vals, source = self.q, self.omega, self.nodes, self.values, self._source
         depth = self._grid_depth
         n = 0
@@ -179,16 +169,19 @@ class Orbit:
         the grid depth raises InsufficientDepth, one past a merge (a zero
         step) DegenerateDenominator.  Values from a function of t not yet
         realized through k are evaluated on the window alone, so a deep
-        window costs width calls, and the dense prefix is left unfilled."""
+        window costs width calls, and the dense prefix is left unfilled;
+        otherwise ``values`` is filled through the window's end."""
         end = k + width - 1
         if end > self._grid_depth:
             raise InsufficientDepth(f"orbit index {end} exceeds grid depth {self._grid_depth}")
         if len(self.grow(self.q, self.omega, self.nodes, end)) <= end:
             raise DegenerateDenominator(f"orbit step underflowed to zero near t={self.nodes[-1]!r}")
-        if self._source is not None and len(self.values) < k:
-            return self.nodes[k : end + 1], [self._source(n) for n in range(k, end + 1)]
-        self.reach(end)
-        return self.nodes[k : end + 1], self.values[k : end + 1]
+        source, vals = self._source, self.values
+        if source is not None:
+            if len(vals) < k:
+                return self.nodes[k : end + 1], [source(n) for n in range(k, end + 1)]
+            vals += [source(n) for n in range(len(vals), end + 1)]
+        return self.nodes[k : end + 1], vals[k : end + 1]
 
 
 class Origin(enum.Enum):

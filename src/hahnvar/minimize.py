@@ -54,21 +54,22 @@ class MinimizeResult:
 
 
 class _Orbit:
-    """An endpoint orbit: nodes, the r values the boundary data fixes, where
-    its free values start in the variable vector, and per window its weight
-    c*q^k and slot coefficients (slopes[k][m][i] = d v_i / d y_(k+m)).  The
-    windows' slot values are not kept: each evaluation streams them from
-    the nodes and the current values."""
+    """An endpoint orbit: nodes through the usable cap, the r values the
+    boundary data fixes, where its free values start in the variable
+    vector, and per window its weight c*q^k and slot coefficients
+    (slopes[k][m][i] = d v_i / d y_(k+m)).  The windows' slot values are
+    not kept: each evaluation streams them from the nodes and the current
+    values."""
 
     def __init__(self, problem: Problem, origin: Origin, depth: int):
         q, r = problem.params.q, problem.r
         orbit = Orbit(q, problem.params.omega, problem.a if origin is Origin.A else problem.b)
         self.origin = origin
         self.degenerate = orbit.degenerate
-        self.taus = [orbit.node(n) for n in range(depth + 1)]
         # The functional stops at the usable cap: quotients past the first
         # float merge near omega0 are meaningless.
-        self.usable = orbit.reach(depth)
+        self.usable = orbit.cap(depth)
+        self.taus = orbit.nodes[: self.usable + 1]
         coef = orbit.prefactor if origin is Origin.B else -orbit.prefactor  # F = at b - at a
         windows = range(self.usable - r + 1)
         self.weights = [coef * q**k for k in windows]

@@ -13,13 +13,15 @@ grid data are computed through stencils of consecutive orbit points;
 the value of any iterate *at* omega0 is recovered by geometric
 extrapolation along an orbit, using that for g continuous at omega0 with
 one-sided slope, g(t_n) - g(omega0) shrinks by a factor q per step.
+Every such estimate in the package reads the points that
+``fixed_point_window`` chooses.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import GridFunction, HahnParams, LatticePoint, Orbit, Origin, q_bracket
 from .dsl import Expr, derivative, function_of_t, parse
@@ -174,19 +176,27 @@ def extrapolate_to_fixed(q: float, taus: Sequence[float], vals: Sequence[float],
     return (near - q * prev) / (1.0 - q)
 
 
+def fixed_point_window(
+    orbits: Iterable[Orbit], depth: int, width: int
+) -> tuple[float, list[float], list[float]]:
+    """q and the last ``width`` points (nodes, values) through
+    ``orbit.cap(depth)`` of the first non-degenerate orbit that has that
+    many: the points every estimate at omega0 reads."""
+    for orbit in orbits:
+        if not orbit.degenerate:
+            top = orbit.cap(depth)
+            if top + 1 >= width:
+                return (orbit.q, *orbit.window(top + 1 - width, width))
+    raise InsufficientDepth(f"no orbit offers {width} usable points for the omega0 estimate")
+
+
 def grid_derivative_at_fixed(y: GridFunction, r: int) -> float:
-    """Estimate D^r[y](omega0) by extrapolation along the first
-    non-degenerate orbit whose usable part holds two D^r values."""
+    """Estimate D^r[y](omega0) by extrapolation over the r + 2 points (two
+    D^r values) of the ``fixed_point_window`` at the grid's own depth."""
     if r == 0:
         return y.value_at_fixed
-    for origin in (Origin.A, Origin.B):
-        orbit = y.orbit(origin)
-        top = orbit.reach(y.lattice.depth)
-        if not orbit.degenerate and top >= r + 1:
-            return extrapolate_to_fixed(orbit.q, orbit.nodes[: top + 1], orbit.values[: top + 1], r)
-    raise InsufficientDepth(
-        f"no orbit offers two adjacent D^{r} values for the omega0 extrapolation"
-    )
+    orbits = (y.orbit(origin) for origin in (Origin.A, Origin.B))
+    return extrapolate_to_fixed(*fixed_point_window(orbits, y.lattice.depth, r + 2), r)
 
 
 def norm_r_inf(y: GridFunction, r: int) -> float:
@@ -200,12 +210,8 @@ def norm_r_inf(y: GridFunction, r: int) -> float:
     lat = y.lattice
     if lat.depth < r + 1:
         raise InsufficientDepth(f"norm of order {r} needs depth >= {r + 1}")
-    runs = []
-    for origin in (Origin.A, Origin.B):
-        orbit = y.orbit(origin)
-        top = orbit.reach(lat.depth)
-        if not orbit.degenerate:
-            runs.append((orbit.nodes[: top + 1], orbit.values[: top + 1]))
+    orbits = [y.orbit(origin) for origin in (Origin.A, Origin.B)]
+    runs = [o.window(0, o.cap(lat.depth) + 1) for o in orbits if not o.degenerate]
     total = max(abs(v) for v in (y.value_at_fixed, *y.values_a, *y.values_b))
     for i in range(1, r + 1):
         level = [abs(v) for taus, vals in runs for v in quotient_levels(taus, vals, i)]

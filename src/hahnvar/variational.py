@@ -15,7 +15,8 @@ text is parsed and compiled there).  Every window of slots, in a series,
 along a run of residuals or in the minimizer, comes from ``slot_stream``:
 one pass over the orbit points in code compiled once per order.  Every
 Euler-Lagrange residual comes from ``_residuals`` over a run of orbit
-points, with all partials of a window from one compiled call.
+points, with all partials of a window from one compiled call.  Every
+estimate at omega0 reads the points ``fixed_point_window`` chooses.
 
 The Euler-Lagrange residual is oriented so that the first-order case
 reads D[dL/du1] - dL/du0, matching the classical
@@ -48,6 +49,7 @@ from .errors import InsufficientDepth, NotAVariation
 from .integrals import SeriesResult, _indexed_series
 from .operators import (
     extrapolate_to_fixed,
+    fixed_point_window,
     grid_derivative_at_fixed,
     iterated_quotient,
     quotient_levels,
@@ -208,8 +210,9 @@ def trajectory(
     """(t, v_0, ..., v_r) at a lattice point.
 
     At omega0 (or on a degenerate orbit) the slot values reduce to
-    v_i = q**(i*(r-i)) * D^i[y](omega0), with the iterates estimated by
-    orbit extrapolation from grid data."""
+    v_i = q**(i*(r-i)) * D^i[y](omega0), with the iterates from
+    ``_derivative_at_fixed``: grid data at its own depth, a function of t
+    through ``depth``."""
     r = problem.r
     y = _resolve(y)
     if point.origin is not Origin.FIXED:
@@ -217,11 +220,23 @@ def trajectory(
         if not orbit.degenerate:
             taus, vals = orbit.window(point.n, r + 1)
             return (taus[0], *traj_components(taus, vals))
-    grid = materialize(problem, y, depth)
     q = problem.params.q
-    w0 = problem.params.omega0
-    slots = [q ** (i * (r - i)) * grid_derivative_at_fixed(grid, i) for i in range(r + 1)]
-    return (w0, *slots)
+    slots = [q ** (i * (r - i)) * _derivative_at_fixed(problem, y, i, depth) for i in range(r + 1)]
+    return (problem.params.omega0, *slots)
+
+
+def _derivative_at_fixed(problem: Problem, y: Resolved, i: int, depth: int) -> float:
+    """D^i y at omega0 for a resolved candidate: grid data by
+    ``grid_derivative_at_fixed`` at its own depth; a function of t by its
+    value (i = 0) or by extrapolation over the ``fixed_point_window`` of
+    its orbits through ``depth``."""
+    if isinstance(y, GridFunction):
+        _check_grid_compat(problem, y)
+        return grid_derivative_at_fixed(y, i)
+    if i == 0:
+        return y(problem.params.omega0)
+    orbits = (_orbit(problem, y, origin) for origin in (Origin.A, Origin.B))
+    return extrapolate_to_fixed(*fixed_point_window(orbits, depth, i + 2), i)
 
 
 # ---------------------------------------------------------------------------
@@ -249,20 +264,6 @@ def functional_value(
     return at_b - at_a
 
 
-def _endpoint_derivative(problem: Problem, y: Resolved, orbit: Orbit, i: int, depth: int) -> float:
-    """D^i y at the seed of ``orbit``, the endpoint orbit of the resolved
-    candidate y; degenerate endpoints fall back to the omega0
-    extrapolation (i >= 1) or the fixed value (i = 0), from grid data at
-    its own depth or from a function sampled at ``depth``."""
-    if not orbit.degenerate:
-        return iterated_quotient(*orbit.window(0, i + 1))
-    if isinstance(y, GridFunction):
-        return grid_derivative_at_fixed(y, i)
-    if i == 0:
-        return y(problem.params.omega0)
-    return grid_derivative_at_fixed(materialize(problem, y, depth), i)
-
-
 @dataclass(frozen=True)
 class BoundaryViolation:
     endpoint: str  # "a" or "b"
@@ -284,7 +285,8 @@ def _boundary_violations(
     for endpoint, origin, targets in (("a", Origin.A, targets_a), ("b", Origin.B, targets_b)):
         orbit = _orbit(problem, y, origin)
         for i in range(problem.r):
-            actual = _endpoint_derivative(problem, y, orbit, i, depth)
+            actual = (_derivative_at_fixed(problem, y, i, depth) if orbit.degenerate
+                      else iterated_quotient(*orbit.window(0, i + 1)))
             err = abs(actual - targets[i])
             if not err <= tol:
                 out.append(BoundaryViolation(endpoint, i, actual, targets[i], err))
@@ -418,23 +420,14 @@ def el_residual(
 
 def _residual_at_fixed(problem: Problem, y: Resolved, depth: int) -> float:
     """Residual at omega0 extrapolated from the residuals R at the two deepest
-    bases of the first non-degenerate orbit: (R_top - q*R_(top-1)) / (1 - q).
-    The orbit is read through ``depth`` (or the grid depth or the first
-    merge, if shallower), the same points ``el_report`` reads at that
-    depth; only the last 2r + 2 values are formed."""
-    r = problem.r
-    q = problem.params.q
-    for origin in (Origin.A, Origin.B):
-        orbit = _orbit(problem, y, origin)
-        if orbit.degenerate:
-            continue
-        top = orbit.cap(depth) - 2 * r
-        if top < 1:
-            raise InsufficientDepth(f"need depth > {2 * r} for the omega0 residual")
-        taus, vals = orbit.window(top - 1, 2 * r + 2)
-        deepest = _residuals(q, problem.lagrangian, taus, vals)
-        return extrapolate_to_fixed(q, taus[:2], deepest, 0)
-    raise InsufficientDepth("both orbits are degenerate")
+    bases of an orbit: (R_top - q*R_(top-1)) / (1 - q), over the 2r + 2
+    points of the ``fixed_point_window`` through ``depth`` (or the grid
+    depth or the first merge, if shallower), points ``el_report`` also
+    reads at that depth; only those values are formed."""
+    orbits = (_orbit(problem, y, origin) for origin in (Origin.A, Origin.B))
+    q, taus, vals = fixed_point_window(orbits, depth, 2 * problem.r + 2)
+    deepest = _residuals(q, problem.lagrangian, taus, vals)
+    return extrapolate_to_fixed(q, taus[:2], deepest, 0)
 
 
 @dataclass
@@ -442,11 +435,11 @@ class ElReport:
     """Stationarity check over a whole lattice.
 
     ``residuals`` maps orbit points to ``el_residual``'s values, bit for
-    bit, and omega0, when included, to the extrapolation of the first
-    non-degenerate orbit's last two residuals stored here (at the report's
-    depth, for grid data too); that entry is advisory, so the pass verdict
-    judges it at 100x the tolerance.  ``max_abs_residual`` is the max over
-    everything stored."""
+    bit, and omega0, when included, to ``el_residual``'s omega0 value at
+    the report's depth (for grid data too): the extrapolation of the last
+    two residuals stored here of the first live orbit that has two.  That
+    entry is advisory, so the pass verdict judges it at 100x the
+    tolerance.  ``max_abs_residual`` is the max over everything stored."""
 
     residuals: dict[LatticePoint, float]
     max_abs_residual: float
@@ -479,7 +472,7 @@ def el_report(
         orbit = _orbit(problem, y, origin)
         if orbit.degenerate:
             continue
-        top = orbit.reach(depth) - 2 * r
+        top = orbit.cap(depth) - 2 * r
         if top < 0:
             continue
         run = _residuals(problem.params.q, problem.lagrangian, *orbit.window(0, top + 2 * r + 1))

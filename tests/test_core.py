@@ -224,15 +224,16 @@ def test_orbit_cap_is_grid_depth_or_first_merge():
     from hahnvar.core import Orbit
 
     grid = Orbit(0.5, 0.5, 2.0, [float(n) for n in range(5)])
-    assert grid.reach(10) == 4
+    assert grid.cap(10) == 4
     with pytest.raises(InsufficientDepth):
         grid.window(5, 1)
     lazy = Orbit(0.9, 0.1, -1.5, lambda t: 2.0 * t)
-    cap = lazy.reach(10_000)
+    cap = lazy.cap(10_000)
     assert cap < 10_000
     assert lazy.node(cap + 1) == lazy.node(cap) != lazy.node(cap - 1)
     # Past the merge every node is the merged point, so its value repeats.
-    assert lazy.reach(cap + 7) == cap
-    assert lazy.values[cap] == 2.0 * lazy.node(cap + 7) == 2.0 * lazy.node(cap)
+    assert lazy.cap(cap + 7) == cap
+    _, vals = lazy.window(0, cap + 1)
+    assert vals[cap] == lazy.values[cap] == 2.0 * lazy.node(cap + 7) == 2.0 * lazy.node(cap)
     with pytest.raises(DegenerateDenominator):
         lazy.window(cap, 2)

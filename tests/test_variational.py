@@ -23,6 +23,7 @@ from hahnvar import (
     first_variation,
     first_variation_fd,
     functional_value,
+    grid_derivative_at_fixed,
     h_el_residual,
     hahn_derivative_n,
     is_admissible,
@@ -327,6 +328,67 @@ def test_the_omega0_entry_of_a_grid_reads_the_report_depth():
     q = problem.params.q
     assert report.omega0_residual.hex() == ((r_top - q * r_prev) / (1 - q)).hex()
     assert el_residual(problem, grid, OMEGA0_POINT, 20) == report.omega0_residual
+
+
+def test_every_omega0_estimate_evaluates_the_candidate_on_its_window_only():
+    # omega0 = 1, so on [-1, 1] the endpoint b is omega0.  Slot i at omega0
+    # and D^i y(b) read i + 2 points of orbit a (one value at i = 0), the
+    # omega0 residual 2r + 2; no estimate samples a whole lattice.
+    free = Problem(P, 2, -1.0, 2.0, (0.0, 0.0), (0.0, 0.0), "u2^2 + u0^2")
+    at_b = Problem(P, 2, -1.0, 1.0, (0.0, 0.0), (0.0, 0.0), "u2^2 + u0^2")
+    counts = []
+    for call in (
+        lambda y: trajectory(free, y, OMEGA0_POINT),
+        lambda y: is_admissible(at_b, y),
+        lambda y: el_report(at_b, y, depth=40),
+        lambda y: el_report(at_b, y, depth=40, include_omega0=True),
+    ):
+        calls = []
+        call(_counted(calls))
+        counts.append(len(calls))
+    assert counts == [8, 6, 47, 53]
+
+
+def test_trajectory_at_omega0_reads_a_shallow_grid_at_its_own_depth():
+    prob = Problem(P, 2, -1.0, 1.0, (0.0, -0.15), (0.0, 0.3), "u2^2 + 0.1*u0^2")
+    grid = materialize(prob, "0.15*(t^2 - 1)", depth=10)
+    want = trajectory(prob, grid, OMEGA0_POINT, depth=10)
+    assert want[1:] == tuple(P.q ** (i * (2 - i)) * grid_derivative_at_fixed(grid, i) for i in range(3))
+    # Orbit b is degenerate, so its points are omega0 too.
+    for point in (OMEGA0_POINT, LatticePoint(Origin.B, 3)):
+        assert trajectory(prob, grid, point) == want
+
+
+def test_every_omega0_estimate_skips_a_live_orbit_too_short():
+    # a rounds to omega0 but its prefactor is 1.1e-16, so orbit a is live
+    # with cap 1; the estimates read orbit b.  For y = (t - omega0)^2 the
+    # residual D[2 v_1] - 2 v_0 at omega0 is 2(1 + q) = 3.426.
+    p = HahnParams(0.713, 0.881)
+    prob = Problem(p, 1, p.omega0, p.omega0 + 1.0, (0.0,), (1.0,), "u1^2 + u0^2")
+    short = Orbit(p.q, p.omega, prob.a)
+    assert prob.a == p.omega0 and not short.degenerate and short.cap(20) == 1
+
+    def y(t):
+        return (t - p.omega0) ** 2
+
+    got = el_residual(prob, y, OMEGA0_POINT, 20)
+    assert got == 3.426007334033802 == pytest.approx(2.0 * (1.0 + p.q), rel=3e-6)
+    assert el_report(prob, y, depth=20, include_omega0=True).omega0_residual == got
+    assert trajectory(prob, y, OMEGA0_POINT, 20)[1:] == (0.0, -1.1469121239254324e-15)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(4, 64))
+def test_trajectory_at_omega0_is_the_sampled_grid_estimate_bit_for_bit(seed, r, depth):
+    rng = random.Random(seed)
+    problem = rand_problem(rng, r)
+    q = problem.params.q
+    for form, y in _three_forms(rng, problem, depth).items():
+        if form == "grid":
+            continue
+        want = [q ** (i * (r - i)) * grid_derivative_at_fixed(materialize(problem, y, depth), i)
+                for i in range(r + 1)]
+        assert list(trajectory(problem, y, OMEGA0_POINT, depth)[1:]) == want, form
 
 
 def _three_forms(rng, problem, depth):
