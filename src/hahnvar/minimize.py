@@ -4,14 +4,15 @@ The free variables are each live orbit's values past the first r, which
 the boundary data fixes; at a degenerate endpoint (one at omega0) the
 derivative conditions, linear in the live orbit's deepest values, join a
 bordered Newton system.  Gradient and Hessian (banded, half-width r)
-follow from the integrand's first and second partials through each
-window's constant slot coefficients.  A step factors the Hessian by
-banded LDL^T, shifted by lambda*max|diag H| with lambda grown tenfold
-until every pivot is positive, then backtracks until the Armijo condition
-holds; a trial point that faults is no descent (Nocedal & Wright,
-Numerical Optimization, chapters 3 and 6).  A step whose slope is not
-finite, as when iterates of a problem unbounded below run off the float
-range, ends the search at the last iterate.  Deterministic for a given
+follow from the integrand's first and second partials, one dot product
+per entry with maps built once per window from its constant slot
+coefficients.  A step factors the Hessian by banded LDL^T, with a
+diagonal shift where it is not positive definite (the schedule is in
+``minimize_direct``), then backtracks until the Armijo condition holds;
+a trial point that faults is no descent (Nocedal & Wright, Numerical
+Optimization, chapters 3 and 6).  A step whose slope is not finite, as
+when iterates of a problem unbounded below run off the float range, ends
+the search at the last iterate.  Deterministic for a given
 seed; failure to converge is reported, never raised.
 """
 
@@ -20,7 +21,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from operator import mul
+from itertools import chain
+from operator import itemgetter, mul
 
 from .core import DEFAULT_DEPTH, GridFunction, Orbit, Origin
 from .dsl import Lagrangian, Neg
@@ -56,10 +58,10 @@ class MinimizeResult:
 class _Orbit:
     """An endpoint orbit: nodes through the usable cap, the r values the
     boundary data fixes, where its free values start in the variable
-    vector, and per window its weight c*q^k and slot coefficients
-    (slopes[k][m][i] = d v_i / d y_(k+m)).  The windows' slot values are
-    not kept: each evaluation streams them from the nodes and the current
-    values."""
+    vector, and per window its weight c*q^k and the maps of the window's
+    partials onto the functional's derivatives.  The windows' slot values
+    are not kept: each evaluation streams them from the nodes and the
+    current values."""
 
     def __init__(self, problem: Problem, origin: Origin, depth: int):
         q, r = problem.params.q, problem.r
@@ -74,7 +76,25 @@ class _Orbit:
         windows = range(self.usable - r + 1)
         self.weights = [coef * q**k for k in windows]
         units = [[float(m == j) for j in range(r + 1)] for m in range(r + 1)]
-        self.slopes = [[traj_components(self.taus[k : k + r + 1], u) for u in units] for k in windows]
+        # Per window k, with cs[m][i] = d v_i / d y_(k+m) and j = k+m-r the
+        # free index of y_(k+m): (j, w*cs[m]) maps dL/dv onto grad[j], and
+        # (j, d, map) maps the upper triangle of d2L/dv2, by rows, onto
+        # band[j][d] = sum over i, l of w*cs[m][i]*cs[m+d][l]*d2L/dv_i dv_l.
+        # Values the boundary data fixes (j < 0) get none.
+        pairs = [(i, l) for i in range(r + 1) for l in range(i, r + 1)]
+        self.grad_maps: list[list[tuple[int, list[float]]]] = []
+        self.band_maps: list[list[tuple[int, int, list[float]]]] = []
+        for k, w in zip(windows, self.weights):
+            cs = [traj_components(self.taus[k : k + r + 1], u) for u in units]
+            grads, bands = [], []
+            for m in range(max(0, r - k), r + 1):
+                a = cs[m]
+                grads.append((k + m - r, [w * c for c in a]))
+                for d, b in enumerate(cs[m:]):
+                    bands.append((k + m - r, d, [w * (a[i] * b[l] + a[l] * b[i] if i < l else a[i] * b[i])
+                                                 for i, l in pairs]))
+            self.grad_maps.append(grads)
+            self.band_maps.append(bands)
         self.head: list[float] = []
         self.offset = 0
 
@@ -88,6 +108,8 @@ class _Newton:
         self.problem, self.depth, self.r = problem, depth, problem.r
         self.lagr = problem.lagrangian
         q, r = problem.params.q, problem.r
+        # The upper triangle, by rows, of an (r+1)-square matrix flattened by rows.
+        self.upper = itemgetter(*(i * (r + 1) + l for i in range(r + 1) for l in range(i, r + 1)))
         a0, b0 = problem.alpha[0], problem.beta[0]
         span = problem.b - problem.a
 
@@ -149,19 +171,26 @@ class _Newton:
         return math.fsum(w * self.lagr.value(t, us) for _, _, w, t, us in self._windows(x))
 
     def derivatives(self, x: list[float]) -> tuple[list[float], list[list[float]]]:
-        """Gradient and upper band (band[j][d] = H[j][j+d]) of the functional."""
+        """Gradient and upper band (band[j][d] = H[j][j+d]) of the functional:
+        per window, one dot product of its partials with each map."""
         r = self.r
-        grad = [0.0] * len(x)
-        band = [[0.0] * (r + 1) for _ in x]
-        for orb, k, w, t, us in self._windows(x):
-            g, h = self.lagr.derivatives(t, us)
-            cs = orb.slopes[k]
-            hcs = [[sum(map(mul, hi, c)) for hi in h] for c in cs]
-            for m in range(max(0, r - k), r + 1):
-                j = orb.offset + k + m - r
-                grad[j] += w * sum(map(mul, g, cs[m]))
-                for m2 in range(m, r + 1):
-                    band[j][m2 - m] += w * sum(map(mul, cs[m], hcs[m2]))
+        stream, upper = slot_stream(r), self.upper
+        grad: list[float] = []
+        band: list[list[float]] = []
+        for orb in self.orbits:
+            vals = self.values(orb, x)
+            g_orb = [0.0] * (len(vals) - r)
+            b_orb = [[0.0] * (r + 1) for _ in g_orb]
+            windows = stream(zip(orb.taus, vals))
+            for (t, us), g_maps, h_maps in zip(windows, orb.grad_maps, orb.band_maps):
+                g, h = self.lagr.derivatives(t, us)
+                h = upper(list(chain.from_iterable(h)))
+                for j, c in g_maps:
+                    g_orb[j] += sum(map(mul, g, c))
+                for j, d, c in h_maps:
+                    b_orb[j][d] += sum(map(mul, h, c))
+            grad += g_orb
+            band += b_orb
         return grad, band
 
     def to_grid(self, x: list[float]) -> GridFunction:
@@ -229,6 +258,13 @@ def minimize_direct(
 ) -> MinimizeResult:
     """Damped Newton on the truncated functional.
 
+    Each step factors H + lambda*max|diag H|*I.  lambda starts at a tenth
+    of the lambda that factored the step before, or at 0 when that is
+    below 1e-6, and grows tenfold (0 grows to 1e-6) until every pivot is
+    positive.  Where the Hessian's diagonal is zero, as for a kinked
+    integrand like abs(u1), the shift is lambda itself, so the step is a
+    scaled gradient step.
+
     Converged means the Newton step's largest component fell below
     step_tol times the value scale.  That step's point, if it passes the
     Armijo test, is returned without forming its derivatives, so a fault
@@ -252,15 +288,17 @@ def minimize_direct(
     x = search.x0
     current = search.functional(x)
     history = [current]
-    converged = False
+    converged, lam = False, 0.0
     try:
         derivs = search.derivatives(x)
     except NotDifferentiable:
         derivs = None
     while derivs is not None and len(history) <= max_iters:
         grad, band = derivs
-        base = max((abs(row[0]) for row in band), default=0.0)
-        lam, factor = 0.0, _ldl(band, 0.0)
+        # A zero diagonal, as of a kinked integrand, shifts relative to 1.
+        base = max((abs(row[0]) for row in band), default=0.0) or 1.0
+        lam = lam / 10.0 if lam > _SHIFT_START else 0.0
+        factor = _ldl(band, lam * base)
         while factor is None and lam < _SHIFT_CAP:
             lam = 10.0 * lam or _SHIFT_START
             factor = _ldl(band, lam * base)
