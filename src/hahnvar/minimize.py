@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from itertools import chain
-from operator import itemgetter, mul
+from operator import mul
 
 from .core import DEFAULT_DEPTH, GridFunction, Orbit, Origin
 from .dsl import Lagrangian, Neg
@@ -34,6 +33,10 @@ _ARMIJO = 1e-4
 _HALVINGS = 40
 _SHIFT_START = 1e-6
 _SHIFT_CAP = 1e16
+# The highest order whose Hessian band is read through per-window maps
+# (_Orbit).  Timed, the maps make derivatives faster through r = 4; past it
+# their P^2 floats per window cost more set-up time and memory than they save.
+_MAPPED_ORDER = 4
 
 
 @dataclass
@@ -53,6 +56,12 @@ class MinimizeResult:
     iterations: int
     boundary_violation_norm: float
     penalty_weight: float
+
+
+def _upper_pairs(r: int) -> list[tuple[int, int]]:
+    """(i, l) with i <= l over an (r+1)-square matrix, by rows: the order
+    in which the band maps read d2L/dv2."""
+    return [(i, l) for i in range(r + 1) for l in range(i, r + 1)]
 
 
 class _Orbit:
@@ -77,23 +86,30 @@ class _Orbit:
         self.weights = [coef * q**k for k in windows]
         units = [[float(m == j) for j in range(r + 1)] for m in range(r + 1)]
         # Per window k, with cs[m][i] = d v_i / d y_(k+m) and j = k+m-r the
-        # free index of y_(k+m): (j, w*cs[m]) maps dL/dv onto grad[j], and
-        # (j, d, map) maps the upper triangle of d2L/dv2, by rows, onto
-        # band[j][d] = sum over i, l of w*cs[m][i]*cs[m+d][l]*d2L/dv_i dv_l.
-        # Values the boundary data fixes (j < 0) get none.
-        pairs = [(i, l) for i in range(r + 1) for l in range(i, r + 1)]
+        # free index of y_(k+m) (m >= r-k: values the boundary data fixes
+        # get nothing): (j, w*cs[m]) maps dL/dv onto grad[j], and band[j][d]
+        # gets w*cs[m].H.cs[m+d], H = d2L/dv2.  Up to _MAPPED_ORDER those
+        # products are kept as maps (j, d, map) over H's upper triangle,
+        # one dot product per band entry: it pays where call overhead, not
+        # arithmetic, sets the cost.  A map holds P = (r+1)(r+2)/2 floats
+        # and a window P of them, so past that order the window keeps its
+        # rows cs[m] instead and forms H.cs[m] per evaluation.
+        pairs = _upper_pairs(r)
         self.grad_maps: list[list[tuple[int, list[float]]]] = []
-        self.band_maps: list[list[tuple[int, int, list[float]]]] = []
+        self.band_maps: list[list[tuple[int, int, list[float]]] | list[list[float]]] = []
         for k, w in zip(windows, self.weights):
-            cs = [traj_components(self.taus[k : k + r + 1], u) for u in units]
-            grads, bands = [], []
-            for m in range(max(0, r - k), r + 1):
-                a = cs[m]
-                grads.append((k + m - r, [w * c for c in a]))
-                for d, b in enumerate(cs[m:]):
-                    bands.append((k + m - r, d, [w * (a[i] * b[l] + a[l] * b[i] if i < l else a[i] * b[i])
-                                                 for i, l in pairs]))
+            first = max(0, r - k)
+            cs = [traj_components(self.taus[k : k + r + 1], u) for u in units[first:]]
+            grads = [(k + m - r, [w * c for c in a]) for m, a in enumerate(cs, first)]
             self.grad_maps.append(grads)
+            if r > _MAPPED_ORDER:
+                self.band_maps.append(cs)
+                continue
+            bands = []
+            for n, ((j, _), a) in enumerate(zip(grads, cs)):
+                for d, b in enumerate(cs[n:]):
+                    bands.append((j, d, [w * (a[i] * b[l] + a[l] * b[i] if i < l else a[i] * b[i])
+                                         for i, l in pairs]))
             self.band_maps.append(bands)
         self.head: list[float] = []
         self.offset = 0
@@ -108,8 +124,7 @@ class _Newton:
         self.problem, self.depth, self.r = problem, depth, problem.r
         self.lagr = problem.lagrangian
         q, r = problem.params.q, problem.r
-        # The upper triangle, by rows, of an (r+1)-square matrix flattened by rows.
-        self.upper = itemgetter(*(i * (r + 1) + l for i in range(r + 1) for l in range(i, r + 1)))
+        self.pairs = _upper_pairs(r)
         a0, b0 = problem.alpha[0], problem.beta[0]
         span = problem.b - problem.a
 
@@ -171,10 +186,10 @@ class _Newton:
         return math.fsum(w * self.lagr.value(t, us) for _, _, w, t, us in self._windows(x))
 
     def derivatives(self, x: list[float]) -> tuple[list[float], list[list[float]]]:
-        """Gradient and upper band (band[j][d] = H[j][j+d]) of the functional:
-        per window, one dot product of its partials with each map."""
+        """Gradient and upper band (band[j][d] = H[j][j+d]) of the functional,
+        from each window's partials and its maps (see _Orbit)."""
         r = self.r
-        stream, upper = slot_stream(r), self.upper
+        stream, pairs, mapped = slot_stream(r), self.pairs, r <= _MAPPED_ORDER
         grad: list[float] = []
         band: list[list[float]] = []
         for orb in self.orbits:
@@ -184,11 +199,17 @@ class _Newton:
             windows = stream(zip(orb.taus, vals))
             for (t, us), g_maps, h_maps in zip(windows, orb.grad_maps, orb.band_maps):
                 g, h = self.lagr.derivatives(t, us)
-                h = upper(list(chain.from_iterable(h)))
                 for j, c in g_maps:
                     g_orb[j] += sum(map(mul, g, c))
-                for j, d, c in h_maps:
-                    b_orb[j][d] += sum(map(mul, h, c))
+                if mapped:
+                    h = [h[i][l] for i, l in pairs]
+                    for j, d, c in h_maps:
+                        b_orb[j][d] += sum(map(mul, h, c))
+                else:  # h_maps holds the rows cs[m]; g_maps' are w*cs[m]
+                    hcs = [[sum(map(mul, row, c)) for row in h] for c in h_maps]
+                    for n, (j, wc) in enumerate(g_maps):
+                        for d, hc in enumerate(hcs[n:]):
+                            b_orb[j][d] += sum(map(mul, wc, hc))
             grad += g_orb
             band += b_orb
         return grad, band
@@ -266,7 +287,11 @@ def minimize_direct(
     scaled gradient step.
 
     Converged means the Newton step's largest component fell below
-    step_tol times the value scale.  That step's point, if it passes the
+    step_tol times the value scale.  A shifted step is shorter than the
+    Newton step, so when one falls below the bound H is factored unshifted
+    and, where that works, the Newton step is tested instead; only where
+    H itself is not positive definite may a shifted step end the search,
+    as it must to stop at all.  That step's point, if it passes the
     Armijo test, is returned without forming its derivatives, so a fault
     in them there goes unseen.  Running out of iterations, a line search
     that finds no descent, a step whose slope is not finite, or a Hessian
@@ -306,6 +331,14 @@ def minimize_direct(
         if not step:
             break
         small = max(map(abs, step)) <= step_tol * search.scale
+        if small and lam:
+            # A shifted step falls short of the Newton step, so where H
+            # itself factors only the Newton step may end the search.
+            exact = _ldl(band, 0.0)
+            newton = exact and _bordered(exact, grad, search.rows, search.residuals(x))
+            if newton:
+                lam, step = 0.0, newton
+                small = max(map(abs, step)) <= step_tol * search.scale
         try:
             slope = math.fsum(map(mul, grad, step))
         except (OverflowError, ValueError):  # a sum past the float range, or inf - inf

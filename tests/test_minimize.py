@@ -3,6 +3,7 @@
 import math
 import random
 from dataclasses import replace
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +143,59 @@ def test_kinked_integrand_returns_a_result():
     assert got.objective < got.history[0]
 
 
+def test_a_shifted_step_below_the_bound_does_not_end_the_search(monkeypatch):
+    # The first step may factor only with a shift of 1e13*max|diag H|, so
+    # its step is about 1e-13 of the Newton step and passes the step test
+    # at the perturbed start.  H itself factors there, so the Newton step
+    # is tested instead, and the search goes on to the minimum.
+    ldl, factored = minimize._ldl, []
+
+    def first_factor_needs_a_large_shift(band, shift):
+        if not factored and shift < 1e13 * max(abs(row[0]) for row in band):
+            return None
+        factored.append(shift)
+        return ldl(band, shift)
+
+    monkeypatch.setattr(minimize, "_ldl", first_factor_needs_a_large_shift)
+    got = minimize_direct(QUAD, depth=12, seed=0)
+    assert factored[0] > 0.0 and factored[1] == 0.0
+    assert got.converged
+    assert got.objective <= 1e-12 < got.history[0]
+    assert el_report(QUAD, got.grid, depth=12).max_abs_residual <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "problem_of, depth, seeds, least",
+    [
+        (lambda s: double_well_problem(), 8, range(60), 60),
+        (lambda s: double_well_problem(), 12, range(40), 40),
+        (lambda s: rand_problem(random.Random(s), 1), 10, range(40), 10),
+    ],
+    ids=["double_well_d8", "double_well_d12", "rand_r1_d10"],
+)
+def test_every_converged_run_of_a_sweep_passes_the_euler_lagrange_residual(problem_of, depth, seeds, least):
+    # `least` is how many converge with the search restarted at shift 0 on
+    # every step; the warm-started shift must not lose any of them.
+    converged = 0
+    for seed in seeds:
+        problem = problem_of(seed)
+        got = minimize_direct(problem, depth=depth, seed=seed, max_iters=300)
+        if got.converged:
+            converged += 1
+            assert el_report(problem, got.grid, depth=depth).max_abs_residual <= 1e-8, seed
+    assert converged >= least
+
+
+@pytest.mark.xfail(strict=True, reason="float floor: the step test is out of reach (ROADMAP item 5)")
+def test_a_run_at_the_float_floor_converges():
+    # The step restarted at shift 0 converges here in 3 steps.  With the
+    # warm start the Newton step stays at 1.5e-8 against a bound of
+    # 1.4e-10 while every trial moves the objective by one ulp, so the
+    # search runs to max_iters.  Which seeds land on this is roundoff.
+    got = minimize_direct(rand_problem(random.Random(33), 3), depth=10, seed=33, max_iters=300)
+    assert got.converged
+
+
 @pytest.mark.parametrize(
     "problem, depth, seed",
     [(QUAD, 12, 7), (double_well_problem(), 12, 7), (NON_QUADRATIC, 12, 3)],
@@ -205,6 +259,44 @@ def test_newton_windows_are_traj_components_bit_for_bit(q, omega, r, seed):
         assert w == orb.weights[k]
         assert t == taus[0]
         assert [v.hex() for v in us] == [v.hex() for v in traj_components(taus, vals)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.floats(0.3, 0.8), st.floats(0.05, 2.0), st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_gradient_and_band_match_the_slot_coefficient_products(q, omega, r, seed):
+    # Reference: per window, grad[j] += w*cs[m].g and band[j][m2-m] +=
+    # w*cs[m].(H cs[m2]), with cs[m][i] = d v_i / d y_(k+m) from
+    # traj_components; the integrand's Hessian is full and varies with x.
+    # Orders 1..7 take the band both through the maps and past them.
+    rng = random.Random(seed)
+    params = HahnParams(q, omega)
+    w0 = params.omega0
+    slots = [f"u{i}" for i in range(r + 1)]
+    source = " + ".join(f"{a}*{b}^2" for a, b in zip(slots, slots[1:] + slots[:1])) + f" + sin(u0*u{r}) + t*u{r}"
+    problem = Problem(params, r, w0 - rng.uniform(0.5, 3.0), w0 + rng.uniform(0.5, 3.0),
+                      (0.0,) * r, (0.0,) * r, source)
+    search = _Newton(problem, 2 * r + 2 + rng.randrange(8), rng)
+    x = [rng.uniform(-1.0, 1.0) for _ in search.x0]
+    grad, band = search.derivatives(x)
+    want_g, size_g = [0.0] * len(x), [0.0] * len(x)
+    want_b, size_b = [[0.0] * (r + 1) for _ in x], [[0.0] * (r + 1) for _ in x]
+    units = [[float(m == i) for i in range(r + 1)] for m in range(r + 1)]
+    for orb, k, w, t, us in search._windows(x):
+        g, h = problem.lagrangian.derivatives(t, us)
+        cs = [traj_components(orb.taus[k : k + r + 1], u) for u in units]
+        for m in range(max(0, r - k), r + 1):
+            j = orb.offset + k + m - r
+            want_g[j] += w * sum(map(mul, g, cs[m]))
+            size_g[j] += abs(w) * sum(abs(gi * ci) for gi, ci in zip(g, cs[m]))
+            for m2 in range(m, r + 1):
+                hc = [sum(map(mul, row, cs[m2])) for row in h]
+                want_b[j][m2 - m] += w * sum(map(mul, cs[m], hc))
+                size_b[j][m2 - m] += abs(w) * sum(abs(cs[m][i] * hi * cs[m2][l])
+                                                  for i, row in enumerate(h) for l, hi in enumerate(row))
+    for j in range(len(x)):
+        assert abs(grad[j] - want_g[j]) <= 1e-12 * size_g[j], (j, grad[j], want_g[j])
+        for d in range(r + 1):
+            assert abs(band[j][d] - want_b[j][d]) <= 1e-12 * size_b[j][d], (j, d, band[j][d], want_b[j][d])
 
 
 @pytest.mark.parametrize(
