@@ -123,7 +123,8 @@ class Orbit:
         """Extend the realized orbit prefix ``nodes`` in place by
         t[n+1] = q*t[n] + omega through index m, stopping early at the
         first merge t[n+1] == t[n]; returns ``nodes``.  The one node
-        recurrence: every orbit and every point stencil comes from it."""
+        recurrence: every orbit node, ``walk``'s too, and every point
+        stencil comes from it."""
         while len(nodes) <= m:
             t = nodes[-1]
             nxt = q * t + omega
@@ -147,18 +148,14 @@ class Orbit:
 
     def walk(self) -> Iterator[tuple[float, float]]:
         """Yield (t[n], value[n]) for n = 0, 1, ... through the cap, realizing
-        each node and value when the walk gets to it, into ``nodes`` and
-        ``values``."""
-        q, omega, nodes, vals, source = self.q, self.omega, self.nodes, self.values, self._source
-        depth = self._grid_depth
+        each value when the walk gets to it, into ``values``.  Nodes come
+        from ``grow``, asked for index 2n when the walk reaches an
+        unrealized n, so a walk pays one call per doubling."""
+        nodes, vals, source, depth = self.nodes, self.values, self._source, self._grid_depth
         n = 0
         while n <= depth:
-            if n == len(nodes):
-                t = nodes[-1]
-                nxt = q * t + omega
-                if nxt == t:
-                    return
-                nodes.append(nxt)
+            if n == len(nodes) and n == len(self.grow(self.q, self.omega, nodes, 2 * n)):
+                return
             if n == len(vals):
                 vals.append(source(n))
             yield nodes[n], vals[n]

@@ -221,6 +221,8 @@ class _Parser:
     def base(self) -> Expr:
         tok = self.peek()
         if tok.kind == "num":
+            if not math.isfinite(float(tok.text)):  # a literal past the float range
+                self.fail({"finite number"})
             self.take()
             return Number(float(tok.text))
         if tok.kind == "ident":

@@ -25,8 +25,9 @@ from operator import mul
 
 from .core import DEFAULT_DEPTH, GridFunction, Orbit, Origin
 from .dsl import Lagrangian, Neg
-from .errors import DomainError, InsufficientDepth, NonFiniteValue, NotDifferentiable
-from .operators import extrapolate_to_fixed, fit_leading_values
+from .errors import (DegenerateDenominator, DomainError, InsufficientDepth, NonFiniteValue,
+                     NotDifferentiable)
+from .operators import extrapolate_to_fixed, fit_leading_values, fixed_point_window, quotient_levels
 from .variational import Problem, is_admissible, slot_stream, traj_components
 
 _ARMIJO = 1e-4
@@ -75,12 +76,14 @@ class _Orbit:
     def __init__(self, problem: Problem, origin: Origin, depth: int):
         q, r = problem.params.q, problem.r
         orbit = Orbit(q, problem.params.omega, problem.a if origin is Origin.A else problem.b)
-        self.origin = origin
+        self.origin, self.orbit = origin, orbit
         self.degenerate = orbit.degenerate
         # The functional stops at the usable cap: quotients past the first
         # float merge near omega0 are meaningless.
         self.usable = orbit.cap(depth)
         self.taus = orbit.nodes[: self.usable + 1]
+        if not self.degenerate and self.usable < r - 1:  # too short for D^(r-1) at the seed
+            raise DegenerateDenominator(f"orbit step underflowed to zero near t={self.taus[-1]!r}")
         coef = orbit.prefactor if origin is Origin.B else -orbit.prefactor  # F = at b - at a
         windows = range(self.usable - r + 1)
         self.weights = [coef * q**k for k in windows]
@@ -149,18 +152,18 @@ class _Newton:
             self.orbits.append(orb)
 
         # At a degenerate endpoint, D^i (0 < i < r) at omega0 is extrapolated
-        # linearly from the live orbit's r+1 deepest values: one row each.
+        # linearly from the live orbit's r+1 point fixed_point_window: one row each.
         self.rows: list[list[float]] = []
         self.targets: list[float] = []
         if len(self.orbits) == 1 and r >= 2:
             live = self.orbits[0]
             if live.usable < 2 * r:
                 raise InsufficientDepth("live orbit too shallow for the omega0 conditions")
-            taus = live.taus[live.usable - r : live.usable + 1]
+            taus = fixed_point_window([live.orbit], depth, r + 1)[1]
+            units = [[float(j == m) for j in range(r + 1)] for m in range(r + 1)]
             for i in range(1, r):
                 row = [0.0] * (len(self.x0) - r - 1)
-                row += [extrapolate_to_fixed(q, taus, [float(j == m) for j in range(r + 1)], i)
-                        for m in range(r + 1)]
+                row += [extrapolate_to_fixed(q, quotient_levels(taus, u, i)) for u in units]
                 self.rows.append(row)
                 self.targets.append((problem.beta if live.origin is Origin.A else problem.alpha)[i])
             # Start feasible: the least-norm correction onto the constraints.
@@ -300,6 +303,11 @@ def minimize_direct(
 
     With maximize=True the negated integrand is minimized and the
     reported objective/history refer to that negated problem.
+
+    A live endpoint orbit that merges before it holds the r boundary
+    values raises DegenerateDenominator; at an endpoint at omega0 with
+    r >= 2, a live orbit of fewer than 2r + 1 usable points raises
+    InsufficientDepth.
     """
     if depth < 2 * problem.r + 2:
         raise ValueError(f"depth must be at least {2 * problem.r + 2}")

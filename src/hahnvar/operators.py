@@ -160,20 +160,17 @@ def _grid_derivative_n(y: GridFunction, r: int, point: LatticePoint) -> float:
     return iterated_quotient(*y.orbit(point.origin).window(point.n, r + 1))
 
 
-def extrapolate_to_fixed(q: float, taus: Sequence[float], vals: Sequence[float], r: int) -> float:
-    """Estimate D^r at omega0 from a run of consecutive orbit points.
+def extrapolate_to_fixed(q: float, vals: Sequence[float]) -> float:
+    """Estimate at omega0 of one quantity from its values at consecutive
+    orbit points, deepest last.
 
-    Takes the two D^r values at the deepest end of the run and removes
-    the leading O(t - omega0) error geometrically: with
-    v_n = L + C*(t_n - omega0) and t_{n+1} - omega0 = q*(t_n - omega0),
-    L = (v_{n+1} - q*v_n) / (1 - q).
+    Removes the leading O(t - omega0) error of the two deepest values
+    geometrically: with v_n = L + C*(t_n - omega0) and
+    t_{n+1} - omega0 = q*(t_n - omega0), L = (v_{n+1} - q*v_n) / (1 - q).
+    Callers pass D^r values from ``quotient_levels`` over a
+    ``fixed_point_window``, or the residuals formed there.
     """
-    n = len(vals)
-    if n < r + 2:
-        raise InsufficientDepth(f"orbit too shallow to extrapolate D^{r} to omega0")
-    near = iterated_quotient(taus[n - r - 1 : n], vals[n - r - 1 : n])
-    prev = iterated_quotient(taus[n - r - 2 : n - 1], vals[n - r - 2 : n - 1])
-    return (near - q * prev) / (1.0 - q)
+    return (vals[-1] - q * vals[-2]) / (1.0 - q)
 
 
 def fixed_point_window(
@@ -196,7 +193,8 @@ def grid_derivative_at_fixed(y: GridFunction, r: int) -> float:
     if r == 0:
         return y.value_at_fixed
     orbits = (y.orbit(origin) for origin in (Origin.A, Origin.B))
-    return extrapolate_to_fixed(*fixed_point_window(orbits, y.lattice.depth, r + 2), r)
+    q, taus, vals = fixed_point_window(orbits, y.lattice.depth, r + 2)
+    return extrapolate_to_fixed(q, quotient_levels(taus, vals, r))
 
 
 def norm_r_inf(y: GridFunction, r: int) -> float:

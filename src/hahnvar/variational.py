@@ -236,7 +236,8 @@ def _derivative_at_fixed(problem: Problem, y: Resolved, i: int, depth: int) -> f
     if i == 0:
         return y(problem.params.omega0)
     orbits = (_orbit(problem, y, origin) for origin in (Origin.A, Origin.B))
-    return extrapolate_to_fixed(*fixed_point_window(orbits, depth, i + 2), i)
+    q, taus, vals = fixed_point_window(orbits, depth, i + 2)
+    return extrapolate_to_fixed(q, quotient_levels(taus, vals, i))
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +427,7 @@ def _residual_at_fixed(problem: Problem, y: Resolved, depth: int) -> float:
     reads at that depth; only those values are formed."""
     orbits = (_orbit(problem, y, origin) for origin in (Origin.A, Origin.B))
     q, taus, vals = fixed_point_window(orbits, depth, 2 * problem.r + 2)
-    deepest = _residuals(q, problem.lagrangian, taus, vals)
-    return extrapolate_to_fixed(q, taus[:2], deepest, 0)
+    return extrapolate_to_fixed(q, _residuals(q, problem.lagrangian, taus, vals))
 
 
 @dataclass

@@ -90,11 +90,12 @@ def test_table_and_csv_formats(capsys):
 
 
 def test_syntax_error_exits_2(capsys):
-    code, _, err = run(
-        capsys, "deriv", "--q", "0.5", "--omega", "0.5", "--expr", "(t", "--t", "2",
-    )
-    assert code == 2
-    assert "error" in err
+    for expr in ("(t", "1e999"):
+        code, _, err = run(
+            capsys, "deriv", "--q", "0.5", "--omega", "0.5", "--expr", expr, "--t", "2",
+        )
+        assert code == 2
+        assert "syntax error" in err
 
 
 def test_zero_base_under_negative_exponent_exits_3(capsys):
@@ -253,6 +254,30 @@ def test_subcommand_imports_only_the_modules_it_runs(argv, unloaded):
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
     assert {"hahnvar.core", "hahnvar.dsl"} <= imported
     assert imported.isdisjoint(f"hahnvar.{name}" for name in unloaded)
+
+
+@pytest.mark.parametrize("command", ["minimize", "el-check"])
+def test_an_endpoint_rounding_onto_omega0_exits_3(tmp_path, capsys, command):
+    # a = omega0 up to a prefactor of -5.6e-17, so orbit a merges at its seed.
+    from hahnvar import HahnParams
+
+    a = HahnParams(0.05, 0.5).omega0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "q": 0.05, "omega": 0.5, "a": a, "b": a + 1.0, "r": 2, "depth": 10,
+        "lagrangian": "u2^2", "alpha": [0.0, 0.0], "beta": [0.0, 0.0],
+        "candidate": {"type": "expr", "value": "0"},
+    }))
+    code, out, err = run(capsys, command, str(cfg))
+    assert code == 3 and not out
+    assert err.count("error:") == 1 and "underflowed" in err
+
+
+def test_the_builtin_double_well_config_is_the_demo_problem():
+    from hahnvar.cli import _BUILTIN_CONFIGS, _build_problem
+    from hahnvar.demos import double_well_problem
+
+    assert _build_problem(_BUILTIN_CONFIGS["double-well"]) == double_well_problem()
 
 
 def _double_well_config(tmp_path, **extra):

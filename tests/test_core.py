@@ -39,6 +39,11 @@ def test_params_reject_bad_omega(omega):
         HahnParams(0.5, omega)
 
 
+def test_params_reject_a_q_that_is_not_a_number():
+    with pytest.raises(TypeError):
+        HahnParams("0.5", 0.5)
+
+
 def test_fixed_point_and_step():
     p = HahnParams(0.5, 0.5)
     assert p.omega0 == 1.0
@@ -101,6 +106,7 @@ def test_lattice_realize():
     assert lat.realize(LatticePoint(Origin.B, 0)) == 2.0
     assert lat.realize(LatticePoint(Origin.B, 1)) == 1.5
     assert lat.realize(OMEGA0_POINT) == 1.0
+    assert lat.seed(Origin.FIXED) == 1.0
     with pytest.raises(InsufficientDepth):
         lat.realize(LatticePoint(Origin.A, 9))
 
@@ -135,6 +141,8 @@ def test_grid_sample_and_value():
     for pt in lat.points():
         assert g.value(pt) == lat.realize(pt) ** 2
     assert g.orbit_values(Origin.B)[1] == 1.5**2
+    with pytest.raises(InsufficientDepth):
+        g.value(LatticePoint(Origin.A, 7))
 
 
 def test_grid_validation():

@@ -125,6 +125,12 @@ def test_syntax_error_reports_position():
         parse("")
     with pytest.raises(ExprSyntaxError):
         parse("2 +* 3")
+    with pytest.raises(ExprSyntaxError, match="position 3: .* found '\\$'"):
+        parse("u0 $ 1")
+    with pytest.raises(ExprSyntaxError, match="position 2: expected end of input or operator"):
+        parse("1 2")
+    with pytest.raises(ExprSyntaxError, match="position 4: expected finite number, found '1e999'"):
+        parse("2 + 1e999")
 
 
 def test_unknown_identifier():
@@ -182,6 +188,8 @@ def test_evaluate_domain_errors():
         evaluate(parse("1/t"), {"t": 0.0})
     with pytest.raises(DomainError):
         evaluate(parse("t^0.5"), {"t": -4.0})
+    with pytest.raises(DomainError, match="overflows"):
+        evaluate(parse("exp(u0)"), {"u0": 1000.0})
 
 
 def test_unbound_variable():

@@ -22,7 +22,7 @@ from hahnvar import (
 )
 from hahnvar.demos import double_well_problem, random_admissible_grid
 from hahnvar.dsl import Lagrangian
-from hahnvar.errors import NotDifferentiable
+from hahnvar.errors import DegenerateDenominator, InsufficientDepth, NotDifferentiable
 from hahnvar import minimize
 from hahnvar.minimize import _Newton
 from hahnvar.variational import slot_stream, traj_components
@@ -122,6 +122,27 @@ def test_degenerate_endpoint_order_two_keeps_its_conditions_exactly():
     ok, bad = is_admissible(DEGENERATE_R2, got.grid)
     assert ok, bad
     assert got.grid.value_at_fixed == 0.0
+
+
+@pytest.mark.parametrize("q, r, error", [
+    # a = omega0 rounds to a prefactor of -5.6e-17: a live orbit that merges
+    # at its seed, one point, too few for D y at a.
+    (0.05, 2, DegenerateDenominator),
+    # a = omega0 exactly, and orbit b merges after 6 steps, short of the
+    # 2r points the omega0 conditions need.
+    (0.001, 4, InsufficientDepth),
+])
+def test_an_endpoint_at_omega0_with_too_short_a_live_orbit_raises(q, r, error):
+    p = HahnParams(q, 0.5)
+    problem = Problem(p, r, p.omega0, p.omega0 + 1.0, (0.0,) * r, (0.0,) * r, f"u{r}^2")
+    with pytest.raises(error):
+        minimize_direct(problem, depth=10)
+
+
+def test_first_partials_that_fault_at_the_start_end_the_search_unconverged():
+    got = minimize_direct(replace(QUAD, lagrangian="sqrt(u1 - u1)"), depth=8)
+    assert not got.converged
+    assert got.iterations == 0 and got.history == [got.objective]
 
 
 def test_iterates_running_off_the_float_range_end_the_search_unconverged():

@@ -112,6 +112,8 @@ def test_third_derivative_of_cube_is_q_factorial():
 
 def test_order_zero_returns_value():
     assert hahn_derivative_n(P, lambda t: t + 3.0, 0, 2.0) == 5.0
+    g = GridFunction.sample(Lattice(P, -1.0, 2.0, depth=4), lambda t: t + 3.0)
+    assert hahn_derivative_n(P, g, 0, LatticePoint(Origin.B, 1)) == 4.5
 
 
 def test_order_validation():

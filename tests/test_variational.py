@@ -89,6 +89,7 @@ def test_materialize_and_depth_guard():
     assert grid.value(LatticePoint(Origin.B, 1)) == lat.realize(LatticePoint(Origin.B, 1)) ** 2
     with pytest.raises(InsufficientDepth):
         materialize(FREE, grid, depth=20)
+    assert materialize(FREE, grid, depth=10) is grid
 
 
 def test_functional_constant_integrand_gives_length():
