@@ -9,7 +9,7 @@ fixed point itself.
 
 Every orbit node is realized in one place, ``Orbit.grow``, by the
 recurrence t[n+1] = q*t[n] + omega (the n-fold application of
-``HahnParams.sigma``).
+``HahnParams.sigma``); only the first-order quotient takes its one step inline.
 Near omega0 two consecutive nodes eventually round to the same float;
 under the recurrence such a merge is absorbing, since fl(q*t + omega) = t
 fixes t for good, so a single index caps the usable part of an orbit.
@@ -109,11 +109,10 @@ class Orbit:
         self.degenerate = self.prefactor == 0.0
         self.nodes = [seed]
         self.values: list[float] = []
-        self._source: Callable[[int], float] | None = None
+        self._source: Callable[[float], float] | None = None
         self._grid_depth = math.inf
         if callable(values):
-            nodes = self.nodes
-            self._source = lambda n: values(nodes[n])
+            self._source = values
         elif values is not None:
             self.values = values
             self._grid_depth = len(values) - 1
@@ -124,7 +123,7 @@ class Orbit:
         t[n+1] = q*t[n] + omega through index m, stopping early at the
         first merge t[n+1] == t[n]; returns ``nodes``.  The one node
         recurrence: every orbit node, ``walk``'s too, and every point
-        stencil comes from it."""
+        stencil of order r >= 2 comes from it."""
         while len(nodes) <= m:
             t = nodes[-1]
             nxt = q * t + omega
@@ -147,19 +146,26 @@ class Orbit:
         return min(m, len(nodes) - 1)
 
     def walk(self) -> Iterator[tuple[float, float]]:
-        """Yield (t[n], value[n]) for n = 0, 1, ... through the cap, realizing
-        each value when the walk gets to it, into ``values``.  Nodes come
-        from ``grow``, asked for index 2n when the walk reaches an
-        unrealized n, so a walk pays one call per doubling."""
-        nodes, vals, source, depth = self.nodes, self.values, self._source, self._grid_depth
+        """Yield (t[n], value[n]) for n = 0, 1, ... through the cap, in chunks:
+        on reaching an unrealized n it asks ``grow`` for index min(2n, grid
+        depth), one call per doubling.  Values already in ``values`` are
+        read; the rest are evaluated as the walk reaches them and appended,
+        so none past the consumer's last term is formed and a later walk
+        reads them.  One walk at a time may realize an orbit's values."""
+        q, omega, nodes, vals, source = self.q, self.omega, self.nodes, self.values, self._source
+        depth, append = self._grid_depth, vals.append
+
+        def realize(t: float) -> float:
+            v = source(t)
+            append(v)
+            return v
+
         n = 0
-        while n <= depth:
-            if n == len(nodes) and n == len(self.grow(self.q, self.omega, nodes, 2 * n)):
-                return
-            if n == len(vals):
-                vals.append(source(n))
-            yield nodes[n], vals[n]
-            n += 1
+        while n < (end := min(len(self.grow(q, omega, nodes, min(2 * n, depth))), depth + 1)):
+            known = min(len(vals), end)
+            yield from zip(nodes[n:known], vals[n:known])
+            yield from zip(nodes[known:end], map(realize, nodes[known:end]))
+            n = end
 
     def window(self, k: int, width: int) -> tuple[list[float], list[float]]:
         """Nodes and values at indices k .. k + width - 1.  A window past
@@ -176,8 +182,8 @@ class Orbit:
         source, vals = self._source, self.values
         if source is not None:
             if len(vals) < k:
-                return self.nodes[k : end + 1], [source(n) for n in range(k, end + 1)]
-            vals += [source(n) for n in range(len(vals), end + 1)]
+                return self.nodes[k : end + 1], [source(t) for t in self.nodes[k : end + 1]]
+            vals += [source(t) for t in self.nodes[len(vals) : end + 1]]
         return self.nodes[k : end + 1], vals[k : end + 1]
 
 

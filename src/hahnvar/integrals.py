@@ -10,9 +10,9 @@ The classical limits are parameter values of the same sum, summed by
 the same driver: omega = 0 is Jackson's q-integral (fixed point 0), and
 q = 1 with omega = h is the Noerlund sum -h * sum_k f(x + k*h).  The
 driver draws its samples from an iterator, one per term, so a series is
-one streaming pass over its orbit (``Orbit.walk``): no sample past the
-stopping term is formed, and an iterator that runs out is an exhausted
-orbit.
+one streaming pass over its orbit (``Orbit.walk``, whose chunks go
+through ``zip`` and ``map``): no sample past the stopping term is
+formed, and an iterator that runs out is an exhausted orbit.
 
 For q < 1 convergence is certified with a geometric tail bound: once
 the running maximum of recent samples is M, the unsummed remainder is
@@ -29,6 +29,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .core import DEFAULT_MAX_TERMS, DEFAULT_TOL, HahnParams, Orbit
@@ -84,7 +85,10 @@ def _indexed_series(
     exhausted: the partial sum is returned with converged=False (the
     orbit ran out of usable points, same as running out of terms).  At
     q = 1 there is no geometric envelope: the bound is |prefactor| times
-    the largest recent sample.
+    the largest recent sample.  The bound, envelope * max(recent), is
+    formed only on terms whose envelope * |s_k| is within tol, the only
+    ones where it can be (rounding is monotone and max(recent) >= |s_k|),
+    and once after the loop for an unconverged result.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -98,7 +102,6 @@ def _indexed_series(
     scale = abs(prefactor) * (q / (1.0 - q) if q < 1.0 else 1.0)
     recent: deque[float] = deque(maxlen=_TAIL_WINDOW)
     done = 0
-    tail = math.inf
     for k, fx in zip(range(max_terms), samples):
         if not math.isfinite(fx):
             raise NonFiniteValue(f"series term {k} evaluated to {fx!r}")
@@ -109,20 +112,22 @@ def _indexed_series(
         total = t
         done = k + 1
         recent.append(abs(fx))
-        tail = scale * weight * max(recent)
+        envelope = scale * weight
         weight *= q
-        if done >= _TAIL_WINDOW and tail <= tol:
-            return SeriesResult(prefactor * total, done, tail, True)
+        if done >= _TAIL_WINDOW and envelope * abs(fx) <= tol:
+            tail = envelope * max(recent)
+            if tail <= tol:
+                return SeriesResult(prefactor * total, done, tail, True)
+    tail = envelope * max(recent) if done else math.inf
     return SeriesResult(prefactor * total, done, tail, False)
 
 
 def _orbit_samples(orbit: Orbit) -> Iterator[float]:
-    """The orbit's values through the cap, then the last one forever: past
-    a merge every node is the merged point."""
-    v = None
-    for _, v in orbit.walk():
-        yield v
-    yield from repeat(v)
+    """The orbit's values through the cap, then the value at the cap
+    forever: past a merge every node is the merged point.  That is not
+    ``values[-1]`` on a grid that merges below its depth."""
+    yield from map(itemgetter(1), orbit.walk())
+    yield from repeat(orbit.values[orbit.cap(len(orbit.nodes))])
 
 
 def _one_sided(

@@ -146,6 +146,14 @@ def _callable_derivative_n(
     """D^r of a callable on the scale t -> q*t + omega (omega0 None: no fixed point)."""
     if t == omega0:
         return _jackson_factor(q, r) * _central_derivative(f, r, t)
+    if r == 1:
+        # iterated_quotient over the stencil (t, q*t + omega), float for float.
+        s = q * t + omega
+        fx, fs = _checked(f(t), t), _checked(f(s), s)
+        den = s - t
+        if den == 0.0:
+            raise DegenerateDenominator(f"orbit step underflowed to zero near t={t!r}")
+        return (fs - fx) / den
     # Past a merge the orbit repeats its last node, whose zero step raises.
     taus = Orbit.grow(q, omega, [t], r)
     taus += taus[-1:] * (r + 1 - len(taus))

@@ -245,3 +245,25 @@ def test_orbit_cap_is_grid_depth_or_first_merge():
     assert vals[cap] == lazy.values[cap] == 2.0 * lazy.node(cap + 7) == 2.0 * lazy.node(cap)
     with pytest.raises(DegenerateDenominator):
         lazy.window(cap, 2)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 7, 40, 100])
+def test_a_full_walk_of_a_grid_orbit_realizes_no_node_past_its_depth(depth):
+    from hahnvar.core import Orbit
+
+    values = [float(n) for n in range(depth + 1)]
+    orbit = Orbit(0.9, 0.1, -1.5, values)
+    assert [v for _, v in orbit.walk()] == values
+    assert len(orbit.nodes) <= depth + 1
+
+
+def test_series_samples_repeat_the_value_at_the_cap_of_a_grid_merging_below_its_depth():
+    from itertools import islice
+
+    from hahnvar.core import Orbit
+    from hahnvar.integrals import _orbit_samples
+
+    # the orbit of 3.0 under t -> t/2 + 1/2 merges into 1.0 after 54 steps
+    orbit = Orbit(0.5, 0.5, 3.0, [float(n) for n in range(81)])
+    assert orbit.cap(80) == 54
+    assert list(islice(_orbit_samples(orbit), 60)) == [float(n) for n in range(55)] + [54.0] * 5

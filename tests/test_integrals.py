@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from hahnvar import (
     norlund_sum,
     sigma_cell_integral,
 )
+from hahnvar.integrals import _TAIL_WINDOW, _indexed_series
 
 P = HahnParams(0.5, 0.5)
 
@@ -157,3 +159,93 @@ def test_a_series_sums_past_the_merge_on_the_merged_value():
     )
     assert res.converged
     assert len(calls) == 55
+
+
+def test_a_series_stopped_by_tol_calls_f_once_per_term():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return math.cos(t)
+
+    res = integral_from_fixed(HahnParams(0.97, 0.1), f, 2.0, tol=1e-10)
+    assert res.converged and 5 < res.terms_used < 1000
+    assert len(calls) == res.terms_used
+
+
+def _reference_series(q, prefactor, samples, tol, max_terms):
+    """The series loop as it was before the tail test was skipped on terms
+    that cannot pass it, kept as the reference for the driver."""
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if max_terms < 1:
+        raise ValueError(f"max_terms must be at least 1, got {max_terms!r}")
+    if prefactor == 0.0:
+        return SeriesResult(0.0, 0, 0.0, True)
+    total = 0.0
+    comp = 0.0
+    weight = 1.0
+    scale = abs(prefactor) * (q / (1.0 - q) if q < 1.0 else 1.0)
+    recent: deque[float] = deque(maxlen=_TAIL_WINDOW)
+    done = 0
+    tail = math.inf
+    for k, fx in zip(range(max_terms), samples):
+        if not math.isfinite(fx):
+            raise NonFiniteValue(f"series term {k} evaluated to {fx!r}")
+        term = weight * fx
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        done = k + 1
+        recent.append(abs(fx))
+        tail = scale * weight * max(recent)
+        weight *= q
+        if done >= _TAIL_WINDOW and tail <= tol:
+            return SeriesResult(prefactor * total, done, tail, True)
+    return SeriesResult(prefactor * total, done, tail, False)
+
+
+def _outcome(driver, q, prefactor, samples, tol, max_terms):
+    """(result bits or the exception raised, number of samples pulled)."""
+    pulled = []
+
+    def stream():
+        for s in samples:
+            pulled.append(s)
+            yield s
+
+    try:
+        res = driver(q, prefactor, stream(), tol, max_terms)
+    except NonFiniteValue as exc:
+        return (type(exc), str(exc)), len(pulled)
+    return (res.value.hex(), res.terms_used, res.tail_bound.hex(), res.converged), len(pulled)
+
+
+# Sample magnitudes from exact zeros to spikes, with both signs.
+_samples = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(-1e3, 1e3),
+        st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(-40, 0)),
+        st.sampled_from([1e12, -1e12, 5e-324]),
+    ),
+    max_size=80,
+)
+
+
+@given(
+    q=st.one_of(st.sampled_from([0.5, 0.97, 1.0]), st.floats(0.01, 0.999)),
+    prefactor=st.floats(-10.0, 10.0),
+    samples=_samples,
+    decay=st.sampled_from([1.0, 0.5, 0.1, 1e-3]),
+    bad=st.one_of(st.none(), st.tuples(st.integers(0, 80), st.sampled_from([math.inf, -math.inf, math.nan]))),
+    tol=st.sampled_from([1e-300, 1e-12, 1e-6, 1e-2, 1.0, 1e3]),
+    max_terms=st.integers(1, 100),
+)
+def test_series_driver_is_the_reference_loop_bit_for_bit(q, prefactor, samples, decay, bad, tol, max_terms):
+    samples = [s * decay**k for k, s in enumerate(samples)]
+    if bad is not None:
+        samples.insert(min(bad[0], len(samples)), bad[1])
+    got = _outcome(_indexed_series, q, prefactor, samples, tol, max_terms)
+    assert got == _outcome(_reference_series, q, prefactor, samples, tol, max_terms)

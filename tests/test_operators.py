@@ -12,6 +12,7 @@ from hahnvar import (
     InsufficientDepth,
     Lattice,
     LatticePoint,
+    NonFiniteValue,
     OMEGA0_POINT,
     Origin,
     forward_h_difference,
@@ -227,3 +228,90 @@ def test_expression_and_callable_agree_off_the_fixed_point():
         for t in (-1.0, 0.25, 3.0):
             want = hahn_derivative_n(P, lambda s: s**3 - 2.0 * s, r, t)
             assert hahn_derivative_n(P, "t^3 - 2*t", r, t) == want
+
+
+_SMOOTH = [math.sin, lambda t: math.exp(0.1 * t), lambda t: t**3 - 2.0 * t, lambda t: 1.0 / (2.0 + t * t)]
+
+
+def _table_quotient(q, omega, f, t):
+    """Order 1 the way orders r >= 2 take it: the grow stencil, padded past
+    a merge, through the quotient table."""
+    taus = Orbit.grow(q, omega, [t], 1)
+    taus += taus[-1:] * (2 - len(taus))
+    return iterated_quotient(taus, [f(x) for x in taus])
+
+
+def _first_order_paths(q, omega):
+    """(scale q, omega, derivative of f at t) for each operator on the order-1 path."""
+    return [
+        (q, omega, lambda f, t: hahn_derivative(HahnParams(q, omega), f, t)),
+        (1.0, omega, lambda f, t: forward_h_difference(omega, f, t)),
+        (q, 0.0, lambda f, t: jackson_q_derivative(q, f, t)),
+    ]
+
+
+@given(
+    q=st.floats(0.01, 0.99),
+    omega=st.floats(0.01, 5.0),
+    t=st.floats(-50.0, 50.0),
+    k=st.integers(0, len(_SMOOTH) - 1),
+)
+def test_first_order_quotient_is_the_table_bit_for_bit(q, omega, t, k):
+    f = _SMOOTH[k]
+    for scale, shift, derivative in _first_order_paths(q, omega):
+        if t == (shift / (1.0 - scale) if scale < 1.0 else None):
+            continue
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        try:
+            want = _table_quotient(scale, shift, f, t)
+        except DegenerateDenominator:
+            with pytest.raises(DegenerateDenominator):
+                derivative(counted, t)
+            assert calls == [t, t]
+            continue
+        assert derivative(counted, t).hex() == want.hex()
+        assert calls == [t, scale * t + shift]
+
+
+@pytest.mark.parametrize(
+    "derivative, t",
+    [
+        (lambda f, t: hahn_derivative(HahnParams(0.9, 0.1), f, t), 0.9999999999999998),
+        (lambda f, t: forward_h_difference(0.25, f, t), 1e17),
+        (lambda f, t: jackson_q_derivative(0.75, f, t), 5e-324),
+    ],
+)
+def test_first_order_quotient_at_a_merged_node(derivative, t):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x
+
+    with pytest.raises(DegenerateDenominator):
+        derivative(f, t)
+    assert calls == [t, t]
+    # A non-finite value is reported before the zero step.
+    with pytest.raises(NonFiniteValue):
+        derivative(lambda x: math.inf, t)
+
+
+@pytest.mark.parametrize(
+    "derivative",
+    [
+        lambda f: hahn_derivative(P, f, 2.0),
+        lambda f: forward_h_difference(0.25, f, 2.0),
+        lambda f: jackson_q_derivative(0.5, f, 2.0),
+    ],
+)
+def test_first_order_quotient_refuses_non_finite_values(derivative):
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(NonFiniteValue):
+            derivative(lambda x: bad if x == 2.0 else x)
+        with pytest.raises(NonFiniteValue):
+            derivative(lambda x: x if x == 2.0 else bad)

@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -309,6 +310,21 @@ def test_a_series_evaluates_the_candidate_through_its_stopping_term_only(
     zero = GridFunction.sample(problem.lattice(40), lambda t: 0.0)
     first_variation(problem, _counted(calls), zero)
     assert len(calls) == variation_calls
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_first_variation_fd_evaluates_each_orbit_node_once(r):
+    # two shifted series walk each orbit; the second reads the cached values
+    problem = rand_problem(random.Random(5), r)
+    calls, eta_calls = [], []
+
+    def eta(t):
+        eta_calls.append(t)
+        return 0.2 * math.sin(1.3 * t)
+
+    first_variation_fd(problem, _counted(calls), eta)
+    for seen in (calls, eta_calls):
+        assert seen and max(Counter(seen).values()) == 1
 
 
 def test_the_omega0_residual_evaluates_the_candidate_on_its_window_only():
