@@ -27,6 +27,8 @@ from hahnvar.dsl import (
     FUNCTIONS,
     MAX_NESTING,
     BinOp,
+    Call,
+    Neg,
     _emit,
     _walk_eval,
     derivative,
@@ -364,29 +366,119 @@ def test_compiled_partials_agree_with_the_checked_walk(tree, t, u0, u1):
             assert fast == slow
 
 
+_EPS = 2.0**-52
+
+
+def _rounded(e, bindings):
+    """The checked walk's value of e, with a first-order bound on its
+    rounding error: each operation adds an ulp of its result to the error
+    of its operands, carried through the operation's slope."""
+    v = _walk_eval(e, bindings)
+    if not isinstance(e, (Neg, Call, BinOp)):
+        return v, 0.0  # a number or a variable is exact
+    if isinstance(e, BinOp) and not (e.op == "^" and dsl._literal_int_exponent(e.right) is not None):
+        a, ea = _rounded(e.left, bindings)
+        b, eb = _rounded(e.right, bindings)
+        if e.op in "+-":
+            err = ea + eb
+        elif e.op == "*":
+            err = abs(b) * ea + abs(a) * eb
+        elif e.op == "/":
+            err = (ea + abs(v) * eb) / abs(b)
+        else:  # a^b as exp(b ln a)
+            err = abs(v) * (abs(b) * ea / a + abs(math.log(a)) * (eb + _EPS * abs(b)))
+        err += _EPS * abs(v)
+    else:
+        a, ea = _rounded(e.left if isinstance(e, BinOp) else e.operand, bindings)
+        fn = "^" if isinstance(e, BinOp) else getattr(e, "fn", "neg")
+        if fn in ("neg", "abs"):
+            slope = 1.0
+        elif fn == "^":
+            k = dsl._literal_int_exponent(e.right)
+            slope = abs(k * v / a) if a != 0.0 else float(k == 1)
+        elif fn in ("sin", "cos"):
+            slope = abs(math.cos(a) if fn == "sin" else math.sin(a))
+        elif fn == "exp":
+            slope = v
+        elif fn == "ln":
+            slope = 1 / a
+        else:  # sqrt
+            slope = math.inf if v == 0.0 else 0.5 / v
+        err = (slope * ea if ea else 0.0) + 2 * _EPS * abs(v)
+    return v, math.inf if math.isnan(err) else err
+
+
+def _smooth_tolerance(values, noise, h):
+    """How far a derivative at x may be from the central difference of the
+    values at x - 2h .. x + 2h, or None where they do not resolve it; noise
+    bounds the rounding error of any one value."""
+    lo2, lo, mid, hi, hi2 = values
+    central = (hi - lo) / (2 * h)
+    wide = (hi2 - lo2) / (4 * h)
+    # rounding in the three values, plus a relative allowance for truncation
+    tol = 1e-4 * (1.0 + abs(central)) + 1e-14 * max(abs(lo), abs(mid), abs(hi)) / h
+    # The rounding error of a value is bounded by its operations, not its
+    # size: (t + 0.5/u1) - (u0 + 0.5/u1) at u1 = 1e-8 is t - u0 only to
+    # within 7e-9, and sin(1/u1) at u1 = 1e-27 is noise.
+    if 2 * noise / h > tol:
+        return None
+    if abs((hi - mid) - (mid - lo)) / h > tol:
+        return None  # a kink or a sharp bend inside the stencil
+    # The truncation error of `central` is h^2/6 times the third derivative
+    # and that of `wide` four times it, so their gap is three times the error
+    # of `central`, as for (t + t/u1)^-3 = u1^3 / (t (1 + u1))^3 near u1 = 0
+    # with small t: an odd cubic, whose second difference is 0 but whose
+    # third derivative is 6/t^3.
+    if abs(wide - central) > tol:
+        return None
+    # The curvature read at steps h and 2h must agree too.  This test has no
+    # absolute floor, so it also sees a pole inside the stencil of a function
+    # whose values are all far below tol, as for t/u1 with t = 1e-173 and
+    # u1 = 5e-141: the four outer values are odd about the pole and pass the
+    # tests above, while the centre value sits on it.
+    curv = (hi - 2 * mid + lo) / h**2
+    curv_wide = (hi2 - 2 * mid + lo2) / (2 * h) ** 2
+    if abs(curv_wide - curv) > 1e-2 * (abs(curv) + abs(curv_wide)) + 8 * noise / h**2:
+        return None
+    return tol
+
+
 @settings(deadline=None, max_examples=300)
 @given(_trees(3), _coord, _coord, _coord, st.sampled_from((0, 1)))
 def test_partials_match_central_differences_at_smooth_points(tree, t, u0, u1, i):
     L = compile_lagrangian(tree, 1)
     h = 1e-6
 
-    def at(x):
-        us = [u0, u1]
-        us[i] = x
-        return L.value(t, us)
+    def env(x):
+        bindings = {"t": t, "u0": u0, "u1": u1}
+        bindings[f"u{i}"] = x
+        return bindings
 
     x = (u0, u1)[i]
+    stencil = [env(x + k * h) for k in (-2, -1, 0, 1, 2)]
+    nodes = {node for node, _ in dsl._walk(tree)}
     try:
-        lo, mid, hi = at(x - h), at(x), at(x + h)
+        values = [L.value(b["t"], (b["u0"], b["u1"])) for b in stencil]
         fast = L.partial(i, t, (u0, u1))
         slow = partial_eval(tree, {"t": t, "u0": u0, "u1": u1}, f"u{i}")
+        walked = {node: [_rounded(node, b) for b in stencil] for node in nodes}
+        _, slope_noise = _rounded(derivative(tree, f"u{i}"), env(x))
     except HahnvarError:
         return  # not defined on the whole stencil
-    central = (hi - lo) / (2 * h)
-    # rounding in the three values, plus a relative allowance for truncation
-    tol = 1e-4 * (1.0 + abs(central)) + 1e-14 * max(abs(lo), abs(mid), abs(hi)) / h
-    if abs((hi - mid) - (mid - lo)) / h > tol:
-        return  # a kink or a sharp bend inside the stencil: not a smooth point
+    # By the chain rule every subexpression must be smooth on the stencil,
+    # not just the root: in 2 + t/sin(u0) at t = 4e-250, u0 = 2e-235 the pole
+    # of t/sin(u0) moves the root's values by a few ulps only.
+    for node in nodes - {tree}:
+        node_values, node_noise = zip(*walked[node])
+        if _smooth_tolerance(node_values, max(node_noise), h) is None:
+            return
+    tol = _smooth_tolerance(values, max(err for _, err in walked[tree]), h)
+    # The slope's own rounding must fit in tol as well: sin(u0/(t*u0)) does
+    # not depend on u0, but its symbolic slope at u0 = 1.6e-284 is an ulp of
+    # its numerator divided by t*u0.
+    if tol is None or 2 * slope_noise > tol:
+        return
+    central = (values[3] - values[1]) / (2 * h)
     assert fast == slow
     assert abs(fast - central) <= tol
 
