@@ -9,7 +9,8 @@ fixed point itself.
 
 Every orbit node is realized in one place, ``Orbit.grow``, by the
 recurrence t[n+1] = q*t[n] + omega (the n-fold application of
-``HahnParams.sigma``); only the first-order quotient takes its one step inline.
+``HahnParams.sigma``); only the first-order quotient takes its one step
+inline.
 Near omega0 two consecutive nodes eventually round to the same float;
 under the recurrence such a merge is absorbing, since fl(q*t + omega) = t
 fixes t for good, so a single index caps the usable part of an orbit.
@@ -146,26 +147,20 @@ class Orbit:
         return min(m, len(nodes) - 1)
 
     def walk(self) -> Iterator[tuple[float, float]]:
-        """Yield (t[n], value[n]) for n = 0, 1, ... through the cap, in chunks:
-        on reaching an unrealized n it asks ``grow`` for index min(2n, grid
-        depth), one call per doubling.  Values already in ``values`` are
-        read; the rest are evaluated as the walk reaches them and appended,
-        so none past the consumer's last term is formed and a later walk
-        reads them.  One walk at a time may realize an orbit's values."""
-        q, omega, nodes, vals, source = self.q, self.omega, self.nodes, self.values, self._source
-        depth, append = self._grid_depth, vals.append
-
-        def realize(t: float) -> float:
-            v = source(t)
-            append(v)
-            return v
-
+        """Yield (t[n], value[n]) for n = 0, 1, ... through the cap, realizing
+        each value when the walk gets to it, into ``values``.  Nodes come
+        from ``grow``, asked for index min(2n, grid depth) when the walk
+        reaches an unrealized n, so a walk pays one call per doubling and
+        realizes no node past a grid's depth."""
+        nodes, vals, source, depth = self.nodes, self.values, self._source, self._grid_depth
         n = 0
-        while n < (end := min(len(self.grow(q, omega, nodes, min(2 * n, depth))), depth + 1)):
-            known = min(len(vals), end)
-            yield from zip(nodes[n:known], vals[n:known])
-            yield from zip(nodes[known:end], map(realize, nodes[known:end]))
-            n = end
+        while n <= depth:
+            if n == len(nodes) and n == len(self.grow(self.q, self.omega, nodes, min(2 * n, depth))):
+                return
+            if n == len(vals):
+                vals.append(source(nodes[n]))
+            yield nodes[n], vals[n]
+            n += 1
 
     def window(self, k: int, width: int) -> tuple[list[float], list[float]]:
         """Nodes and values at indices k .. k + width - 1.  A window past

@@ -10,9 +10,9 @@ The classical limits are parameter values of the same sum, summed by
 the same driver: omega = 0 is Jackson's q-integral (fixed point 0), and
 q = 1 with omega = h is the Noerlund sum -h * sum_k f(x + k*h).  The
 driver draws its samples from an iterator, one per term, so a series is
-one streaming pass over its orbit (``Orbit.walk``, whose chunks go
-through ``zip`` and ``map``): no sample past the stopping term is
-formed, and an iterator that runs out is an exhausted orbit.
+one streaming pass over its orbit (``Orbit.walk``): no sample past the
+stopping term is formed, and an iterator that runs out is an exhausted
+orbit.
 
 For q < 1 convergence is certified with a geometric tail bound: once
 the running maximum of recent samples is M, the unsummed remainder is
@@ -29,7 +29,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .core import DEFAULT_MAX_TERMS, DEFAULT_TOL, HahnParams, Orbit
@@ -126,8 +125,10 @@ def _orbit_samples(orbit: Orbit) -> Iterator[float]:
     """The orbit's values through the cap, then the value at the cap
     forever: past a merge every node is the merged point.  That is not
     ``values[-1]`` on a grid that merges below its depth."""
-    yield from map(itemgetter(1), orbit.walk())
-    yield from repeat(orbit.values[orbit.cap(len(orbit.nodes))])
+    v = None
+    for _, v in orbit.walk():
+        yield v
+    yield from repeat(v)
 
 
 def _one_sided(

@@ -257,6 +257,29 @@ def test_a_full_walk_of_a_grid_orbit_realizes_no_node_past_its_depth(depth):
     assert len(orbit.nodes) <= depth + 1
 
 
+def test_walks_and_windows_interleaved_on_one_orbit_share_its_values():
+    from hahnvar.core import Orbit
+
+    # Two walks realizing one function-of-t orbit in turn, and a window
+    # under a suspended walk, each read what the other realized.
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return t * t
+
+    orbit = Orbit(0.9, 0.1, 3.0, f)
+    first, second = orbit.walk(), orbit.walk()
+    pairs = []
+    for n in range(20):
+        pairs += [next(first), next(second)]
+        if n == 5:
+            orbit.window(0, 12)
+    assert pairs == [(t, t * t) for t in orbit.nodes[:20] for _ in range(2)]
+    assert orbit.values == [t * t for t in orbit.nodes[:20]]
+    assert calls == orbit.nodes[:20]
+
+
 def test_series_samples_repeat_the_value_at_the_cap_of_a_grid_merging_below_its_depth():
     from itertools import islice
 
