@@ -462,7 +462,6 @@ def test_partials_match_central_differences_at_smooth_points(tree, t, u0, u1, i)
         fast = L.partial(i, t, (u0, u1))
         slow = partial_eval(tree, {"t": t, "u0": u0, "u1": u1}, f"u{i}")
         walked = {node: [_rounded(node, b) for b in stencil] for node in nodes}
-        _, slope_noise = _rounded(derivative(tree, f"u{i}"), env(x))
     except HahnvarError:
         return  # not defined on the whole stencil
     # By the chain rule every subexpression must be smooth on the stencil,
@@ -473,14 +472,44 @@ def test_partials_match_central_differences_at_smooth_points(tree, t, u0, u1, i)
         if _smooth_tolerance(node_values, max(node_noise), h) is None:
             return
     tol = _smooth_tolerance(values, max(err for _, err in walked[tree]), h)
-    # The slope's own rounding must fit in tol as well: sin(u0/(t*u0)) does
-    # not depend on u0, but its symbolic slope at u0 = 1.6e-284 is an ulp of
-    # its numerator divided by t*u0.
-    if tol is None or 2 * slope_noise > tol:
+    if tol is None:
         return
     central = (values[3] - values[1]) / (2 * h)
     assert fast == slow
     assert abs(fast - central) <= tol
+
+
+@pytest.mark.xfail(strict=True, reason="the symbolic slope loses its precision here (CHANGES.md FOUND)")
+@pytest.mark.parametrize(
+    "source, t, us, i",
+    [
+        # u0/(t*u0) = 1/t does not depend on u0.  The quotient rule's
+        # numerator 1 - (u0/(t*u0))*t cancels to an ulp, which dividing by
+        # t*u0 = 3e-284 turns into a slope of -6.4e267.
+        ("sin(u0/(t*u0))", 1.78125, (1.6384655325909898e-284, 0.0), 0),
+        ("ln(u1/(t*u1))", 1.192237222384376e-111, (0.0, 1.192237222384376e-111), 1),
+        # The slopes 1 and -1 cancel to 0.0 in these two.  The property
+        # skips the first, whose subexpression t/u0 has a pole inside the
+        # stencil, and fails on the second.
+        ("(t*u0)*(t + t/u0)", 1.0, (5.97e-56, 0.0), 0),
+        ("u1/(sin(u1)*exp(u1))", 0.0, (0.0, 3.16e-135), 1),
+        # u1*u1 = 1.3e-322 is subnormal, 26 times the smallest float: the
+        # slope of u1 reads 1.0012.
+        ("(u1*u1)/u1", 0.0, (0.0, 1.1340777288321272e-161), 1),
+    ],
+    ids=["removable-sin", "removable-ln", "cancel-product", "cancel-quotient", "subnormal"],
+)
+def test_partials_match_central_differences_where_the_slope_rounds_badly(source, t, us, i):
+    L = compile_lagrangian(source, 1)
+    h = 1e-6
+
+    def at(x):
+        shifted = list(us)
+        shifted[i] = x
+        return L.value(t, shifted)
+
+    central = (at(us[i] + h) - at(us[i] - h)) / (2 * h)
+    assert abs(L.partial(i, t, us) - central) <= 1e-4 * (1.0 + abs(central))
 
 
 @pytest.mark.parametrize("source", ["1/(u0*u0)", "1e300/(u0*u0)"])
