@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, formats, reproducibility."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -315,3 +316,215 @@ def test_json_renders_an_unbounded_tail_as_null(tmp_path, capsys):
     code, out, _ = run(capsys, "evaluate", str(cfg), "--format", "csv")
     assert code == 4
     assert out.splitlines()[1].split(",")[2] == "inf"
+
+
+# ---------------------------------------------------------------------------
+# The input contract: every ConfigError message of the CLI, each with exit 2
+# ---------------------------------------------------------------------------
+
+_DROP = object()
+
+_TABLE_DEPTH = 6
+
+_TABLE = {
+    "type": "table",
+    "rows": [[origin, n, 0.0] for origin in ("a", "b") for n in range(_TABLE_DEPTH + 1)],
+    "omega0": 0.0,
+}
+
+_RUN = {
+    "q": 0.5, "omega": 0.5, "a": -1.0, "b": 2.0, "r": 1, "lagrangian": "u1^2",
+    "alpha": [0.0], "beta": [0.0], "candidate": {"type": "expr", "value": "0"},
+    "depth": _TABLE_DEPTH,
+}
+
+
+def _run_text(**changes):
+    """The JSON text of the valid run config ``_RUN`` with keys replaced
+    (or dropped, for ``_DROP``); json writes nan and inf as NaN and Infinity."""
+    cfg = {**_RUN, **changes}
+    return json.dumps({k: v for k, v in cfg.items() if v is not _DROP})
+
+
+def _table(**changes):
+    entry = {**_TABLE, **changes}
+    return {k: v for k, v in entry.items() if v is not _DROP}
+
+
+# (id, config text, message): faults in the config's own keys, which
+# evaluate, el-check and minimize all report.
+CONFIG_FAULTS = [
+    ("not-json", "not json", "config is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("not-an-object", "[1, 2]", "config must be a JSON object"),
+    ("unknown-keys", _run_text(surprise=1, extra=2), "unknown config keys: extra, surprise"),
+    ("missing-keys", _run_text(q=_DROP, lagrangian=_DROP), "missing config keys: q, lagrangian"),
+    ("q-string", _run_text(q="0.5"), "config key 'q' must be a number"),
+    ("omega-boolean", _run_text(omega=True), "config key 'omega' must be a number"),
+    ("a-nan", _run_text(a=math.nan), "config key 'a' must be finite"),
+    ("b-infinity", _run_text(b=math.inf), "config key 'b' must be finite"),
+    ("tol-string", _run_text(tol="1e-9"), "config key 'tol' must be a number"),
+    ("tol-infinity", _run_text(tol=math.inf), "config key 'tol' must be finite"),
+    ("r-float", _run_text(r=1.0), "config key 'r' must be an integer"),
+    ("r-boolean", _run_text(r=True), "config key 'r' must be an integer"),
+    ("depth-float", _run_text(depth=6.5), "config key 'depth' must be an integer"),
+    ("max-terms-string", _run_text(max_terms="100"), "config key 'max_terms' must be an integer"),
+    ("alpha-number", _run_text(alpha=0.0), "config key 'alpha' must be an array of numbers"),
+    ("alpha-string-item", _run_text(alpha=["0"]), "config key 'alpha' must contain finite numbers"),
+    ("beta-nan-item", _run_text(beta=[math.nan]), "config key 'beta' must contain finite numbers"),
+    ("lagrangian-number", _run_text(lagrangian=1), "config key 'lagrangian' must be a string"),
+    ("format-unknown", _run_text(format="xml"),
+     "config key 'format' must be one of table, json, csv"),
+    ("include-omega0-number", _run_text(include_omega0=1),
+     "config key 'include_omega0' must be a boolean"),
+    # Well-typed values that Problem or HahnParams reject.
+    ("q-outside", _run_text(q=1.5), "q must be a finite number strictly inside (0, 1), got 1.5"),
+    ("a-above-b", _run_text(a=3.0), "need finite a < b, got 3.0, 2.0"),
+    ("alpha-too-long", _run_text(alpha=[0.0, 0.0]), "alpha and beta must each hold r = 1 values"),
+]
+
+# (id, config text, message): faults in the candidate, which evaluate and
+# el-check resolve (minimize starts from its own guess).
+CANDIDATE_FAULTS = [
+    ("no-candidate", _run_text(candidate=_DROP),
+     "config has no candidate; add one or pass --candidate-expr"),
+    ("null-candidate", _run_text(candidate=None),
+     "config has no candidate; add one or pass --candidate-expr"),
+    ("candidate-string", _run_text(candidate="0"), "candidate must be an object with a 'type' tag"),
+    ("candidate-untagged", _run_text(candidate={"value": "0"}),
+     "candidate must be an object with a 'type' tag"),
+    ("expr-extra-key", _run_text(candidate={"type": "expr", "value": "0", "x": 1}),
+     "expr candidate must be {'type': 'expr', 'value': string}"),
+    ("expr-number", _run_text(candidate={"type": "expr", "value": 0}),
+     "expr candidate must be {'type': 'expr', 'value': string}"),
+    ("expr-of-u0", _run_text(candidate={"type": "expr", "value": "u0 + t"}),
+     "candidate expression may only use t, found 'u0'"),
+    ("builtin-unknown", _run_text(candidate={"type": "builtin", "name": "nope"}),
+     "builtin candidate must name one of: ystar"),
+    ("builtin-extra-key", _run_text(candidate={"type": "builtin", "name": "ystar", "x": 1}),
+     "builtin candidate must name one of: ystar"),
+    ("type-unknown", _run_text(candidate={"type": "spline"}), "unknown candidate type 'spline'"),
+    ("table-unknown-key", _run_text(candidate=_table(x=1)), "unknown table candidate keys: x"),
+    ("table-no-rows", _run_text(candidate=_table(rows=_DROP)),
+     "table candidate needs a 'rows' array"),
+    ("table-rows-object", _run_text(candidate=_table(rows={})),
+     "table candidate needs a 'rows' array"),
+    ("table-no-omega0", _run_text(candidate=_table(omega0=_DROP)),
+     "table candidate needs an 'omega0' value"),
+    ("table-omega0-string", _run_text(candidate=_table(omega0="0")),
+     "table candidate 'omega0' must be a number"),
+    ("table-row-pair", _run_text(candidate=_table(rows=[["a", 0]])),
+     "table rows must be [origin, n, value] triples"),
+    ("table-row-origin", _run_text(candidate=_table(rows=[["c", 0, 0.0]])),
+     "table row origin must be 'a' or 'b', got 'c'"),
+    ("table-row-negative-index", _run_text(candidate=_table(rows=[["a", -1, 0.0]])),
+     "table row index must be a nonnegative integer, got -1"),
+    ("table-row-boolean-index", _run_text(candidate=_table(rows=[["a", True, 0.0]])),
+     "table row index must be a nonnegative integer, got True"),
+    ("table-row-value-string", _run_text(candidate=_table(rows=[["a", 0, "0"]])),
+     "table row value must be a number, got '0'"),
+    ("table-row-duplicate", _run_text(candidate=_table(rows=[*_TABLE["rows"], ["a", 0, 1.0]])),
+     "duplicate table row for ('a', 0)"),
+    ("table-misses", _run_text(candidate=_table(rows=[r for r in _TABLE["rows"] if r[1] != 3])),
+     "table candidate misses orbit 'a' indices: 3"),
+    ("table-misses-many", _run_text(depth=20, candidate=_TABLE),
+     "table candidate misses orbit 'a' indices: 7, 8, 9, 10, 11, 12, 13, 14..."),
+]
+
+_DERIV = ["deriv", "--q", "0.5", "--omega", "0.5", "--expr", "t", "--t", "2"]
+
+# (id, argv, message): faults in the flags, or in what they name.
+FLAG_FAULTS = [
+    ("order-negative", [*_DERIV, "--order", "-1"], "--order must be nonnegative"),
+    ("evaluate-no-config", ["evaluate"], "provide a config file or --builtin NAME"),
+    ("el-check-no-config", ["el-check"], "provide a config file or --builtin NAME"),
+    ("minimize-no-config", ["minimize"], "provide a config file or --builtin NAME"),
+    ("builtin-unknown", ["evaluate", "--builtin", "nope"],
+     "unknown builtin config 'nope'; choose from double-well"),
+    ("config-absent", ["evaluate", "no-such-run.json"],
+     "[Errno 2] No such file or directory: 'no-such-run.json'"),
+    ("candidate-expr-of-u1", ["evaluate", "--builtin", "double-well", "--candidate-expr", "u1"],
+     "candidate expression may only use t, found 'u1'"),
+    ("candidate-builtin-unknown",
+     ["el-check", "--builtin", "double-well", "--candidate-builtin", "nope"],
+     "unknown builtin candidate 'nope'"),
+]
+
+
+def _exits_2_with(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "el-check", "minimize"])
+@pytest.mark.parametrize("text, message", [c[1:] for c in CONFIG_FAULTS],
+                         ids=[c[0] for c in CONFIG_FAULTS])
+def test_a_config_fault_exits_2_with_its_message(tmp_path, capsys, command, text, message):
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    _exits_2_with(capsys, [command, str(path)], message)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "el-check"])
+@pytest.mark.parametrize("text, message", [c[1:] for c in CANDIDATE_FAULTS],
+                         ids=[c[0] for c in CANDIDATE_FAULTS])
+def test_a_candidate_fault_exits_2_with_its_message(tmp_path, capsys, command, text, message):
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    _exits_2_with(capsys, [command, str(path)], message)
+
+
+@pytest.mark.parametrize("argv, message", [c[1:] for c in FLAG_FAULTS],
+                         ids=[c[0] for c in FLAG_FAULTS])
+def test_a_flag_fault_exits_2_with_its_message(capsys, argv, message):
+    _exits_2_with(capsys, argv, message)
+
+
+def test_the_valid_run_config_runs(tmp_path, capsys):
+    for candidate in (_RUN["candidate"], _TABLE):
+        path = tmp_path / "run.json"
+        path.write_text(_run_text(candidate=candidate))
+        for command in ("evaluate", "el-check"):
+            code, _, err = run(capsys, command, str(path))
+            assert (code, err) == (0, "")
+
+
+def test_every_config_error_message_is_pinned():
+    # Each ConfigError(...) literal of the CLI, its replacement fields read
+    # as wildcards, must match a message the tests above assert.
+    import inspect
+    import re
+
+    import hahnvar.cli
+
+    literals = re.findall(r'ConfigError\(\s*f?"([^"]*)"', inspect.getsource(hahnvar.cli))
+    assert literals
+    pinned = [c[-1] for c in CONFIG_FAULTS + CANDIDATE_FAULTS + FLAG_FAULTS]
+    for literal in literals:
+        pattern = ".*".join(re.escape(part) for part in re.split(r"\{[^{}]*\}", literal))
+        assert any(re.fullmatch(pattern, m) for m in pinned), literal
+
+
+def test_integrate_out_of_max_terms_exits_4(capsys):
+    code, out, err = run(
+        capsys, "integrate", "--q", "0.5", "--omega", "0.5", "--expr", "t",
+        "--a", "-1", "--b", "2", "--max-terms", "3", "--format", "json",
+    )
+    assert code == 4
+    assert json.loads(out)["converged"] is False
+    assert err.startswith("series did not converge within 3 terms (tail bound ")
+    assert err.count("\n") == 1
+
+
+def test_the_builtin_candidate_flag_overrides_the_config_candidate(tmp_path, capsys):
+    path = _double_well_config(tmp_path, candidate={"type": "expr", "value": "0"})
+    code, out, err = run(
+        capsys, "evaluate", path, "--candidate-builtin", "ystar", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == 0.0
+
+
+def test_demo_beam_in_process(capsys):
+    code, out, err = run(capsys, "demo", "beam", "--depth", "12", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["passed"] is True

@@ -134,6 +134,9 @@ def test_control_validation():
         integral_from_fixed(P, lambda t: t, 2.0, tol=0.0)
     with pytest.raises(ValueError):
         integral_from_fixed(P, lambda t: t, 2.0, max_terms=0)
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="endpoint must be finite"):
+            integral_from_fixed(P, lambda t: t, x)
 
 
 def test_series_result_is_frozen():

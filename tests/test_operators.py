@@ -168,6 +168,8 @@ def test_norm_counts_all_orders():
     assert norm_r_inf(g, 1) == pytest.approx(3.0, abs=1e-12)
     with pytest.raises(InsufficientDepth):
         norm_r_inf(GridFunction.sample(Lattice(P, -1.0, 2.0, depth=1), lambda t: t), 2)
+    with pytest.raises(ValueError, match="non-negative"):
+        norm_r_inf(g, -1)
 
 
 def test_forward_h_difference():

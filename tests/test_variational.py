@@ -14,11 +14,13 @@ from hahnvar import (
     GridFunction,
     HahnParams,
     InsufficientDepth,
+    Lattice,
     LatticePoint,
     NotAVariation,
     OMEGA0_POINT,
     Origin,
     Problem,
+    compile_lagrangian,
     el_report,
     el_residual,
     first_variation,
@@ -50,6 +52,10 @@ def test_problem_validation():
         Problem(P, 1, 2.0, -1.0, (0.0,), (0.0,), "u1")
     with pytest.raises(ValueError):
         Problem(P, 1, -1.0, 2.0, (0.0, 0.0), (0.0,), "u1")
+    with pytest.raises(ValueError, match="3 slots but the order is 1"):
+        Problem(P, 1, -1.0, 2.0, (0.0,), (0.0,), compile_lagrangian("u2^2", 2))
+    with pytest.raises(ValueError, match="boundary values must be finite"):
+        Problem(P, 1, -1.0, 2.0, (math.nan,), (0.0,), "u1")
 
 
 def test_trajectory_identity_candidate():
@@ -91,6 +97,9 @@ def test_materialize_and_depth_guard():
     with pytest.raises(InsufficientDepth):
         materialize(FREE, grid, depth=20)
     assert materialize(FREE, grid, depth=10) is grid
+    elsewhere = GridFunction.sample(Lattice(P, -1.0, 3.0, 12), lambda t: t * t)
+    with pytest.raises(ValueError, match="different lattice"):
+        materialize(FREE, elsewhere, depth=12)
 
 
 def test_functional_constant_integrand_gives_length():
@@ -157,6 +166,17 @@ def test_variation_check_and_closure():
 def test_first_variation_rejects_non_variation():
     with pytest.raises(NotAVariation):
         first_variation(FREE, lambda t: t, lambda t: 1.0)
+
+
+def test_first_variation_fd_rejects_a_nonpositive_eps():
+    for eps in (0.0, -1e-5):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            first_variation_fd(FREE, lambda t: t, lambda t: 0.0, eps=eps)
+
+
+def test_a_value_that_is_not_a_candidate_raises_type_error():
+    with pytest.raises(TypeError, match="not a usable candidate"):
+        functional_value(FREE, 3.0)
 
 
 def test_first_variation_matches_central_difference():
@@ -232,6 +252,9 @@ def test_el_report_flags_boundary_and_residuals():
 def test_el_report_depth_validation():
     with pytest.raises(InsufficientDepth):
         el_report(FREE, lambda t: t, depth=2)
+    # an r = 1 omega0 estimate reads 4 points; depth 2 leaves each orbit 3
+    with pytest.raises(InsufficientDepth, match="no orbit offers 4 usable points"):
+        el_residual(FREE, lambda t: t, OMEGA0_POINT, depth=2)
 
 
 def test_el_report_omega0_is_advisory():
