@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: deriv, integrate, el-check, evaluate, minimize, demo.
-Run configurations are strict JSON (unknown keys are errors) so runs
-stay reproducible; command-line flags override config values.
+Run configurations are strict JSON, so runs stay reproducible: unknown or
+missing keys are errors, each key passes the one check ``_CONFIG_CHECKS``
+gives it, and the candidate, from the config or a flag, is checked where
+it is resolved.  Command-line flags override config values.
 
 Exit codes are a stable contract:
   0 success / check passed
@@ -38,7 +40,8 @@ if TYPE_CHECKING:
 # Each subcommand imports the modules it runs when it runs, so a process
 # compiles no module its subcommand does not use.
 
-_INPUT_ERRORS = (ConfigError, ExprSyntaxError, UnknownIdentifier, ArityError)
+# Exit 2; OSError is an unreadable config, ValueError a value the library rejects.
+_INPUT_ERRORS = (ConfigError, ExprSyntaxError, UnknownIdentifier, ArityError, OSError, ValueError)
 
 _FORMATS = ("table", "json", "csv")
 
@@ -157,62 +160,59 @@ def _output(
 # Config handling
 # ---------------------------------------------------------------------------
 
-def _require_real(cfg: dict, key: str) -> float:
-    v = cfg.get(key)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"config key {key!r} must be a number")
-    if not math.isfinite(v):
-        raise ConfigError(f"config key {key!r} must be finite")
-    return float(v)
+def _real(value: Any, name: str) -> float:
+    """A finite JSON number as a float; an integer past the double range is not finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be finite")
+    return float(value)
 
 
-def _require_int(cfg: dict, key: str) -> int:
-    v = cfg.get(key)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"config key {key!r} must be an integer")
-    return v
+def _reals(value: Any, name: str) -> list[float]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be an array of numbers")
+    try:
+        return [_real(v, name) for v in value]
+    except ConfigError:
+        raise ConfigError(f"{name} must contain finite numbers") from None
 
 
-def _require_real_list(cfg: dict, key: str) -> list[float]:
-    v = cfg.get(key)
-    if not isinstance(v, list):
-        raise ConfigError(f"config key {key!r} must be an array of numbers")
-    out = []
-    for item in v:
-        if isinstance(item, bool) or not isinstance(item, (int, float)) or not math.isfinite(item):
-            raise ConfigError(f"config key {key!r} must contain finite numbers")
-        out.append(float(item))
-    return out
+def _must_be(noun: str, test: Callable[[Any], bool]) -> Callable[[Any, str], Any]:
+    def check(value: Any, name: str) -> Any:
+        if not test(value):
+            raise ConfigError(f"{name} must be {noun}")
+        return value
+
+    return check
 
 
-_CONFIG_KEYS = {
-    "q",
-    "omega",
-    "a",
-    "b",
-    "r",
-    "lagrangian",
-    "alpha",
-    "beta",
-    "candidate",
-    "depth",
-    "tol",
-    "max_terms",
-    "include_omega0",
-    "format",
+_integer = _must_be("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+
+# Each run-config key's check, which returns the value it passes.  The
+# candidate is checked where it is resolved.
+_CONFIG_CHECKS: dict[str, Callable[[Any, str], Any]] = {
+    **dict.fromkeys(("q", "omega", "a", "b", "tol"), _real),
+    **dict.fromkeys(("r", "depth", "max_terms"), _integer),
+    **dict.fromkeys(("alpha", "beta"), _reals),
+    "lagrangian": _must_be("a string", lambda v: isinstance(v, str)),
+    "include_omega0": _must_be("a boolean", lambda v: isinstance(v, bool)),
+    "format": _must_be(f"one of {', '.join(_FORMATS)}", lambda v: v in _FORMATS),
+    "candidate": lambda value, name: value,
 }
 _REQUIRED_KEYS = ("q", "omega", "a", "b", "r", "lagrangian", "alpha", "beta")
 
 
 def _load_config(args) -> dict:
-    if getattr(args, "builtin", None):
+    """The run config of ``--builtin`` or the config file, each key checked."""
+    if args.builtin:
         name = args.builtin
         if name not in _BUILTIN_CONFIGS:
             raise ConfigError(
                 f"unknown builtin config {name!r}; choose from {', '.join(_BUILTIN_CONFIGS)}"
             )
-        cfg = json.loads(json.dumps(_BUILTIN_CONFIGS[name]))
-    elif getattr(args, "config", None):
+        cfg = _BUILTIN_CONFIGS[name]
+    elif args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
@@ -222,41 +222,27 @@ def _load_config(args) -> dict:
         raise ConfigError("provide a config file or --builtin NAME")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS
+    unknown = set(cfg) - set(_CONFIG_CHECKS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     missing = [k for k in _REQUIRED_KEYS if k not in cfg]
     if missing:
         raise ConfigError(f"missing config keys: {', '.join(missing)}")
-    if not isinstance(cfg.get("lagrangian"), str):
-        raise ConfigError("config key 'lagrangian' must be a string")
-    if "format" in cfg and cfg["format"] not in _FORMATS:
-        raise ConfigError(f"config key 'format' must be one of {', '.join(_FORMATS)}")
-    if "include_omega0" in cfg and not isinstance(cfg["include_omega0"], bool):
-        raise ConfigError("config key 'include_omega0' must be a boolean")
-    for key in ("depth", "max_terms"):
-        if key in cfg:
-            _require_int(cfg, key)
-    if "tol" in cfg:
-        _require_real(cfg, "tol")
-    return cfg
+    return {key: _CONFIG_CHECKS[key](value, f"config key {key!r}") for key, value in cfg.items()}
 
 
 def _build_problem(cfg: dict) -> Problem:
     from .variational import Problem
 
-    try:
-        return Problem(
-            params=HahnParams(_require_real(cfg, "q"), _require_real(cfg, "omega")),
-            r=_require_int(cfg, "r"),
-            a=_require_real(cfg, "a"),
-            b=_require_real(cfg, "b"),
-            alpha=tuple(_require_real_list(cfg, "alpha")),
-            beta=tuple(_require_real_list(cfg, "beta")),
-            lagrangian=cfg["lagrangian"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return Problem(
+        params=HahnParams(cfg["q"], cfg["omega"]),
+        r=cfg["r"],
+        a=cfg["a"],
+        b=cfg["b"],
+        alpha=cfg["alpha"],
+        beta=cfg["beta"],
+        lagrangian=cfg["lagrangian"],
+    )
 
 
 def _expr_of_t(source: str) -> Expr:
@@ -276,9 +262,7 @@ def _table_candidate(problem: Problem, entry: dict, depth: int) -> GridFunction:
         raise ConfigError("table candidate needs a 'rows' array")
     if "omega0" not in entry:
         raise ConfigError("table candidate needs an 'omega0' value")
-    fixed = entry["omega0"]
-    if isinstance(fixed, bool) or not isinstance(fixed, (int, float)):
-        raise ConfigError("table candidate 'omega0' must be a number")
+    fixed = _real(entry["omega0"], "table candidate 'omega0'")
     values: dict[str, dict[int, float]] = {"a": {}, "b": {}}
     for row in rows:
         if not (isinstance(row, list) and len(row) == 3):
@@ -288,11 +272,13 @@ def _table_candidate(problem: Problem, entry: dict, depth: int) -> GridFunction:
             raise ConfigError(f"table row origin must be 'a' or 'b', got {origin!r}")
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ConfigError(f"table row index must be a nonnegative integer, got {n!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"table row value must be a number, got {value!r}")
+        try:
+            value = _real(value, "table row value")
+        except ConfigError as exc:
+            raise ConfigError(f"{exc}, got {value!r}") from None
         if n in values[origin]:
             raise ConfigError(f"duplicate table row for ({origin!r}, {n})")
-        values[origin][n] = float(value)
+        values[origin][n] = value
     for origin, got in values.items():
         missing = [str(n) for n in range(depth + 1) if n not in got]
         if missing:
@@ -304,25 +290,16 @@ def _table_candidate(problem: Problem, entry: dict, depth: int) -> GridFunction:
         problem.lattice(depth),
         values_a=[values["a"][n] for n in range(depth + 1)],
         values_b=[values["b"][n] for n in range(depth + 1)],
-        value_at_fixed=float(fixed),
+        value_at_fixed=fixed,
     )
 
 
-def _builtin_candidate(name: str) -> Callable[[float], float]:
-    from . import demos
-
-    return getattr(demos, name)
-
-
 def _resolve_candidate(args, cfg: dict, problem: Problem, depth: int):
-    if getattr(args, "candidate_expr", None) is not None:
-        return _expr_of_t(args.candidate_expr)
-    if getattr(args, "candidate_builtin", None) is not None:
-        name = args.candidate_builtin
-        if name not in _BUILTIN_CANDIDATES:
-            raise ConfigError(f"unknown builtin candidate {name!r}")
-        return _builtin_candidate(name)
     entry = cfg.get("candidate")
+    if args.candidate_expr is not None:
+        entry = {"type": "expr", "value": args.candidate_expr}
+    elif args.candidate_builtin is not None:
+        entry = {"type": "builtin", "name": args.candidate_builtin}
     if entry is None:
         raise ConfigError("config has no candidate; add one or pass --candidate-expr")
     if not isinstance(entry, dict) or "type" not in entry:
@@ -337,7 +314,9 @@ def _resolve_candidate(args, cfg: dict, problem: Problem, depth: int):
             raise ConfigError(
                 f"builtin candidate must name one of: {', '.join(_BUILTIN_CANDIDATES)}"
             )
-        return _builtin_candidate(entry["name"])
+        from . import demos
+
+        return getattr(demos, entry["name"])
     if kind == "table":
         return _table_candidate(problem, entry, depth)
     raise ConfigError(f"unknown candidate type {kind!r}")
@@ -347,9 +326,7 @@ def _setting(args, cfg: dict, key: str, default):
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    if key in cfg:
-        return cfg[key]
-    return default
+    return cfg.get(key, default)
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +399,9 @@ def _cmd_evaluate(args) -> int:
 
     cfg = _load_config(args)
     problem = _build_problem(cfg)
-    depth = int(_setting(args, cfg, "depth", DEFAULT_DEPTH))
-    tol = float(_setting(args, cfg, "tol", DEFAULT_TOL))
-    max_terms = int(_setting(args, cfg, "max_terms", DEFAULT_MAX_TERMS))
+    depth = _setting(args, cfg, "depth", DEFAULT_DEPTH)
+    tol = _setting(args, cfg, "tol", DEFAULT_TOL)
+    max_terms = _setting(args, cfg, "max_terms", DEFAULT_MAX_TERMS)
     candidate = _resolve_candidate(args, cfg, problem, depth)
     result = functional_value(problem, candidate, tol=tol, max_terms=max_terms)
     report = {
@@ -444,9 +421,9 @@ def _cmd_el_check(args) -> int:
 
     cfg = _load_config(args)
     problem = _build_problem(cfg)
-    depth = int(_setting(args, cfg, "depth", DEFAULT_DEPTH))
-    tol = float(_setting(args, cfg, "tol", 1e-9))
-    include_omega0 = bool(_setting(args, cfg, "include_omega0", False))
+    depth = _setting(args, cfg, "depth", DEFAULT_DEPTH)
+    tol = _setting(args, cfg, "tol", 1e-9)
+    include_omega0 = _setting(args, cfg, "include_omega0", False)
     candidate = _resolve_candidate(args, cfg, problem, depth)
     report = el_report(problem, candidate, depth=depth, tol=tol, include_omega0=include_omega0)
     residual_rows = [
@@ -492,8 +469,8 @@ def _cmd_minimize(args) -> int:
 
     cfg = _load_config(args)
     problem = _build_problem(cfg)
-    depth = int(_setting(args, cfg, "depth", DEFAULT_DEPTH))
-    step_tol = float(_setting(args, cfg, "tol", 1e-10))
+    depth = _setting(args, cfg, "depth", DEFAULT_DEPTH)
+    step_tol = _setting(args, cfg, "tol", 1e-10)
     seed = args.seed if args.seed is not None else 0
     result = minimize_direct(
         problem,
@@ -654,9 +631,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HahnvarError as exc:

@@ -446,7 +446,7 @@ FLAG_FAULTS = [
      "candidate expression may only use t, found 'u1'"),
     ("candidate-builtin-unknown",
      ["el-check", "--builtin", "double-well", "--candidate-builtin", "nope"],
-     "unknown builtin candidate 'nope'"),
+     "builtin candidate must name one of: ystar"),
 ]
 
 
@@ -477,6 +477,35 @@ def test_a_candidate_fault_exits_2_with_its_message(tmp_path, capsys, command, t
                          ids=[c[0] for c in FLAG_FAULTS])
 def test_a_flag_fault_exits_2_with_its_message(capsys, argv, message):
     _exits_2_with(capsys, argv, message)
+
+
+# json reads NaN and Infinity, and a number too large for a double as an int.
+_NON_FINITE = [
+    ("row-nan", _table(rows=[*_TABLE["rows"][:-1], ["b", _TABLE_DEPTH, math.nan]]),
+     "table row value must be finite, got nan"),
+    ("row-infinity", _table(rows=[["a", 0, -math.inf], *_TABLE["rows"][1:]]),
+     "table row value must be finite, got -inf"),
+    ("omega0-nan", _table(omega0=math.nan), "table candidate 'omega0' must be finite"),
+    ("omega0-infinity", _table(omega0=math.inf), "table candidate 'omega0' must be finite"),
+]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "el-check"])
+@pytest.mark.parametrize("candidate, message", [c[1:] for c in _NON_FINITE],
+                         ids=[c[0] for c in _NON_FINITE])
+def test_a_non_finite_table_value_exits_2(tmp_path, capsys, command, candidate, message):
+    path = tmp_path / "run.json"
+    path.write_text(_run_text(candidate=candidate))
+    _exits_2_with(capsys, [command, str(path)], message)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "el-check", "minimize"])
+def test_a_number_past_the_float_range_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "run.json"
+    path.write_text(_run_text(a=-(10**400)))
+    _exits_2_with(capsys, [command, str(path)], "config key 'a' must be finite")
+    path.write_text(_run_text(alpha=[10**400]))
+    _exits_2_with(capsys, [command, str(path)], "config key 'alpha' must contain finite numbers")
 
 
 def test_the_valid_run_config_runs(tmp_path, capsys):
