@@ -329,6 +329,15 @@ def _setting(args, cfg: dict, key: str, default):
     return cfg.get(key, default)
 
 
+def _depth(args, cfg: dict, least: int, r: int) -> int:
+    """The run's depth; one below the least the subcommand accepts for
+    order r is an input error."""
+    depth = _setting(args, cfg, "depth", DEFAULT_DEPTH)
+    if depth < least:
+        raise ConfigError(f"{args.command} needs depth >= {least} for order {r}, got {depth}")
+    return depth
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -421,7 +430,7 @@ def _cmd_el_check(args) -> int:
 
     cfg = _load_config(args)
     problem = _build_problem(cfg)
-    depth = _setting(args, cfg, "depth", DEFAULT_DEPTH)
+    depth = _depth(args, cfg, 2 * problem.r + 1, problem.r)
     tol = _setting(args, cfg, "tol", 1e-9)
     include_omega0 = _setting(args, cfg, "include_omega0", False)
     candidate = _resolve_candidate(args, cfg, problem, depth)
@@ -469,7 +478,7 @@ def _cmd_minimize(args) -> int:
 
     cfg = _load_config(args)
     problem = _build_problem(cfg)
-    depth = _setting(args, cfg, "depth", DEFAULT_DEPTH)
+    depth = _depth(args, cfg, 2 * problem.r + 2, problem.r)
     step_tol = _setting(args, cfg, "tol", 1e-10)
     seed = args.seed if args.seed is not None else 0
     result = minimize_direct(
@@ -569,6 +578,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--include-omega0",
         action="store_true",
+        default=None,
         help="also check the extrapolated residual at the fixed point",
     )
 

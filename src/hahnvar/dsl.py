@@ -252,6 +252,14 @@ class _Parser:
 
 
 def parse(text: str) -> Expr:
+    """The tree of the source text.  Equal texts share one tree (a bounded
+    cache of recent texts); trees are immutable, so the shared tree's
+    compiled code is built once too.  A faulty text raises on every call."""
+    return _parsed(text)
+
+
+@lru_cache(maxsize=32)
+def _parsed(text: str) -> Expr:
     parser = _Parser(_tokenize(text))
     node = parser.expr()
     if parser.peek().kind != "end":
@@ -539,7 +547,10 @@ def _compile(names: Sequence[str], *exprs: Expr) -> Callable:
 @lru_cache(maxsize=32)
 def _lambda(source: str) -> Callable:
     """The compiled source; a pure function of its text, so equal sources
-    (a problem built again from the same strings) share it."""
+    share it.  Trees parsed from text share their code through ``parse``
+    and ``compile_lagrangian``; this cache serves trees that no text
+    produced, such as the r-fold derivative of ``operators.hahn_derivative_n``
+    at omega0 and the negated Lagrangian of ``minimize_direct(maximize=True)``."""
     return eval(source, dict(_MATH, _fin=_fin, _nz=_nz))
 
 
@@ -586,6 +597,8 @@ class Lagrangian:
     (L, dL/du0, ..., dL/dur), and ``derivatives`` adds the second
     partials.  Each falls back to the checked tree walk to produce precise
     errors.  The compiled code is a cache: pickles and copies leave it behind.
+    An instance from ``compile_lagrangian`` of source text may be shared by
+    every problem built from that text, so it must not be mutated.
     """
 
     expr: Expr
@@ -677,10 +690,27 @@ class Lagrangian:
 
 
 def compile_lagrangian(source: Expr | str, r: int) -> Lagrangian:
-    """Check slot usage against the declared order and wrap the expression."""
+    """Check slot usage against the declared order and wrap the expression.
+
+    Equal source texts at one order share one Lagrangian (a bounded cache
+    of recent texts), so its slopes and compiled code are built once; a
+    tree gets a Lagrangian of its own.  Faults raise on every call."""
     if not 1 <= r <= 9:
         raise ArityError(f"order r must be between 1 and 9, got {r!r}")
-    expr = parse(source) if isinstance(source, str) else source
+    if not isinstance(source, str):
+        return _lagrangian(source, r)
+    # Each text still goes through parse (a cache hit once it is shared), so
+    # a per-layer trace counts the texts read as it did before this cache.
+    parse(source)
+    return _text_lagrangian(source, r)
+
+
+@lru_cache(maxsize=32, typed=True)
+def _text_lagrangian(text: str, r: int) -> Lagrangian:
+    return _lagrangian(_parsed(text), r)
+
+
+def _lagrangian(expr: Expr, r: int) -> Lagrangian:
     top = max((int(name[1:]) for name in variables(expr) if name != "t"), default=-1)
     if top > r:
         raise ArityError(f"expression uses slot u{top} but the order is {r}")

@@ -447,6 +447,11 @@ FLAG_FAULTS = [
     ("candidate-builtin-unknown",
      ["el-check", "--builtin", "double-well", "--candidate-builtin", "nope"],
      "builtin candidate must name one of: ystar"),
+    # The least depth is 2r + 1 for el-check and 2r + 2 for minimize.
+    ("el-check-too-shallow", ["el-check", "--builtin", "double-well", "--depth", "2"],
+     "el-check needs depth >= 3 for order 1, got 2"),
+    ("minimize-too-shallow", ["minimize", "--builtin", "double-well", "--depth", "3"],
+     "minimize needs depth >= 4 for order 1, got 3"),
 ]
 
 
@@ -557,3 +562,48 @@ def test_demo_beam_in_process(capsys):
     code, out, err = run(capsys, "demo", "beam", "--depth", "12", "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("command, least", [("el-check", lambda r: 2 * r + 1),
+                                            ("minimize", lambda r: 2 * r + 2)])
+def test_a_depth_too_shallow_for_the_order_exits_2(tmp_path, capsys, command, least, r):
+    path = tmp_path / "run.json"
+    path.write_text(_run_text(r=r, lagrangian=f"u{r}^2", alpha=[0.0] * r, beta=[0.0] * r,
+                              depth=least(r) - 1))
+    message = f"{command} needs depth >= {least(r)} for order {r}, got {least(r) - 1}"
+    _exits_2_with(capsys, [command, str(path)], message)
+    _exits_2_with(capsys, [command, str(path), "--depth", "2"],
+                  f"{command} needs depth >= {least(r)} for order {r}, got 2")
+    budget = ["--max-iters", "1"] if command == "minimize" else []
+    code, _, err = run(capsys, command, str(path), "--depth", str(least(r)), *budget)
+    assert code in (0, 1) and err == ""
+
+
+@pytest.mark.parametrize("config, flag, included", [
+    (None, False, False), (None, True, True),
+    (False, False, False), (False, True, True),
+    (True, False, True), (True, True, True),
+])
+def test_include_omega0_takes_effect_from_the_config_or_the_flag(
+    tmp_path, capsys, config, flag, included
+):
+    path = tmp_path / "run.json"
+    path.write_text(_run_text(include_omega0=_DROP if config is None else config))
+    argv = ["el-check", str(path), "--format", "json", *(["--include-omega0"] if flag else [])]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["omega0_included"] is included
+    assert (report["omega0_residual"] is not None) is included
+
+
+def test_demo_double_well_reads_include_omega0_only_from_its_flag(capsys):
+    from hahnvar import demos
+
+    _, out, _ = run(capsys, "demo", "double-well", "--depth", "12", "--format", "json")
+    assert json.loads(out) == json.loads(json.dumps(demos.run_double_well(depth=12)))
+    _, out, _ = run(capsys, "demo", "double-well", "--depth", "12", "--include-omega0",
+                    "--format", "json")
+    want = demos.run_double_well(depth=12, include_omega0=True)
+    assert json.loads(out) == json.loads(json.dumps(want))

@@ -588,7 +588,15 @@ def test_evaluate_is_the_checked_walk_bit_for_bit(tree, t, u0, u1, names):
         assert isinstance(got, float) and got == walk and math.copysign(1.0, got) == math.copysign(1.0, walk)
 
 
+def _cold():
+    """Empty the source-text caches, so the next parse or compile_lagrangian
+    of any text builds its tree and code anew."""
+    dsl._parsed.cache_clear()
+    dsl._text_lagrangian.cache_clear()
+
+
 def test_each_tree_compiles_once_and_fallbacks_compile_nothing(monkeypatch):
+    _cold()
     compiles = []
     original = dsl._compile
 
@@ -676,6 +684,7 @@ def test_true_zeros_and_subnormal_results_do_not_raise(source, env, want):
 
 
 def test_gradient_is_one_compile_shared_with_every_partial(monkeypatch):
+    _cold()
     compiles = []
     original = dsl._compile
 
@@ -723,3 +732,79 @@ def test_a_used_lagrangian_pickles_and_copies():
     for clone in (pickle.loads(pickle.dumps(L)), copy.deepcopy(L)):
         assert clone == L
         assert (clone.value(t, us), clone.gradient(t, us), clone.derivatives(t, us)) == want
+
+
+# ---------------------------------------------------------------------------
+# Equal source texts share one tree and one Lagrangian
+# ---------------------------------------------------------------------------
+
+def test_equal_texts_share_one_tree_and_one_lagrangian():
+    _cold()
+    text = "u0^2*u1 + sin(t)*u2"
+    assert parse(text) is parse(text)
+    L = compile_lagrangian(text, 2)
+    assert compile_lagrangian(text, 2) is L
+    assert L.expr is parse(text)
+    assert compile_lagrangian(text, 3) is not L
+    assert compile_lagrangian(text, 3).expr is L.expr
+    # A tree takes the uncached path: a Lagrangian of its own on every call.
+    tree = parse(text)
+    assert compile_lagrangian(tree, 2) is not compile_lagrangian(tree, 2)
+    assert compile_lagrangian(tree, 2) == L
+
+
+def test_a_shared_text_compiles_once_across_calls(monkeypatch):
+    _cold()
+    compiles = []
+    original = dsl._compile
+
+    def counting(*args):
+        compiles.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dsl, "_compile", counting)
+    for _ in range(3):
+        assert evaluate(parse("t^2 - 3*t"), {"t": 2.0}) == -2.0
+        assert function_of_t(parse("t^2 - 3*t"))(1.0) == -2.0
+        L = compile_lagrangian(PRODUCT_SRC, 1)
+        L.value(0.3, (0.7, -1.2))
+        L.gradient(0.3, (0.7, -1.2))
+        L.derivatives(0.3, (0.7, -1.2))
+    # One code for the tree, and value, gradient and second-partial code for L.
+    assert len(compiles) == 4
+
+
+@pytest.mark.parametrize("source, error", [
+    ("1 +", ExprSyntaxError), ("2*)", ExprSyntaxError), ("1e999", ExprSyntaxError),
+    ("u10", UnknownIdentifier), ("sin t", UnknownIdentifier),
+])
+def test_a_faulty_text_raises_on_every_call(source, error):
+    _cold()
+    for _ in range(3):
+        with pytest.raises(error):
+            parse(source)
+        with pytest.raises(error):
+            compile_lagrangian(source, 1)
+
+
+def test_a_bad_order_raises_on_every_call():
+    _cold()
+    for _ in range(3):
+        with pytest.raises(ArityError, match="uses slot u2 but the order is 1"):
+            compile_lagrangian("u2^2", 1)
+        with pytest.raises(ArityError, match="between 1 and 9"):
+            compile_lagrangian("u2^2", 0)
+    assert compile_lagrangian("u2^2", 2).order == 2
+
+
+def test_the_text_caches_hold_a_fixed_number_of_entries():
+    _cold()
+    first = parse("t + 0")
+    for k in range(100):
+        compile_lagrangian(f"u1^2 + {k}*t", 1)
+    for cached in (dsl._parsed, dsl._text_lagrangian):
+        info = cached.cache_info()
+        assert info.currsize == info.maxsize == 32
+    # An evicted text parses again to an equal, new tree.
+    again = parse("t + 0")
+    assert again == first and again is not first

@@ -14,6 +14,7 @@ from hahnvar import (
     GridFunction,
     HahnParams,
     InsufficientDepth,
+    Lagrangian,
     Lattice,
     LatticePoint,
     NotAVariation,
@@ -36,7 +37,7 @@ from hahnvar import (
     sigma_pow,
     trajectory,
 )
-from hahnvar import variational
+from hahnvar import dsl, variational
 from hahnvar.core import Orbit
 from hahnvar.demos import double_well_problem, random_admissible_grid, ystar
 from hahnvar.variational import slot_stream, traj_components
@@ -516,3 +517,38 @@ def test_a_used_problem_pickles():
     got = el_report(clone, ystar, depth=10)
     assert got.residuals == want.residuals and got.passed == want.passed
     assert functional_value(clone, ystar).value == functional_value(problem, ystar).value
+
+
+# ---------------------------------------------------------------------------
+# Problems built again from the same strings share one Lagrangian
+# ---------------------------------------------------------------------------
+
+_SHARED_TEXT = "0.3*t + 0.2*u0^2 - 0.4*u1^2 + 0.1*u2^2 + 0.05*u0*u2 - 0.1*u1"
+
+
+def _shared_problem(lagrangian):
+    return Problem(HahnParams(0.6, 0.4), 2, -1.5, 2.5, (0.1, -0.2), (0.3, 0.1), lagrangian)
+
+
+def test_problems_built_from_equal_strings_share_one_lagrangian():
+    first, second = _shared_problem(_SHARED_TEXT), _shared_problem(_SHARED_TEXT)
+    assert first.lagrangian is second.lagrangian
+
+
+def test_a_shared_lagrangian_gives_the_cold_results_bit_for_bit():
+    y = "0.1 - 0.2*t + 0.05*t^2"
+    eta = grid_variation(_shared_problem(_SHARED_TEXT), random.Random(5))
+
+    def results(problem):
+        # repr of a float round-trips its bits, so equal reprs are equal bits.
+        return repr((
+            functional_value(problem, y),
+            first_variation(problem, y, eta),
+            el_report(problem, y, depth=20, include_omega0=True),
+        ))
+
+    shared = [results(_shared_problem(_SHARED_TEXT)) for _ in range(2)]
+    for cached in (dsl._parsed, dsl._text_lagrangian, dsl._lambda):
+        cached.cache_clear()
+    cold = results(_shared_problem(Lagrangian(dsl.parse(_SHARED_TEXT), 2)))
+    assert shared == [cold, cold]
