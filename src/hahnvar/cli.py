@@ -48,7 +48,6 @@ _FORMATS = ("table", "json", "csv")
 # Builtin candidates: functions of t in ``demos``, by name.
 _BUILTIN_CANDIDATES = ("ystar",)
 
-_DEMO_NAMES = ("double-well", "beam")
 
 _BUILTIN_CONFIGS: dict[str, dict] = {
     "double-well": {
@@ -568,20 +567,27 @@ def _join_negative_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--format", choices=_FORMATS, default=None, help="output format")
-    shared.add_argument("--tol", type=float, default=None, help="tolerance override")
-    shared.add_argument("--depth", type=int, default=None, help="lattice depth override")
-    shared.add_argument("--max-terms", dest="max_terms", type=int, default=None)
-    shared.add_argument("--seed", type=int, default=None, help="rng seed where applicable")
-    shared.add_argument(
-        "--include-omega0",
+# The flags several subcommands share; each subcommand accepts only those it reads.
+_SHARED_FLAGS: dict[str, dict[str, Any]] = {
+    "--format": dict(choices=_FORMATS, default=None, help="output format"),
+    "--tol": dict(type=float, default=None, help="tolerance override"),
+    "--depth": dict(type=int, default=None, help="lattice depth override"),
+    "--max-terms": dict(dest="max_terms", type=int, default=None),
+    "--seed": dict(type=int, default=None, help="rng seed where applicable"),
+    "--include-omega0": dict(
         action="store_true",
         default=None,
         help="also check the extrapolated residual at the fixed point",
-    )
+    ),
+}
 
+
+def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
+
+
+def _build_parser() -> argparse.ArgumentParser:
     config_src = argparse.ArgumentParser(add_help=False)
     config_src.add_argument("config", nargs="?", help="path to a JSON run config")
     config_src.add_argument("--builtin", help="use a named builtin config (double-well)")
@@ -595,7 +601,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("deriv", parents=[shared], help="lattice derivative of an expression")
+    p = sub.add_parser("deriv", help="lattice derivative of an expression")
+    _add_flags(p, "--format")
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--expr", required=True, help="expression in t")
@@ -603,7 +610,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=1)
     p.set_defaults(func=_cmd_deriv)
 
-    p = sub.add_parser("integrate", parents=[shared], help="lattice integral of an expression")
+    p = sub.add_parser("integrate", help="lattice integral of an expression")
+    _add_flags(p, "--format", "--tol", "--max-terms")
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--expr", required=True, help="expression in t")
@@ -611,25 +619,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, required=True)
     p.set_defaults(func=_cmd_integrate)
 
-    p = sub.add_parser(
-        "evaluate", parents=[shared, config_src], help="functional value of a candidate"
-    )
+    p = sub.add_parser("evaluate", parents=[config_src], help="functional value of a candidate")
+    _add_flags(p, "--format", "--tol", "--depth", "--max-terms")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser(
-        "el-check", parents=[shared, config_src], help="stationarity residual report"
-    )
+    p = sub.add_parser("el-check", parents=[config_src], help="stationarity residual report")
+    _add_flags(p, "--format", "--tol", "--depth", "--include-omega0")
     p.set_defaults(func=_cmd_el_check)
 
-    p = sub.add_parser(
-        "minimize", parents=[shared, config_src], help="damped Newton minimization"
-    )
+    p = sub.add_parser("minimize", parents=[config_src], help="damped Newton minimization")
+    _add_flags(p, "--format", "--tol", "--depth", "--seed")
     p.add_argument("--max-iters", dest="max_iters", type=int, default=5000,
                    help="Newton iteration budget (--tol: step tolerance)")
     p.set_defaults(func=_cmd_minimize)
 
-    p = sub.add_parser("demo", parents=[shared], help="run a built-in demonstration")
-    p.add_argument("name", choices=list(_DEMO_NAMES))
+    p = sub.add_parser("demo", help="run a built-in demonstration")
+    demos = p.add_subparsers(dest="name", required=True)
+    _add_flags(demos.add_parser("double-well"),
+               "--format", "--tol", "--depth", "--seed", "--include-omega0")
+    _add_flags(demos.add_parser("beam"), "--format", "--depth")
     p.set_defaults(func=_cmd_demo)
 
     return parser

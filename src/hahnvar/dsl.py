@@ -14,10 +14,12 @@ than '^', so ``-u0^2`` means ``(-u0)^2``.  Nesting past MAX_NESTING
 with an integer literal exponent is the float power ``**``; any other
 exponent g uses exp(g*ln(f)) and requires a positive base.
 
-Numbers come from code compiled once per tree (``_emit``), with the
+Numbers come from code built once per tree (``_emit``), with the
 checked walk, which does the same float operations, where that code
 faults or is not finite; ``evaluate`` runs this pair for one tree, as
 ``Lagrangian`` does for its value and, in one function, all its partials.
+The code holds no literal: it is compiled once per shape, and trees that
+differ only in their numbers share it, each bound to its own literals.
 The walk refuses every non-finite intermediate, and every product,
 quotient or integer power of nonzero operands that rounds to 0.0 (a
 subnormal result and exp(-1000) are no such zero); compiled code checks
@@ -466,19 +468,24 @@ def _slopes_eval(e: Expr, slopes: Sequence[Expr], bindings: Mapping[str, float])
 # Compiled evaluation
 # ---------------------------------------------------------------------------
 
-def _emit(e: Expr, fresh: Iterator[int] | None = None) -> str:
+def _emit(e: Expr, fresh: Iterator[int] | None = None, consts: list[float] | None = None) -> str:
     """Python source for the fast evaluation path; _fin guards the operands
     that could turn a non-finite intermediate finite, and _nz a zero
     product, quotient or power that could be an underflow.  A compound
     operand that _nz tests is kept in a local _0, _1, ... numbered from
-    ``fresh``, so none is evaluated twice."""
+    ``fresh``, so none is evaluated twice.  Each literal, a negated one as
+    one constant, is the name _k0, _k1, ... in emission order, its value
+    appended to ``consts``, so trees that differ only in their numbers emit
+    one text; an integer exponent stays in the text, as it picks the code."""
     fresh = itertools.count() if fresh is None else fresh
+    consts = [] if consts is None else consts
 
     def emit(node: Expr) -> str:
-        return _emit(node, fresh)
+        return _emit(node, fresh, consts)
 
-    if isinstance(e, Number):
-        return repr(e.value)
+    if isinstance(e, Number) or isinstance(e, Neg) and isinstance(e.operand, Number):
+        consts.append(e.value if isinstance(e, Number) else -e.operand.value)
+        return f"_k{len(consts) - 1}"
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):
@@ -494,10 +501,10 @@ def _emit(e: Expr, fresh: Iterator[int] | None = None) -> str:
 
         def operand(node: Expr, checked: bool) -> tuple[str, str]:
             """Its text in the operation, and what reads it again in _nz: a
-            variable or literal itself, else a local that keeps its value."""
+            variable or constant itself, else a local that keeps its value."""
             text = emit(node)
             used = f"_fin({text})" if checked else text
-            if isinstance(node, (Var, Number)):
+            if text.isidentifier():
                 return used, text
             name = f"_{next(fresh)}"
             return f"({name} := {used})", name
@@ -534,23 +541,29 @@ def _uncompiled(*args: float, **kwargs: float) -> float:
 
 
 def _compile(names: Sequence[str], *exprs: Expr) -> Callable:
-    """Unchecked lambda over names for the expression (a tuple for several);
-    code too deep for Python's compiler gets a stub that always faults."""
+    """Unchecked lambda over names for the expression (a tuple for several):
+    the compiled code of its literal-free template, bound to this tree's
+    literals.  Code too deep for Python's compiler gets a stub that always
+    faults."""
     try:
-        fresh = itertools.count()
-        body = ", ".join(_emit(e, fresh) for e in exprs)
-        return _lambda(f"lambda {', '.join(names)}: ({body})")
+        fresh, consts = itertools.count(), []
+        body = ", ".join(_emit(e, fresh, consts) for e in exprs)
+        params = ", ".join(f"_k{i}" for i in range(len(consts)))
+        return _lambda(f"lambda {params}: lambda {', '.join(names)}: ({body})")(*consts)
     except (SyntaxError, RecursionError, MemoryError):
         return _uncompiled
 
 
 @lru_cache(maxsize=32)
 def _lambda(source: str) -> Callable:
-    """The compiled source; a pure function of its text, so equal sources
-    share it.  Trees parsed from text share their code through ``parse``
-    and ``compile_lagrangian``; this cache serves trees that no text
-    produced, such as the r-fold derivative of ``operators.hahn_derivative_n``
-    at omega0 and the negated Lagrangian of ``minimize_direct(maximize=True)``."""
+    """The compiled template, a function of the literals that returns the
+    expression's lambda; a pure function of the template's text, so
+    expressions of one shape share its code, whatever their numbers.
+    Trees parsed from text share their whole lambda through ``parse`` and
+    ``compile_lagrangian``; this cache serves every new tree of a shape seen
+    before: a Lagrangian whose coefficients changed, the r-fold derivative
+    of ``operators.hahn_derivative_n`` at omega0 and the negated Lagrangian
+    of ``minimize_direct(maximize=True)``."""
     return eval(source, dict(_MATH, _fin=_fin, _nz=_nz))
 
 

@@ -484,6 +484,43 @@ def test_a_flag_fault_exits_2_with_its_message(capsys, argv, message):
     _exits_2_with(capsys, argv, message)
 
 
+# Each subcommand with the shared flags it reads; it refuses the others.
+_READS = {
+    "deriv": (_DERIV, {"--format"}),
+    "integrate": (["integrate", "--q", "0.5", "--omega", "0.5", "--expr", "t", "--a", "0",
+                   "--b", "1"], {"--format", "--tol", "--max-terms"}),
+    "evaluate": (["evaluate", "--builtin", "double-well"],
+                 {"--format", "--tol", "--depth", "--max-terms"}),
+    "el-check": (["el-check", "--builtin", "double-well"],
+                 {"--format", "--tol", "--depth", "--include-omega0"}),
+    "minimize": (["minimize", "--builtin", "double-well"],
+                 {"--format", "--tol", "--depth", "--seed"}),
+    "demo double-well": (["demo", "double-well"],
+                         {"--format", "--tol", "--depth", "--seed", "--include-omega0"}),
+    "demo beam": (["demo", "beam"], {"--format", "--depth"}),
+}
+_SHARED = {"--format": ["json"], "--tol": ["1e-9"], "--depth": ["12"], "--max-terms": ["900"],
+           "--seed": ["3"], "--include-omega0": []}
+
+
+@pytest.mark.parametrize("command", _READS)
+@pytest.mark.parametrize("flag", _SHARED)
+def test_a_subcommand_accepts_only_the_shared_flags_it_reads(capsys, command, flag):
+    from hahnvar.cli import _build_parser
+
+    base, reads = _READS[command]
+    argv = [*base, flag, *_SHARED[flag]]
+    if flag in reads:
+        args = _build_parser().parse_args(argv)
+        assert getattr(args, flag[2:].replace("-", "_")) is not None
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    # A config subcommand takes the flag's value as its config path.
+    assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 # json reads NaN and Infinity, and a number too large for a double as an int.
 _NON_FINITE = [
     ("row-nan", _table(rows=[*_TABLE["rows"][:-1], ["b", _TABLE_DEPTH, math.nan]]),

@@ -29,7 +29,9 @@ from hahnvar.dsl import (
     BinOp,
     Call,
     Neg,
+    Number,
     _emit,
+    _slopes_eval,
     _walk_eval,
     derivative,
     function_of_t,
@@ -332,12 +334,22 @@ def test_trees_at_the_nesting_bound_evaluate_with_their_partials(make):
 
 
 def test_value_takes_the_walk_where_python_cannot_compile():
-    tree = parse("u1")
-    for _ in range(3 * MAX_NESTING):
-        tree = BinOp("*", parse("u0"), tree)
-    L = Lagrangian(tree, 1)
-    assert L.value(0.0, (1.001, 2.0)) == _walk_eval(tree, {"u0": 1.001, "u1": 2.0})
-    assert L.partial(1, 0.0, (1.001, 2.0)) == partial_eval(tree, {"u0": 1.001, "u1": 2.0}, "u1")
+    # Trees of one shape past Python's compiler, at several scales: each
+    # gets the stub, and a fault raises through the checked walk every time.
+    for factor in ("u0", "1.5*u0", "2.5*u0"):
+        tree = BinOp("/", parse("0.5*u1"), parse("u0"))
+        for _ in range(3 * MAX_NESTING):
+            tree = BinOp("*", parse(factor), tree)
+        L = Lagrangian(tree, 1)
+        assert L._value_code is L._gradient_code is dsl._uncompiled
+        env = {"u0": 1.001, "u1": 2.0}
+        assert L.value(0.0, (1.001, 2.0)) == _walk_eval(tree, env)
+        assert L.partial(1, 0.0, (1.001, 2.0)) == partial_eval(tree, env, "u1")
+        for _ in range(3):
+            with pytest.raises(DomainError, match="division by zero"):
+                L.value(0.0, (0.0, 1.0))
+            with pytest.raises(DomainError, match="division by zero"):
+                L.gradient(0.0, (0.0, 1.0))
 
 
 def _outcome(fn, *args):
@@ -589,10 +601,11 @@ def test_evaluate_is_the_checked_walk_bit_for_bit(tree, t, u0, u1, names):
 
 
 def _cold():
-    """Empty the source-text caches, so the next parse or compile_lagrangian
-    of any text builds its tree and code anew."""
+    """Empty the source-text caches and the template cache, so the next parse
+    or compile_lagrangian of any text builds its tree and code anew."""
     dsl._parsed.cache_clear()
     dsl._text_lagrangian.cache_clear()
+    dsl._lambda.cache_clear()
 
 
 def test_each_tree_compiles_once_and_fallbacks_compile_nothing(monkeypatch):
@@ -808,3 +821,86 @@ def test_the_text_caches_hold_a_fixed_number_of_entries():
     # An evicted text parses again to an equal, new tree.
     again = parse("t + 0")
     assert again == first and again is not first
+
+
+# ---------------------------------------------------------------------------
+# Expressions that differ only in their numbers share compiled code
+# ---------------------------------------------------------------------------
+
+def test_texts_that_differ_only_in_their_numbers_share_code():
+    _cold()
+    first = compile_lagrangian("0.3*t + 0.2*u0^2 + -0.4*u1^2 + 0.05*u0*u1", 1)
+    second = compile_lagrangian("1.5*t + 7*u0^2 + 0.25*u1^2 + -2e-3*u0*u1", 1)
+    t, us = 0.3, (0.7, -1.2)
+    for L in (first, second):
+        env = L._bindings(t, us)
+        assert L.value(t, us) == _walk_eval(L.expr, env)
+        assert list(L.gradient(t, us)) == _slopes_eval(L.expr, L._slopes, env)
+        L.derivatives(t, us)
+    assert first._value_code.__code__ is second._value_code.__code__
+    assert first._gradient_code.__code__ is second._gradient_code.__code__
+    assert first._second[1].__code__ is second._second[1].__code__
+    assert first.value(t, us) != second.value(t, us)
+    info = dsl._lambda.cache_info()
+    assert (info.misses, info.maxsize) == (3, 32)
+
+
+def test_a_negated_zero_literal_keeps_its_sign():
+    for got in (compile_lagrangian("-0.0*u0", 1).value(0.0, (1.0, 0.0)),
+                evaluate(parse("-0*t"), {"t": 1.0})):
+        assert got == 0.0 and math.copysign(1.0, got) == -1.0
+
+
+def test_integer_exponents_are_part_of_the_shape():
+    square, cube = (compile_lagrangian(f"0.5*u0^{k}", 1) for k in (2, 3))
+    assert square._value_code.__code__ is not cube._value_code.__code__
+    assert (square.value(0.0, (2.0, 0.0)), cube.value(0.0, (2.0, 0.0))) == (2.0, 4.0)
+
+
+def _renumbered(tree, values):
+    """tree with each literal in turn replaced by the next of values; an
+    integer exponent, which picks the code, stays."""
+    if isinstance(tree, Number):
+        return Number(next(values))
+    if isinstance(tree, Neg):
+        return Neg(_renumbered(tree.operand, values))
+    if isinstance(tree, Call):
+        return Call(tree.fn, _renumbered(tree.operand, values))
+    if isinstance(tree, BinOp):
+        left = _renumbered(tree.left, values)
+        if tree.op == "^" and dsl._literal_int_exponent(tree.right) is not None:
+            return BinOp("^", left, tree.right)
+        return BinOp(tree.op, left, _renumbered(tree.right, values))
+    return tree
+
+
+def _outcomes(L, t, us):
+    """repr of value, gradient and derivatives at (t, us), a package error as
+    its class; repr of a float round-trips its bits, the sign of 0.0 too."""
+    return repr([_outcome(call, t, us) for call in (L.value, L.gradient, L.derivatives)])
+
+
+# A tree of _trees(3) has at most 8 leaves, so at most 8 literals to replace.
+_literal_values = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_trees(3), _literal_values, _coord, _coord, _coord)
+def test_a_shared_template_gives_the_cold_results_bit_for_bit(tree, values, t, u0, u1):
+    us = (u0, u1)
+    warm = Lagrangian(tree, 1)
+    _outcomes(warm, t, us)
+    other = _renumbered(tree, iter(values))
+    shared = Lagrangian(other, 1)
+    got = _outcomes(shared, t, us)
+    assert shared._value_code.__code__ is warm._value_code.__code__
+    if not {0.0, 1.0} & set(values):
+        # derivative folds a literal 0 or 1, so only other values keep the slopes' shape.
+        assert shared._second[1].__code__ is warm._second[1].__code__
+    dsl._lambda.cache_clear()
+    assert got == _outcomes(Lagrangian(other, 1), t, us)
+    # The checked walk decides what either should read.
+    env = {"t": t, "u0": u0, "u1": u1}
+    assert repr(_outcome(shared.value, t, us)) == repr(_outcome(_walk_eval, other, env))
+    gradient = _outcome(lambda *a: list(shared.gradient(*a)), t, us)
+    assert repr(gradient) == repr(_outcome(_slopes_eval, other, shared._slopes, env))
