@@ -591,8 +591,11 @@ def _build_parser() -> argparse.ArgumentParser:
     config_src = argparse.ArgumentParser(add_help=False)
     config_src.add_argument("config", nargs="?", help="path to a JSON run config")
     config_src.add_argument("--builtin", help="use a named builtin config (double-well)")
-    config_src.add_argument("--candidate-expr", help="override candidate with an expression of t")
-    config_src.add_argument("--candidate-builtin", help="override candidate with a builtin name")
+    # minimize starts from its own guess, so only evaluate and el-check take these.
+    candidate_src = argparse.ArgumentParser(add_help=False)
+    candidate_src.add_argument("--candidate-expr",
+                               help="override candidate with an expression of t")
+    candidate_src.add_argument("--candidate-builtin", help="override candidate with a builtin name")
 
     parser = argparse.ArgumentParser(
         prog="hahnvar",
@@ -619,11 +622,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, required=True)
     p.set_defaults(func=_cmd_integrate)
 
-    p = sub.add_parser("evaluate", parents=[config_src], help="functional value of a candidate")
+    p = sub.add_parser("evaluate", parents=[config_src, candidate_src],
+                       help="functional value of a candidate")
     _add_flags(p, "--format", "--tol", "--depth", "--max-terms")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("el-check", parents=[config_src], help="stationarity residual report")
+    p = sub.add_parser("el-check", parents=[config_src, candidate_src],
+                       help="stationarity residual report")
     _add_flags(p, "--format", "--tol", "--depth", "--include-omega0")
     p.set_defaults(func=_cmd_el_check)
 

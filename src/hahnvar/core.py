@@ -148,19 +148,20 @@ class Orbit:
 
     def walk(self) -> Iterator[tuple[float, float]]:
         """Yield (t[n], value[n]) for n = 0, 1, ... through the cap, realizing
-        each value when the walk gets to it, into ``values``.  Nodes come
-        from ``grow``, asked for index min(2n, grid depth) when the walk
-        reaches an unrealized n, so a walk pays one call per doubling and
-        realizes no node past a grid's depth."""
+        each value when the walk gets to it, into ``values``.  The walk runs
+        a ``for`` loop over each chunk of realized nodes; past the last it
+        asks ``grow`` for index min(2n, grid depth), so it pays one call per
+        doubling and realizes no node past a grid's depth."""
         nodes, vals, source, depth = self.nodes, self.values, self._source, self._grid_depth
         n = 0
         while n <= depth:
-            if n == len(nodes) and n == len(self.grow(self.q, self.omega, nodes, min(2 * n, depth))):
+            for t in nodes[n : min(len(nodes), depth + 1)]:
+                if n == len(vals):
+                    vals.append(source(t))
+                yield t, vals[n]
+                n += 1
+            if n > depth or n == len(self.grow(self.q, self.omega, nodes, min(2 * n, depth))):
                 return
-            if n == len(vals):
-                vals.append(source(nodes[n]))
-            yield nodes[n], vals[n]
-            n += 1
 
     def window(self, k: int, width: int) -> tuple[list[float], list[float]]:
         """Nodes and values at indices k .. k + width - 1.  A window past

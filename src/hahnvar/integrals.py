@@ -12,7 +12,8 @@ q = 1 with omega = h is the Noerlund sum -h * sum_k f(x + k*h).  The
 driver draws its samples from an iterator, one per term, so a series is
 one streaming pass over its orbit (``Orbit.walk``): no sample past the
 stopping term is formed, and an iterator that runs out is an exhausted
-orbit.
+orbit.  ``_orbit_samples`` takes an integral's samples off the walk through
+C-level iterators, so a term resumes one generator, the walk.
 
 For q < 1 convergence is certified with a geometric tail bound: once
 the running maximum of recent samples is M, the unsummed remainder is
@@ -28,7 +29,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .core import DEFAULT_MAX_TERMS, DEFAULT_TOL, HahnParams, Orbit
@@ -100,20 +102,20 @@ def _indexed_series(
     weight = 1.0
     scale = abs(prefactor) * (q / (1.0 - q) if q < 1.0 else 1.0)
     recent: deque[float] = deque(maxlen=_TAIL_WINDOW)
+    isfinite, remember, window = math.isfinite, recent.append, _TAIL_WINDOW
     done = 0
-    for k, fx in zip(range(max_terms), samples):
-        if not math.isfinite(fx):
-            raise NonFiniteValue(f"series term {k} evaluated to {fx!r}")
-        term = weight * fx
-        y = term - comp
+    for done, fx in zip(range(1, max_terms + 1), samples):
+        if not isfinite(fx):
+            raise NonFiniteValue(f"series term {done - 1} evaluated to {fx!r}")
+        y = weight * fx - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        done = k + 1
-        recent.append(abs(fx))
+        size = abs(fx)
+        remember(size)
         envelope = scale * weight
         weight *= q
-        if done >= _TAIL_WINDOW and envelope * abs(fx) <= tol:
+        if envelope * size <= tol and done >= window:
             tail = envelope * max(recent)
             if tail <= tol:
                 return SeriesResult(prefactor * total, done, tail, True)
@@ -124,11 +126,14 @@ def _indexed_series(
 def _orbit_samples(orbit: Orbit) -> Iterator[float]:
     """The orbit's values through the cap, then the value at the cap
     forever: past a merge every node is the merged point.  That is not
-    ``values[-1]`` on a grid that merges below its depth."""
-    v = None
-    for _, v in orbit.walk():
-        yield v
-    yield from repeat(v)
+    ``values[-1]`` on a grid that merges below its depth.  The values come
+    off the walk through C-level iterators, so a term resumes one
+    generator; the tail is formed once the walk has ended."""
+
+    def at_cap() -> Iterator[float]:
+        yield from repeat(orbit.values[orbit.cap(len(orbit.nodes))])
+
+    return chain(map(itemgetter(1), orbit.walk()), at_cap())
 
 
 def _one_sided(

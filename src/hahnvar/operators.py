@@ -116,7 +116,16 @@ def hahn_derivative_n(params: HahnParams, f, r: int, t) -> float:
     Away from omega0 it is the quotient table over the r + 1 orbit nodes
     from t.  At t == omega0 it is [r]_q!/r! * f^(r)(omega0), with f^(r)
     exact for an expression and a central-difference estimate for a
-    callable (``_central_derivative`` states its accuracy)."""
+    callable (``_central_derivative`` states its accuracy).  A callable's
+    first quotient off omega0, the case series integrands take per node,
+    is formed here, as the quotient table over (t, sigma(t)) forms it."""
+    if r == 1 and callable(f) and not isinstance(t, LatticePoint) and t != params.omega0:
+        s = params.q * t + params.omega
+        fx, fs = _checked(f(t), t), _checked(f(s), s)
+        den = s - t
+        if den == 0.0:
+            raise DegenerateDenominator(f"orbit step underflowed to zero near t={t!r}")
+        return (fs - fx) / den
     if r < 0:
         raise ValueError("order r must be non-negative")
     if isinstance(f, GridFunction):
@@ -146,14 +155,6 @@ def _callable_derivative_n(
     """D^r of a callable on the scale t -> q*t + omega (omega0 None: no fixed point)."""
     if t == omega0:
         return _jackson_factor(q, r) * _central_derivative(f, r, t)
-    if r == 1:
-        # iterated_quotient over the stencil (t, q*t + omega), float for float.
-        s = q * t + omega
-        fx, fs = _checked(f(t), t), _checked(f(s), s)
-        den = s - t
-        if den == 0.0:
-            raise DegenerateDenominator(f"orbit step underflowed to zero near t={t!r}")
-        return (fs - fx) / den
     # Past a merge the orbit repeats its last node, whose zero step raises.
     taus = Orbit.grow(q, omega, [t], r)
     taus += taus[-1:] * (r + 1 - len(taus))

@@ -11,10 +11,13 @@ lattice the composition with sigma^k is an index shift, so slot values
 come from difference-quotient tables over consecutive orbit points.
 
 Each public function resolves its candidates once, at its top (source
-text is parsed and compiled there).  Every window of slots, in a series,
-along a run of residuals or in the minimizer, comes from ``slot_stream``:
-one pass over the orbit points in code compiled once per order.  Every
-Euler-Lagrange residual comes from ``_residuals`` over a run of orbit
+text is parsed and compiled there).  Every window of slots, along a run of
+residuals, in the first variation or in the minimizer, comes from
+``slot_stream``: one pass over the orbit points in code generated once per
+order.  The functional's series takes its samples from ``sample_stream``,
+the same generated code yielding the Lagrangian's value at each window
+instead of the window, so a term resumes one generator above the walk.
+Every Euler-Lagrange residual comes from ``_residuals`` over a run of orbit
 points, with all partials of a window from one compiled call.  Every
 estimate at omega0 reads the points ``fixed_point_window`` chooses.
 
@@ -29,7 +32,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import starmap
 from typing import Callable, Iterator, Sequence, Union
 
 from .core import (
@@ -146,10 +148,10 @@ def traj_components(taus: Sequence[float], vals: Sequence[float]) -> list[float]
     v_i is the i-fold quotient of the index-shifted values
     vals[r-i..r]; all quotient denominators are anchored at the window
     base because that is where the shifted composition is evaluated.
-    It is the reference form of one window: the series and the residuals
-    take their windows from ``slot_stream``, which equals it window by
-    window, bit for bit; ``trajectory`` and the minimizer's setup slopes
-    use it.
+    It is the reference form of one window: the residuals take their
+    windows from ``slot_stream`` and the functional's series its samples
+    from ``sample_stream``, which equal it window by window, bit for bit;
+    ``trajectory`` and the minimizer's setup slopes use it.
     """
     r = len(taus) - 1
     out = [vals[r]]
@@ -163,15 +165,29 @@ def slot_stream(r: int) -> Callable[..., Iterator[tuple[float, list[float]]]]:
     """A generator function turning a run of (t, value) pairs (consecutive
     orbit points, no zero step) into one (t_k, [v_0, ..., v_r]) window per
     base k, as soon as point k + r arrives; ``traj_components`` window by
-    window, bit for bit.
+    window, bit for bit."""
+    return _stream(r, sampled=False)
 
-    The code is straight-line and built once per order.  Slot i's quotient
-    table is anchored at the window base, so its level-l entry at position
-    p is (E[p+1] - E[p]) / (t[p+1] - t[p]); moving the base one step
-    shifts every entry one position left, and each new point adds one
+
+@functools.cache
+def sample_stream(r: int) -> Callable[..., Iterator[float]]:
+    """A generator function of a run of (t, value) pairs, as ``slot_stream``
+    takes, and an integrand f such as ``Lagrangian.value``: one sample
+    f(t_k, (v_0, ..., v_r)) per window of ``slot_stream``, bit for bit,
+    formed as the window's last point arrives.  A series term resumes this
+    one generator over its points."""
+    return _stream(r, sampled=True)
+
+
+def _stream(r: int, sampled: bool) -> Callable:
+    """The code of both stream shapes, straight-line and built once per
+    order and shape; they differ only in f and the yield line.  Slot i's
+    quotient table is anchored at the window base, so its level-l entry at
+    position p is (E[p+1] - E[p]) / (t[p+1] - t[p]); moving the base one
+    step shifts every entry one position left, and each new point adds one
     diagonal: i divisions for slot i, kept in rotating locals (s<i>_<l> is
     the last entry of level l, d<j> the window's j-th step)."""
-    lines = ["def stream(points):", "    points = iter(points)"]
+    lines = [f"def stream(points{', f' if sampled else ''}):", "    points = iter(points)"]
 
     def add_point(m: int, indent: str) -> None:
         """The new diagonal of every slot whose table holds point m of the
@@ -194,7 +210,8 @@ def slot_stream(r: int) -> Callable[..., Iterator[tuple[float, list[float]]]]:
         lines.append("    vp = v")
     lines += ["    for t, v in points:", f"        d{r - 1} = t - t{r - 1}", "        dv = v - vp"]
     add_point(r, "        ")
-    lines.append(f"        yield t0, [v, {', '.join(f'u{i}' for i in range(1, r + 1))}]")
+    slots = ", ".join(["v"] + [f"u{i}" for i in range(1, r + 1)])
+    lines.append(f"        yield f(t0, ({slots},))" if sampled else f"        yield t0, [{slots}]")
     for rotated in ([f"t{j}" for j in range(r)] + ["t"], [f"d{j}" for j in range(r)]):
         if len(rotated) > 1:
             lines.append(f"        {', '.join(rotated[:-1])} = {', '.join(rotated[1:])}")
@@ -248,7 +265,7 @@ def _one_sided_functional(
     problem: Problem, prefactor: float, points: Iterator[tuple[float, float]], tol: float, max_terms: int
 ) -> SeriesResult:
     """The one-sided series over a walk of (t, value) orbit points."""
-    samples = starmap(problem.lagrangian.value, slot_stream(problem.r)(points))
+    samples = sample_stream(problem.r)(points, problem.lagrangian.value)
     return _indexed_series(problem.params.q, prefactor, samples, tol, max_terms)
 
 

@@ -201,13 +201,32 @@ def test_incomplete_table_candidate_exits_2(tmp_path, capsys):
 
 def test_minimize_is_deterministic(capsys):
     argv = [
-        "minimize", "--builtin", "double-well", "--candidate-expr", "0",
+        "minimize", "--builtin", "double-well",
         "--depth", "10", "--seed", "5", "--max-iters", "40", "--format", "json",
     ]
     code1, out1, _ = run(capsys, *argv)
     code2, out2, _ = run(capsys, *argv)
     assert out1 == out2
     assert json.loads(out1)["history"] == json.loads(out2)["history"]
+
+
+@pytest.mark.parametrize("flag, value", [("--candidate-expr", "0"),
+                                         ("--candidate-builtin", "ystar")])
+def test_minimize_refuses_the_candidate_flags_it_would_ignore(capsys, flag, value):
+    # minimize starts from its own guess; a config's candidate key is
+    # accepted (shared configs carry one) and not read.
+    with pytest.raises(SystemExit) as exc:
+        main(["minimize", "--builtin", "double-well", flag, value])
+    assert exc.value.code == 2
+    # The flag's value is taken as the config path.
+    assert f"error: unrecognized arguments: {flag}\n" in capsys.readouterr().err
+
+
+def test_minimize_does_not_read_a_config_candidate(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(_run_text(candidate={"type": "spline"}))
+    code, _, err = run(capsys, "minimize", str(path), "--max-iters", "1")
+    assert code in (0, 1) and err == ""
 
 
 def test_demo_double_well(capsys):

@@ -5,7 +5,7 @@ import math
 from collections import deque
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hahnvar import (
     HahnParams,
@@ -17,6 +17,7 @@ from hahnvar import (
     norlund_sum,
     sigma_cell_integral,
 )
+from hahnvar.core import Orbit
 from hahnvar.integrals import _TAIL_WINDOW, _indexed_series
 
 P = HahnParams(0.5, 0.5)
@@ -134,6 +135,9 @@ def test_control_validation():
         integral_from_fixed(P, lambda t: t, 2.0, tol=0.0)
     with pytest.raises(ValueError):
         integral_from_fixed(P, lambda t: t, 2.0, max_terms=0)
+    # A float term budget past the check is a TypeError, as range raises it.
+    with pytest.raises(TypeError):
+        integral_from_fixed(P, lambda t: t, 2.0, max_terms=1e4)
     for x in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="endpoint must be finite"):
             integral_from_fixed(P, lambda t: t, x)
@@ -174,6 +178,40 @@ def test_a_series_stopped_by_tol_calls_f_once_per_term():
     res = integral_from_fixed(HahnParams(0.97, 0.1), f, 2.0, tol=1e-10)
     assert res.converged and 5 < res.terms_used < 1000
     assert len(calls) == res.terms_used
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.one_of(st.floats(0.05, 0.9), st.floats(0.9, 0.995)),
+    st.floats(0.3, 1.5),
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+    st.sampled_from([1e-300, 1e-12, 1e-6]),
+    st.sampled_from([1, 5, 60, 3000]),
+)
+def test_an_integral_evaluates_its_integrand_at_no_node_past_the_stopping_term(
+    q, omega0, a, b, tol, max_terms
+):
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return math.cos(t) + t * t
+
+    params = HahnParams(q, omega0 * (1.0 - q))
+    res_b = integral_from_fixed(params, f, b, tol, max_terms)
+    res_a = integral_from_fixed(params, f, a, tol, max_terms)
+    # Each node once, in orbit order, through the stopping term; past a
+    # merge the series repeats the merged value without calling f.
+    want = [
+        t
+        for x, res in ((b, res_b), (a, res_a)) if res.terms_used
+        for t in Orbit.grow(params.q, params.omega, [x], res.terms_used - 1)
+    ]
+    assert calls == want
+    calls.clear()
+    assert integral(params, f, a, b, tol, max_terms) == res_b - res_a
+    assert calls == want
 
 
 def _reference_series(q, prefactor, samples, tol, max_terms):

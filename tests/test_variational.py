@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 from collections import Counter
+from itertools import starmap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -310,6 +311,92 @@ def test_slot_stream_is_traj_components_window_by_window(q, omega, seed, r, name
         taus, vals = zip(*points[k : k + r + 1])
         assert t == taus[0]
         assert [v.hex() for v in slots] == [v.hex() for v in traj_components(taus, vals)]
+
+
+# Lagrangians by order, the later ones with a domain that a series can leave.
+_SERIES_LAGRANGIANS = (
+    lambda r: f"0.3*t + -0.4*u0^2 + 0.7*u{r}^2 + 0.1*u0*u{r}",
+    lambda r: f"ln(u0 + 1.5)*u{r}^2",
+    lambda r: f"1/u{r} + u0",
+    lambda r: f"exp(3*u{r}) - u0",
+)
+
+
+def _series_outcome(run):
+    """The result's bits, or the error's class and text."""
+    try:
+        res = run()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return res.value.hex(), res.terms_used, res.tail_bound.hex(), res.converged
+
+
+def _pulled(points, seen):
+    for point in points:
+        seen.append(point)
+        yield point
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(1, 4),
+    st.one_of(st.floats(0.05, 0.9), st.floats(0.9, 0.995)),
+    st.floats(0.3, 1.5),
+    st.floats(0.1, 3.0),
+    st.floats(0.1, 3.0),
+    st.sampled_from(range(len(_SERIES_LAGRANGIANS))),
+    st.sampled_from(("callable", "text", "grid", "merging grid")),
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    st.sampled_from([1e-300, 1e-12, 1e-8, 1e-4]),
+    st.sampled_from([1, 5, 60, 3000]),
+)
+def test_the_sample_stream_is_value_over_slot_windows_bit_for_bit(
+    r, q, omega0, below, above, lagrangian, kind, cs, tol, max_terms
+):
+    params = HahnParams(q, omega0 * (1.0 - q))
+    w0 = params.omega0
+    zeros = (0.0,) * r
+    lagr = _SERIES_LAGRANGIANS[lagrangian](r)
+    problem = Problem(params, r, w0 - below, w0 + above, zeros, zeros, lagr)
+    text = f"{cs[0]!r} + {cs[1]!r}*t + {cs[2]!r}*t^2 + {cs[3]!r}*sin(t)"
+    calls = []
+    if kind.endswith("grid"):
+        # Below q = 0.8 the orbits merge within 200 steps, below the grid depth.
+        y = materialize(problem, poly(cs), 200 if kind == "merging grid" else 40)
+    else:
+        f = variational._resolve(text if kind == "text" else poly(cs[:3]))
+
+        def y(t):
+            calls.append(t)
+            return f(t)
+
+    def reference(problem, prefactor, points, tol, max_terms):
+        samples = starmap(problem.lagrangian.value, slot_stream(problem.r)(points))
+        return variational._indexed_series(problem.params.q, prefactor, samples, tol, max_terms)
+
+    # Each side alone: the same outcome from the same points and candidate calls.
+    for origin in (Origin.B, Origin.A):
+        outcomes = []
+        for series in (variational._one_sided_functional, reference):
+            calls.clear()
+            seen = []
+            orbit = variational._orbit(problem, y, origin)
+            points = _pulled(orbit.walk(), seen)
+            outcome = _series_outcome(
+                lambda: series(problem, orbit.prefactor, points, tol, max_terms)
+            )
+            outcomes.append((outcome, len(seen), len(calls)))
+        assert outcomes[0] == outcomes[1]
+
+    def both_sides():
+        at_b, at_a = (
+            reference(problem, orbit.prefactor, orbit.walk(), tol, max_terms)
+            for orbit in (variational._orbit(problem, y, o) for o in (Origin.B, Origin.A))
+        )
+        return at_b - at_a
+
+    got = _series_outcome(lambda: functional_value(problem, y, tol, max_terms))
+    assert got == _series_outcome(both_sides)
 
 
 def _counted(calls):
