@@ -10,33 +10,39 @@ coefficients.  A step factors the Hessian by banded LDL^T, with a
 diagonal shift where it is not positive definite (the schedule is in
 ``minimize_direct``), then backtracks until the Armijo condition holds;
 a trial point that faults is no descent (Nocedal & Wright, Numerical
-Optimization, chapters 3 and 6).  A step whose slope is not finite, as
-when iterates of a problem unbounded below run off the float range, ends
-the search at the last iterate.  Deterministic for a given
+Optimization, chapters 3 and 6).  Assembly, factor and solve run as
+straight-line code emitted once per order or half-width, each sum
+rounding as ``sum()`` of its terms would.  A step whose slope is not
+finite, as when iterates of a problem unbounded below run off the float
+range, ends the search at the last iterate.  Deterministic for a given
 seed; failure to converge is reported, never raised.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, replace
+from itertools import chain
 from operator import mul
+from typing import Callable
 
 from .core import DEFAULT_DEPTH, GridFunction, Orbit, Origin
 from .dsl import Lagrangian, Neg
 from .errors import (DegenerateDenominator, DomainError, InsufficientDepth, NonFiniteValue,
                      NotDifferentiable)
 from .operators import extrapolate_to_fixed, fit_leading_values, fixed_point_window, quotient_levels
-from .variational import Problem, is_admissible, slot_stream, traj_components
+from .variational import Problem, is_admissible, sample_stream, slot_stream, traj_components
 
 _ARMIJO = 1e-4
 _HALVINGS = 40
 _SHIFT_START = 1e-6
 _SHIFT_CAP = 1e16
 # The highest order whose Hessian band is read through per-window maps
-# (_Orbit).  Timed, the maps make derivatives faster through r = 4; past it
-# their P^2 floats per window cost more set-up time and memory than they save.
+# (_Orbit).  Timed per minimize_direct run, the maps are as fast or faster
+# through r = 4 (r = 5 even); past it their P^2 floats per window cost more
+# set-up time and memory than they save.
 _MAPPED_ORDER = 4
 
 
@@ -59,19 +65,13 @@ class MinimizeResult:
     penalty_weight: float
 
 
-def _upper_pairs(r: int) -> list[tuple[int, int]]:
-    """(i, l) with i <= l over an (r+1)-square matrix, by rows: the order
-    in which the band maps read d2L/dv2."""
-    return [(i, l) for i in range(r + 1) for l in range(i, r + 1)]
-
-
 class _Orbit:
     """An endpoint orbit: nodes through the usable cap, the r values the
     boundary data fixes, where its free values start in the variable
-    vector, and per window its weight c*q^k and the maps of the window's
-    partials onto the functional's derivatives.  The windows' slot values
-    are not kept: each evaluation streams them from the nodes and the
-    current values."""
+    vector, and per window its weight c*q^k and the coefficients that map
+    the window's partials onto the functional's derivatives.  The windows'
+    slot values are not kept: each evaluation streams them from the nodes
+    and the current values."""
 
     def __init__(self, problem: Problem, origin: Origin, depth: int):
         q, r = problem.params.q, problem.r
@@ -88,32 +88,26 @@ class _Orbit:
         windows = range(self.usable - r + 1)
         self.weights = [coef * q**k for k in windows]
         units = [[float(m == j) for j in range(r + 1)] for m in range(r + 1)]
-        # Per window k, with cs[m][i] = d v_i / d y_(k+m) and j = k+m-r the
-        # free index of y_(k+m) (m >= r-k: values the boundary data fixes
-        # get nothing): (j, w*cs[m]) maps dL/dv onto grad[j], and band[j][d]
-        # gets w*cs[m].H.cs[m+d], H = d2L/dv2.  Up to _MAPPED_ORDER those
-        # products are kept as maps (j, d, map) over H's upper triangle,
+        pairs = [(i, l) for i in range(r + 1) for l in range(i, r + 1)]
+        # Per window k, with cs[m][i] = d v_i / d y_(k+m): w*cs[m] maps dL/dv
+        # onto the gradient entry of y_(k+m), and band entry d of that row
+        # gets w*cs[m].H.cs[m+d], H = d2L/dv2 (see _assembly, which drops
+        # the entries of the r values the boundary data fixes).  Up to
+        # _MAPPED_ORDER the band products are kept over H's upper triangle,
         # one dot product per band entry: it pays where call overhead, not
-        # arithmetic, sets the cost.  A map holds P = (r+1)(r+2)/2 floats
-        # and a window P of them, so past that order the window keeps its
-        # rows cs[m] instead and forms H.cs[m] per evaluation.
-        pairs = _upper_pairs(r)
-        self.grad_maps: list[list[tuple[int, list[float]]]] = []
-        self.band_maps: list[list[tuple[int, int, list[float]]] | list[list[float]]] = []
+        # arithmetic, sets the cost.  Such a map holds P = (r+1)(r+2)/2
+        # floats and a window P of them, so past that order the window
+        # keeps its rows cs[m] instead and forms H.cs[m] per evaluation.
+        self.maps: list[tuple[float, ...]] = []
         for k, w in zip(windows, self.weights):
-            first = max(0, r - k)
-            cs = [traj_components(self.taus[k : k + r + 1], u) for u in units[first:]]
-            grads = [(k + m - r, [w * c for c in a]) for m, a in enumerate(cs, first)]
-            self.grad_maps.append(grads)
+            cs = [traj_components(self.taus[k : k + r + 1], u) for u in units]
+            coefs = [w * c for a in cs for c in a]
             if r > _MAPPED_ORDER:
-                self.band_maps.append(cs)
-                continue
-            bands = []
-            for n, ((j, _), a) in enumerate(zip(grads, cs)):
-                for d, b in enumerate(cs[n:]):
-                    bands.append((j, d, [w * (a[i] * b[l] + a[l] * b[i] if i < l else a[i] * b[i])
-                                         for i, l in pairs]))
-            self.band_maps.append(bands)
+                coefs += [c for a in cs for c in a]
+            else:
+                coefs += [w * (a[i] * b[l] + a[l] * b[i] if i < l else a[i] * b[i])
+                          for n, a in enumerate(cs) for b in cs[n:] for i, l in pairs]
+            self.maps.append(tuple(coefs))
         self.head: list[float] = []
         self.offset = 0
 
@@ -127,7 +121,6 @@ class _Newton:
         self.problem, self.depth, self.r = problem, depth, problem.r
         self.lagr = problem.lagrangian
         q, r = problem.params.q, problem.r
-        self.pairs = _upper_pairs(r)
         a0, b0 = problem.alpha[0], problem.beta[0]
         span = problem.b - problem.a
 
@@ -166,8 +159,9 @@ class _Newton:
                 row += [extrapolate_to_fixed(q, quotient_levels(taus, u, i)) for u in units]
                 self.rows.append(row)
                 self.targets.append((problem.beta if live.origin is Origin.A else problem.alpha)[i])
-            # Start feasible: the least-norm correction onto the constraints.
-            identity = ([[0.0] * r] * len(self.x0), [1.0] * len(self.x0))
+            # Start feasible: the least-norm correction onto the constraints,
+            # from the identity's factor (rows of r zeros and a unit pivot).
+            identity = [(0.0,) * r + (1.0,)] * len(self.x0)
             fix = _bordered(identity, [0.0] * len(self.x0), self.rows, self.residuals(self.x0))
             self.x0 = [xj + dj for xj, dj in zip(self.x0, fix)]
 
@@ -177,44 +171,22 @@ class _Newton:
     def residuals(self, x: list[float]) -> list[float]:
         return [t - math.fsum(map(mul, row, x)) for row, t in zip(self.rows, self.targets)]
 
-    def _windows(self, x: list[float]):
-        """(orbit, k, weight, t_k, [v_0..v_r]) for every window of every orbit."""
-        stream = slot_stream(self.r)
-        for orb in self.orbits:
-            windows = stream(zip(orb.taus, self.values(orb, x)))
-            for k, (w, (t, us)) in enumerate(zip(orb.weights, windows)):
-                yield orb, k, w, t, us
-
     def functional(self, x: list[float]) -> float:
-        return math.fsum(w * self.lagr.value(t, us) for _, _, w, t, us in self._windows(x))
+        """fsum rounds exactly, so the orbits' samples need no grouping."""
+        samples, value = sample_stream(self.r), self.lagr.value
+        return math.fsum(chain.from_iterable(
+            map(mul, orb.weights, samples(zip(orb.taus, self.values(orb, x)), value)) for orb in self.orbits))
 
     def derivatives(self, x: list[float]) -> tuple[list[float], list[list[float]]]:
         """Gradient and upper band (band[j][d] = H[j][j+d]) of the functional,
         from each window's partials and its maps (see _Orbit)."""
-        r = self.r
-        stream, pairs, mapped = slot_stream(r), self.pairs, r <= _MAPPED_ORDER
+        assemble, stream = _assembly(self.r), slot_stream(self.r)
         grad: list[float] = []
         band: list[list[float]] = []
         for orb in self.orbits:
-            vals = self.values(orb, x)
-            g_orb = [0.0] * (len(vals) - r)
-            b_orb = [[0.0] * (r + 1) for _ in g_orb]
-            windows = stream(zip(orb.taus, vals))
-            for (t, us), g_maps, h_maps in zip(windows, orb.grad_maps, orb.band_maps):
-                g, h = self.lagr.derivatives(t, us)
-                for j, c in g_maps:
-                    g_orb[j] += sum(map(mul, g, c))
-                if mapped:
-                    h = [h[i][l] for i, l in pairs]
-                    for j, d, c in h_maps:
-                        b_orb[j][d] += sum(map(mul, h, c))
-                else:  # h_maps holds the rows cs[m]; g_maps' are w*cs[m]
-                    hcs = [[sum(map(mul, row, c)) for row in h] for c in h_maps]
-                    for n, (j, wc) in enumerate(g_maps):
-                        for d, hc in enumerate(hcs[n:]):
-                            b_orb[j][d] += sum(map(mul, wc, hc))
-            grad += g_orb
-            band += b_orb
+            g, b = assemble(stream(zip(orb.taus, self.values(orb, x))), orb.maps, self.lagr.derivatives)
+            grad += g
+            band += b
         return grad, band
 
     def to_grid(self, x: list[float]) -> GridFunction:
@@ -227,35 +199,127 @@ class _Newton:
         return GridFunction(self.problem.lattice(self.depth), *per_origin.values(), self.fixed_value)
 
 
-def _ldl(band: list[list[float]], shift: float) -> tuple[list[list[float]], list[float]] | None:
+def _total(terms: list[str]) -> str:
+    """Code for sum(terms), bit for bit on every Python: from 3.12 on sum()
+    of floats is compensated, so three or more terms stay one sum() call;
+    one or two round alike as plain additions to sum's start, 0.0."""
+    return f"sum(({', '.join(terms)}))" if len(terms) > 2 else f"(0.0 + {' + '.join(terms)})"
+
+
+def _minus(head: str, terms: list[str]) -> str:
+    return f"{head} - {_total(terms)}" if terms else head
+
+
+def _compiled(lines: list[str]) -> Callable:
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["kernel"]
+
+
+def _rotate(names: list[str], sources: list[str]) -> str:
+    return f"{', '.join(names)} = {', '.join(sources)}"
+
+
+@functools.cache
+def _assembly(r: int) -> Callable:
+    """kernel(windows, maps, derivatives): one orbit's gradient and band, in
+    code built once per order that is straight-line per window.  Each
+    window's partials are unpacked into locals (v<i>, h<i>_<l>) and each of
+    its map's dot products is added to the running sums of the row at
+    window offset m: g<m> (gradient) and b<m>_<d> (band entry d).  Row
+    offset 0 is complete after its window; the first r rows, those of the
+    values the boundary data fixes, are dropped."""
+    slots, n = range(r + 1), (r + 1) ** 2
+    gs = [f"g{m}" for m in slots]
+    bs = [[f"b{m}_{d}" for d in slots] for m in slots]
+    h = [[f"h{i}_{l}" for l in slots] for i in slots]
+    width = (r + 1) * (r + 2) // 2  # a band map's length: H's upper triangle
+    c = [f"c{k}" for k in range(n + (width * width if r <= _MAPPED_ORDER else n))]
+    lines = ["def kernel(windows, maps, derivatives):", "    grad, band = [], []",
+             f"    {' = '.join(gs + sum(bs, []))} = 0.0",
+             f"    for (t, us), ({', '.join(c)},) in zip(windows, maps):",
+             f"        ({', '.join(f'v{i}' for i in slots)},),"
+             f" ({', '.join('(' + ', '.join(row) + ',)' for row in h)},) = derivatives(t, us)"]
+    lines += [f"        g{m} += {_total([f'v{i} * {c[m * (r + 1) + i]}' for i in slots])}" for m in slots]
+    blocks = [(m, d) for m in slots for d in range(r + 1 - m)]
+    if r <= _MAPPED_ORDER:
+        upper = [h[i][l] for i in slots for l in range(i, r + 1)]
+        lines += [f"        b{m}_{d} += " + _total([f"{hv} * {c[n + k * width + p]}"
+                                                 for p, hv in enumerate(upper)])
+                  for k, (m, d) in enumerate(blocks)]
+    else:  # s<m>_<i> = (H.cs[m])[i]; the maps' second half holds the rows cs[m]
+        lines += [f"        s{m}_{i} = {_total([f'{h[i][l]} * {c[n + m * (r + 1) + l]}' for l in slots])}"
+                  for m in slots for i in slots]
+        lines += [f"        b{m}_{d} += {_total([f'{c[m * (r + 1) + i]} * s{m + d}_{i}' for i in slots])}"
+                  for m, d in blocks]
+    lines += ["        grad.append(g0)", f"        band.append([{', '.join(bs[0])}])",
+              "        " + _rotate(gs + sum(bs, []), gs[1:] + ["0.0"] + sum(bs[1:], []) + ["0.0"] * (r + 1)),
+              f"    grad += [{', '.join(gs[:-1])}]",
+              f"    band += [{', '.join('[' + ', '.join(row) + ']' for row in bs[:-1])}]",
+              f"    return grad[{r}:], band[{r}:]"]
+    return _compiled(lines)
+
+
+@functools.cache
+def _factor_code(w: int) -> Callable:
+    """kernel(band, shift): banded LDL^T by rows, in code built once per
+    half-width w that is straight-line per row.  Row i forms m<d> =
+    L[i][i-d] for d = w..1, then its pivot, from locals holding the band
+    rows a<d> = band[i-d], the pivots p<d> = D[i-d] and the entries
+    l<e>_<f> = L[i-e][i-e-f] of the w rows above.  Above row 0 they read
+    zero rows and unit pivots, so the first rows' missing entries come out
+    +0.0, and +0.0 terms leave a sum bit for bit the same."""
+    ms, a, p = ([f"{x}{d}" for d in range(1, w + 1)] for x in "map")
+    above = [(e, f) for e in range(1, w) for f in range(1, w + 1 - e)]
+    ls = [f"l{e}_{f}" for e, f in above]
+    lines = ["def kernel(band, shift):", "    factor = []"]
+    if w:
+        lines += [f"    {' = '.join(ms + ls)} = 0.0", f"    {' = '.join(p)} = 1.0",
+                  f"    {' = '.join(a)} = (0.0,) * {w + 1}"]
+    lines.append("    for row in band:")
+    for d in range(w, 0, -1):
+        terms = [f"m{e} * l{d}_{e - d} * p{e}" for e in range(w, d, -1)]
+        lines.append(f"        m{d} = ({_minus(f'a{d}[{d}]', terms)}) / p{d}")
+    lines += [f"        pivot = {_minus('row[0] + shift', [f'm{d} ** 2 * p{d}' for d in range(1, w + 1)])}",
+              "        if not pivot > 0.0:", "            return None",
+              f"        factor.append(({', '.join(ms + ['pivot'])},))"]
+    if w:  # row i's entries become l1_<f>; those of row i-e move to l<e+1>_<f>
+        lines.append("        " + _rotate(a + p + ls, ["row"] + a[:-1] + ["pivot"] + p[:-1]
+                                            + [f"l{e - 1}_{f}" if e > 1 else f"m{f}" for e, f in above]))
+    lines.append("    return factor")
+    return _compiled(lines)
+
+
+@functools.cache
+def _solve_code(w: int) -> Callable:
+    """kernel(factor, rhs): forward and back substitution with a factor of
+    half-width w, in code built once per width that is straight-line per
+    row.  Entries past either end read 0.0, and trailing +0.0 terms leave
+    a sum bit for bit the same, so the end rows need no prologue."""
+    ms, ys, xs, fs = ([f"{x}{d}" for d in range(1, w + 1)] for x in "myxf")
+    lines = ["def kernel(factor, rhs):", "    z, out = [], []"]
+    if w:
+        lines += [f"    {' = '.join(ys + xs)} = 0.0", f"    {' = '.join(fs)} = (0.0,) * {w + 1}"]
+    lines += [f"    for b, ({', '.join(ms + ['pivot'])},) in zip(rhs, factor):",
+              f"        y = {_minus('b', [f'm{d} * y{d}' for d in range(1, w + 1)])}",
+              "        z.append(y / pivot)"] + ["        " + _rotate(ys, ["y"] + ys[:-1])] * bool(w)
+    lines += ["    for x, row in zip(reversed(z), reversed(factor)):",
+              f"        x = {_minus('x', [f'f{d}[{d - 1}] * x{d}' for d in range(1, w + 1)])}",
+              "        out.append(x)"]
+    lines += ["        " + _rotate(xs + fs, ["x"] + xs[:-1] + ["row"] + fs[:-1])] * bool(w)
+    lines += ["    out.reverse()", "    return out"]
+    return _compiled(lines)
+
+
+def _ldl(band: list[list[float]], shift: float) -> list[tuple[float, ...]] | None:
     """LDL^T of A + shift*I, A symmetric with upper band band[j][d] = A[j][j+d]:
-    (low, diag) with low[i][d-1] = L[i][i-d], or None if a pivot is not positive."""
-    n = len(band)
-    w = len(band[0]) - 1 if n else 0
-    low = [[0.0] * w for _ in range(n)]
-    diag = [0.0] * n
-    for j in range(n):
-        lj = low[j]
-        pivot = band[j][0] + shift - sum(lj[d - 1] ** 2 * diag[j - d] for d in range(1, min(w, j) + 1))
-        if not pivot > 0.0:
-            return None
-        diag[j] = pivot
-        for i in range(j + 1, min(n, j + w + 1)):
-            acc = band[j][i - j] - sum(low[i][i - k - 1] * lj[j - k - 1] * diag[k]
-                                       for k in range(max(0, i - w), j))
-            low[i][i - j - 1] = acc / pivot
-    return low, diag
+    per row i the tuple (L[i][i-1], ..., L[i][i-w], D[i]), w the half-width
+    and entries left of column 0 0.0, or None if a pivot is not positive."""
+    return _factor_code(len(band[0]) - 1 if band else 0)(band, shift)
 
 
-def _solve(factor: tuple[list[list[float]], list[float]], rhs: list[float]) -> list[float]:
-    low, diag = factor
-    n, x = len(rhs), list(rhs)
-    for i in range(n):
-        x[i] -= sum(low[i][d - 1] * x[i - d] for d in range(1, min(len(low[i]), i) + 1))
-    x = [xi / di for xi, di in zip(x, diag)]
-    for i in reversed(range(n)):
-        x[i] -= sum(low[i + d][d - 1] * x[i + d] for d in range(1, min(len(low[i]), n - 1 - i) + 1))
-    return x
+def _solve(factor: list[tuple[float, ...]], rhs: list[float]) -> list[float]:
+    return _solve_code(len(factor[0]) - 1 if factor else 0)(factor, rhs)
 
 
 def _bordered(factor, grad: list[float], rows: list[list[float]], resid: list[float]):
@@ -307,12 +371,15 @@ def minimize_direct(
     A live endpoint orbit that merges before it holds the r boundary
     values raises DegenerateDenominator; at an endpoint at omega0 with
     r >= 2, a live orbit of fewer than 2r + 1 usable points raises
-    InsufficientDepth.
+    InsufficientDepth; a step_tol that is not positive and finite raises
+    ValueError.
     """
     if depth < 2 * problem.r + 2:
         raise ValueError(f"depth must be at least {2 * problem.r + 2}")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    if not (step_tol > 0.0 and math.isfinite(step_tol)):
+        raise ValueError(f"step_tol must be positive and finite, got {step_tol!r}")
     if maximize:
         neg = Lagrangian(Neg(problem.lagrangian.expr), problem.lagrangian.order)
         problem = replace(problem, lagrangian=neg)

@@ -478,7 +478,10 @@ def el_report(
     """Residuals at every orbit point with full stencil room, plus the
     boundary check.  Each orbit is evaluated up to its usable cap (the
     grid depth, or the first float merge of two nodes near omega0), and
-    depth_used records the deepest index actually evaluated."""
+    depth_used records the deepest index actually evaluated.  A tol that is
+    negative or not finite raises ValueError."""
+    if not (tol >= 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and at least 0, got {tol!r}")
     r = problem.r
     if depth < 2 * r + 1:
         raise InsufficientDepth(f"el_report needs depth >= {2 * r + 1}")

@@ -663,3 +663,39 @@ def test_demo_double_well_reads_include_omega0_only_from_its_flag(capsys):
                     "--format", "json")
     want = demos.run_double_well(depth=12, include_omega0=True)
     assert json.loads(out) == json.loads(json.dumps(want))
+
+
+# A tolerance a subcommand cannot use exits 2 wherever it comes from, as
+# the library refuses it: a series tolerance and the minimizer's step
+# tolerance must be positive and finite, a residual tolerance finite and
+# at least 0.
+_DOUBLE_WELL_RUNS = {
+    "integrate": ["integrate", "--q", "0.5", "--omega", "0.5", "--expr", "t", "--a", "0", "--b", "1"],
+    "evaluate": ["evaluate", "--builtin", "double-well"],
+    "el-check": ["el-check", "--builtin", "double-well"],
+    "minimize": ["minimize", "--builtin", "double-well", "--depth", "8"],
+    "demo": ["demo", "double-well", "--depth", "12"],
+}
+_UNUSABLE_TOL = [(command, tol) for command in _DOUBLE_WELL_RUNS for tol in ("0", "-1", "nan", "inf")
+                 if not (tol == "0" and command in ("el-check", "demo"))]
+
+
+@pytest.mark.parametrize("command, tol", _UNUSABLE_TOL, ids=[f"{c}-{t}" for c, t in _UNUSABLE_TOL])
+def test_an_unusable_tolerance_flag_exits_2(capsys, command, tol):
+    code, out, err = run(capsys, *_DOUBLE_WELL_RUNS[command], f"--tol={tol}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "tol must be" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "el-check", "minimize"])
+def test_a_negative_config_tolerance_exits_2(tmp_path, capsys, command):
+    code, out, err = run(capsys, command, _double_well_config(tmp_path, tol=-1))
+    assert (code, out) == (2, "")
+    assert "tol must be" in err
+
+
+@pytest.mark.parametrize("argv", [_DOUBLE_WELL_RUNS["el-check"], _DOUBLE_WELL_RUNS["demo"]])
+def test_a_zero_residual_tolerance_runs(capsys, argv):
+    # The double-well minimizer's residuals and boundary errors are exactly 0.
+    code, _, err = run(capsys, *argv, "--tol=0")
+    assert (code, err) == (0, "")

@@ -273,13 +273,19 @@ def test_newton_windows_are_traj_components_bit_for_bit(q, omega, r, seed):
                       (0.0,) * r, (0.0,) * r, f"u{r}^2")
     search = _Newton(problem, 2 * r + 2 + rng.randrange(20), rng)
     x = [rng.uniform(-2.0, 2.0) for _ in search.x0]
-    windows = list(search._windows(x))
-    assert len(windows) == sum(len(orb.weights) for orb in search.orbits)
-    for orb, k, w, t, us in windows:
-        taus, vals = orb.taus[k : k + r + 1], search.values(orb, x)[k : k + r + 1]
-        assert w == orb.weights[k]
-        assert t == taus[0]
-        assert [v.hex() for v in us] == [v.hex() for v in traj_components(taus, vals)]
+    # The windows derivatives streams, and the samples of the functional.
+    samples = []
+    for orb in search.orbits:
+        vals = search.values(orb, x)
+        windows = list(slot_stream(r)(zip(orb.taus, vals)))
+        assert len(windows) == len(orb.weights) == len(orb.maps)
+        for k, (w, (t, us)) in enumerate(zip(orb.weights, windows)):
+            taus = orb.taus[k : k + r + 1]
+            slots = traj_components(taus, vals[k : k + r + 1])
+            assert t == taus[0]
+            assert [v.hex() for v in us] == [v.hex() for v in slots]
+            samples.append(w * problem.lagrangian.value(t, slots))
+    assert search.functional(x).hex() == math.fsum(samples).hex()
 
 
 @settings(deadline=None, max_examples=40)
@@ -302,7 +308,10 @@ def test_gradient_and_band_match_the_slot_coefficient_products(q, omega, r, seed
     want_g, size_g = [0.0] * len(x), [0.0] * len(x)
     want_b, size_b = [[0.0] * (r + 1) for _ in x], [[0.0] * (r + 1) for _ in x]
     units = [[float(m == i) for i in range(r + 1)] for m in range(r + 1)]
-    for orb, k, w, t, us in search._windows(x):
+    windows = ((orb, k, w, t, us) for orb in search.orbits
+               for k, (w, (t, us)) in enumerate(zip(orb.weights,
+                                                     slot_stream(r)(zip(orb.taus, search.values(orb, x))))))
+    for orb, k, w, t, us in windows:
         g, h = problem.lagrangian.derivatives(t, us)
         cs = [traj_components(orb.taus[k : k + r + 1], u) for u in units]
         for m in range(max(0, r - k), r + 1):
@@ -390,3 +399,136 @@ def test_second_partials_faulting_at_the_optimum_leave_the_result_unchanged():
     assert got.converged
     assert got.history == clean.history
     assert got.grid == clean.grid
+
+
+# ---------------------------------------------------------------------------
+# The emitted kernels equal the loops they replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+def _loop_ldl(band, shift):
+    """The banded LDL^T loop the emitted factor replaced: (low, diag) with
+    low[i][d-1] = L[i][i-d], or None if a pivot is not positive."""
+    n = len(band)
+    w = len(band[0]) - 1 if n else 0
+    low = [[0.0] * w for _ in range(n)]
+    diag = [0.0] * n
+    for j in range(n):
+        lj = low[j]
+        pivot = band[j][0] + shift - sum(lj[d - 1] ** 2 * diag[j - d] for d in range(1, min(w, j) + 1))
+        if not pivot > 0.0:
+            return None
+        diag[j] = pivot
+        for i in range(j + 1, min(n, j + w + 1)):
+            acc = band[j][i - j] - sum(low[i][i - k - 1] * lj[j - k - 1] * diag[k]
+                                       for k in range(max(0, i - w), j))
+            low[i][i - j - 1] = acc / pivot
+    return low, diag
+
+
+def _loop_solve(factor, rhs):
+    low, diag = factor
+    n, x = len(rhs), list(rhs)
+    for i in range(n):
+        x[i] -= sum(low[i][d - 1] * x[i - d] for d in range(1, min(len(low[i]), i) + 1))
+    x = [xi / di for xi, di in zip(x, diag)]
+    for i in reversed(range(n)):
+        x[i] -= sum(low[i + d][d - 1] * x[i + d] for d in range(1, min(len(low[i]), n - 1 - i) + 1))
+    return x
+
+
+def _raised(f, *args):
+    try:
+        return f(*args)
+    except OverflowError:
+        return OverflowError
+
+
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1e16, -1e16, 1.0]), st.floats(-10.0, 10.0))
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.data(), st.integers(0, 9), st.booleans(), st.booleans(),
+       st.one_of(st.just(0.0), st.floats(0.0, 50.0)))
+def test_the_emitted_factor_and_solve_equal_the_loops_bit_for_bit(data, w, definite, short, shift):
+    # Definite bands are twice diagonally dominant; the others draw their diagonal
+    # like any entry.  Short rows hold only the entries inside the matrix,
+    # as the bordered system's Schur band does.
+    n = data.draw(st.integers(0, 3 * w + 3))
+    band = [data.draw(st.lists(_ENTRY, min_size=w + 1, max_size=w + 1)) for _ in range(n)]
+    if definite:
+        for j, row in enumerate(band):
+            column = sum(abs(band[j - d][d]) for d in range(1, min(w, j) + 1))
+            row[0] = 1.0 + 2.0 * (sum(map(abs, row[1:])) + column)
+    if short:
+        band = [row[: n - j] for j, row in enumerate(band)]
+    rhs = data.draw(st.lists(_ENTRY, min_size=n, max_size=n))
+    want, got = (_raised(ldl, band, shift) for ldl in (_loop_ldl, minimize._ldl))
+    if want is OverflowError:  # float ** 2 raises past the float range
+        assert got is OverflowError
+        return
+    assert (got is None) == (want is None)
+    if definite:
+        assert got is not None
+    if want is not None:
+        low, diag = want
+        want_rows = [(*l, d) for l, d in zip(low, diag)]
+        assert [[v.hex() for v in row] for row in got] == [[v.hex() for v in row] for row in want_rows]
+        assert [v.hex() for v in minimize._solve(got, rhs)] == [v.hex() for v in _loop_solve(want, rhs)]
+
+
+def _loop_derivatives(search, x):
+    """The per-window assembly the emitted kernel replaced: per window, maps
+    from traj_components over the free values only, one sum(map(mul, ...))
+    per gradient and band entry."""
+    r = search.r
+    pairs = [(i, l) for i in range(r + 1) for l in range(i, r + 1)]
+    units = [[float(m == i) for i in range(r + 1)] for m in range(r + 1)]
+    grad, band = [], []
+    for orb in search.orbits:
+        vals = search.values(orb, x)
+        g_orb = [0.0] * (len(vals) - r)
+        b_orb = [[0.0] * (r + 1) for _ in g_orb]
+        for k, (w, (t, us)) in enumerate(zip(orb.weights, slot_stream(r)(zip(orb.taus, vals)))):
+            first = max(0, r - k)
+            cs = [traj_components(orb.taus[k : k + r + 1], u) for u in units[first:]]
+            grads = [(k + m - r, [w * c for c in a]) for m, a in enumerate(cs, first)]
+            g, h = search.lagr.derivatives(t, us)
+            for j, c in grads:
+                g_orb[j] += sum(map(mul, g, c))
+            if r <= minimize._MAPPED_ORDER:
+                flat = [h[i][l] for i, l in pairs]
+                for n, ((j, _), a) in enumerate(zip(grads, cs)):
+                    for d, b in enumerate(cs[n:]):
+                        c = [w * (a[i] * b[l] + a[l] * b[i] if i < l else a[i] * b[i]) for i, l in pairs]
+                        b_orb[j][d] += sum(map(mul, flat, c))
+            else:
+                hcs = [[sum(map(mul, row, c)) for row in h] for c in cs]
+                for n, (j, wc) in enumerate(grads):
+                    for d, hc in enumerate(hcs[n:]):
+                        b_orb[j][d] += sum(map(mul, wc, hc))
+        grad += g_orb
+        band += b_orb
+    return grad, band
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.floats(0.3, 0.8), st.sampled_from([0.25, 0.5, 1.0]), st.integers(1, 7), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_the_emitted_assembly_equals_the_map_loop_bit_for_bit(q, omega, r, degenerate, seed):
+    # Orders 1..7 lie on both sides of _MAPPED_ORDER.  A degenerate endpoint
+    # (b = omega0 exactly, at q = 1/2) leaves one live orbit and the
+    # bordered system.
+    rng = random.Random(seed)
+    params = HahnParams(0.5 if degenerate else q, omega)
+    w0 = params.omega0
+    slots = [f"u{i}" for i in range(r + 1)]
+    source = " + ".join(f"{a}*{b}^2" for a, b in zip(slots, slots[1:] + slots[:1])) + f" + sin(u0*u{r}) + t*u{r}"
+    b = w0 if degenerate else w0 + rng.uniform(0.5, 3.0)
+    problem = Problem(params, r, w0 - rng.uniform(0.5, 3.0), b, (0.0,) * r, (0.1,) * r, source)
+    search = _Newton(problem, 2 * r + 2 + rng.randrange(8), rng)
+    assert len(search.orbits) == (1 if degenerate else 2)
+    for x in (search.x0, [rng.uniform(-1.0, 1.0) for _ in search.x0]):
+        grad, band = search.derivatives(x)
+        want_g, want_b = _loop_derivatives(search, x)
+        assert [v.hex() for v in grad] == [v.hex() for v in want_g]
+        assert [[v.hex() for v in row] for row in band] == [[v.hex() for v in row] for row in want_b]
