@@ -381,14 +381,16 @@ def _cmd_integrate(args) -> int:
         "converged": result.converged,
     }
     _output(args, {}, report, list(report.keys()), [list(report.values())])
-    if not result.converged:
-        print(
-            f"series did not converge within {max_terms} terms "
-            f"(tail bound {_fmt_num(result.tail_bound)})",
-            file=sys.stderr,
-        )
-        return 4
-    return 0
+    return 0 if result.converged else _unconverged(result, max_terms)
+
+
+def _unconverged(result, max_terms: int) -> int:
+    """Exit 4, saying on stderr why: the terms used of the cap and the tail
+    bound, and whether an orbit ran out of usable points first."""
+    short = ": an orbit ran out of usable points" if result.terms_used < max_terms else ""
+    print(f"series did not converge within {max_terms} terms (tail bound "
+          f"{_fmt_num(result.tail_bound)}, {result.terms_used} terms used){short}", file=sys.stderr)
+    return 4
 
 
 def _problem_echo(problem: Problem) -> dict:
@@ -421,7 +423,7 @@ def _cmd_evaluate(args) -> int:
     }
     headers = ["value", "terms_used", "tail_bound", "converged"]
     _output(args, cfg, report, headers, [[report[h] for h in headers]])
-    return 0 if result.converged else 4
+    return 0 if result.converged else _unconverged(result, max_terms)
 
 
 def _cmd_el_check(args) -> int:

@@ -314,8 +314,11 @@ def _solve_code(w: int) -> Callable:
 def _ldl(band: list[list[float]], shift: float) -> list[tuple[float, ...]] | None:
     """LDL^T of A + shift*I, A symmetric with upper band band[j][d] = A[j][j+d]:
     per row i the tuple (L[i][i-1], ..., L[i][i-w], D[i]), w the half-width
-    and entries left of column 0 0.0, or None if a pivot is not positive."""
-    return _factor_code(len(band[0]) - 1 if band else 0)(band, shift)
+    and entries left of column 0 0.0, or None if a pivot is not positive or overflows."""
+    try:
+        return _factor_code(len(band[0]) - 1 if band else 0)(band, shift)
+    except OverflowError:
+        return None
 
 
 def _solve(factor: list[tuple[float, ...]], rhs: list[float]) -> list[float]:

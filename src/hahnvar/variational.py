@@ -11,7 +11,8 @@ lattice the composition with sigma^k is an index shift, so slot values
 come from difference-quotient tables over consecutive orbit points.
 
 Each public function resolves its candidates once, at its top (source
-text is parsed and compiled there).  Every window of slots, along a run of
+text is parsed and compiled there), and builds their endpoint orbits
+there; every helper reads those.  Every window of slots, along a run of
 residuals, in the first variation or in the minimizer, comes from
 ``slot_stream``: one pass over the orbit points in code generated once per
 order.  The functional's series takes its samples from ``sample_stream``,
@@ -52,7 +53,6 @@ from .integrals import SeriesResult, _indexed_series
 from .operators import (
     extrapolate_to_fixed,
     fixed_point_window,
-    grid_derivative_at_fixed,
     iterated_quotient,
     quotient_levels,
 )
@@ -63,6 +63,9 @@ Candidate = Union[GridFunction, Callable[[float], float], Expr, str]
 
 # A candidate after ``_resolve``: grid data or a function of t.
 Resolved = Union[GridFunction, Callable[[float], float]]
+
+# A candidate's two endpoint orbits, a's then b's, from ``_orbits``.
+Orbits = dict[Origin, Orbit]
 
 
 @dataclass(frozen=True)
@@ -133,13 +136,14 @@ def materialize(problem: Problem, y: Candidate, depth: int = DEFAULT_DEPTH) -> G
     return GridFunction.sample(problem.lattice(depth), y)
 
 
-def _orbit(problem: Problem, y: Resolved, origin: Origin) -> Orbit:
-    """The endpoint orbit of ``origin`` carrying a resolved candidate's values."""
+def _orbits(problem: Problem, y: Resolved) -> Orbits:
+    """The endpoint orbits, a's then b's, carrying a resolved candidate's
+    values: built at the top of each public function, read by its helpers."""
     if isinstance(y, GridFunction):
         _check_grid_compat(problem, y)
-        return y.orbit(origin)
-    seed = problem.a if origin is Origin.A else problem.b
-    return Orbit(problem.params.q, problem.params.omega, seed, y)
+        return {origin: y.orbit(origin) for origin in (Origin.A, Origin.B)}
+    q, omega = problem.params.q, problem.params.omega
+    return {Origin.A: Orbit(q, omega, problem.a, y), Origin.B: Orbit(q, omega, problem.b, y)}
 
 
 def traj_components(taus: Sequence[float], vals: Sequence[float]) -> list[float]:
@@ -230,30 +234,27 @@ def trajectory(
     v_i = q**(i*(r-i)) * D^i[y](omega0), with the iterates from
     ``_derivative_at_fixed``: grid data at its own depth, a function of t
     through ``depth``."""
-    r = problem.r
+    q, r = problem.params.q, problem.r
     y = _resolve(y)
-    if point.origin is not Origin.FIXED:
-        orbit = _orbit(problem, y, point.origin)
-        if not orbit.degenerate:
-            taus, vals = orbit.window(point.n, r + 1)
-            return (taus[0], *traj_components(taus, vals))
-    q = problem.params.q
-    slots = [q ** (i * (r - i)) * _derivative_at_fixed(problem, y, i, depth) for i in range(r + 1)]
+    orbits = _orbits(problem, y)
+    if point.origin is not Origin.FIXED and not orbits[point.origin].degenerate:
+        taus, vals = orbits[point.origin].window(point.n, r + 1)
+        return (taus[0], *traj_components(taus, vals))
+    slots = [q ** (i * (r - i)) * _derivative_at_fixed(problem, y, orbits, i, depth)
+             for i in range(r + 1)]
     return (problem.params.omega0, *slots)
 
 
-def _derivative_at_fixed(problem: Problem, y: Resolved, i: int, depth: int) -> float:
-    """D^i y at omega0 for a resolved candidate: grid data by
-    ``grid_derivative_at_fixed`` at its own depth; a function of t by its
-    value (i = 0) or by extrapolation over the ``fixed_point_window`` of
-    its orbits through ``depth``."""
-    if isinstance(y, GridFunction):
-        _check_grid_compat(problem, y)
-        return grid_derivative_at_fixed(y, i)
+def _derivative_at_fixed(problem: Problem, y: Resolved, orbits: Orbits, i: int, depth: int) -> float:
+    """D^i y at omega0: the value there at i = 0, else the extrapolation over
+    the ``fixed_point_window`` of y's orbits, through the grid's own depth
+    for grid data (as ``grid_derivative_at_fixed`` reads it) and through
+    ``depth`` for a function of t."""
     if i == 0:
-        return y(problem.params.omega0)
-    orbits = (_orbit(problem, y, origin) for origin in (Origin.A, Origin.B))
-    q, taus, vals = fixed_point_window(orbits, depth, i + 2)
+        return y.value_at_fixed if isinstance(y, GridFunction) else y(problem.params.omega0)
+    if isinstance(y, GridFunction):
+        depth = y.lattice.depth
+    q, taus, vals = fixed_point_window(orbits.values(), depth, i + 2)
     return extrapolate_to_fixed(q, quotient_levels(taus, vals, i))
 
 
@@ -276,9 +277,9 @@ def functional_value(
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> SeriesResult:
     """The objective integral, as the difference of the two one-sided series."""
-    y = _resolve(y)
-    orbits = (_orbit(problem, y, origin) for origin in (Origin.B, Origin.A))
-    at_b, at_a = (_one_sided_functional(problem, o.prefactor, o.walk(), tol, max_terms) for o in orbits)
+    a, b = _orbits(problem, _resolve(y)).values()
+    at_b, at_a = (_one_sided_functional(problem, o.prefactor, o.walk(), tol, max_terms)
+                  for o in (b, a))
     return at_b - at_a
 
 
@@ -292,22 +293,18 @@ class BoundaryViolation:
 
 
 def _boundary_violations(
-    problem: Problem,
-    y: Resolved,
-    targets_a: Sequence[float],
-    targets_b: Sequence[float],
-    tol: float,
-    depth: int,
+    problem: Problem, y: Resolved, orbits: Orbits, targets: Sequence[Sequence[float]],
+    tol: float, depth: int,
 ) -> list[BoundaryViolation]:
+    """The conditions D^i y = targets[endpoint][i], i < r, missed by more than tol."""
     out = []
-    for endpoint, origin, targets in (("a", Origin.A, targets_a), ("b", Origin.B, targets_b)):
-        orbit = _orbit(problem, y, origin)
+    for (origin, orbit), want in zip(orbits.items(), targets):
         for i in range(problem.r):
-            actual = (_derivative_at_fixed(problem, y, i, depth) if orbit.degenerate
+            actual = (_derivative_at_fixed(problem, y, orbits, i, depth) if orbit.degenerate
                       else iterated_quotient(*orbit.window(0, i + 1)))
-            err = abs(actual - targets[i])
+            err = abs(actual - want[i])
             if not err <= tol:
-                out.append(BoundaryViolation(endpoint, i, actual, targets[i], err))
+                out.append(BoundaryViolation(origin.value, i, actual, want[i], err))
     return out
 
 
@@ -315,7 +312,9 @@ def is_admissible(
     problem: Problem, y: Candidate, tol: float = 1e-9, depth: int = DEFAULT_DEPTH
 ) -> tuple[bool, list[BoundaryViolation]]:
     """Whether all 2r endpoint conditions hold within tol, with the offenders."""
-    bad = _boundary_violations(problem, _resolve(y), problem.alpha, problem.beta, tol, depth)
+    y = _resolve(y)
+    targets = (problem.alpha, problem.beta)
+    bad = _boundary_violations(problem, y, _orbits(problem, y), targets, tol, depth)
     return (not bad, bad)
 
 
@@ -323,8 +322,9 @@ def is_variation(
     problem: Problem, eta: Candidate, tol: float = 1e-9, depth: int = DEFAULT_DEPTH
 ) -> tuple[bool, list[BoundaryViolation]]:
     """Whether D^i eta vanishes at both endpoints (within tol) for i < r."""
-    zeros = (0.0,) * problem.r
-    bad = _boundary_violations(problem, _resolve(eta), zeros, zeros, tol, depth)
+    eta = _resolve(eta)
+    zeros = ((0.0,) * problem.r,) * 2
+    bad = _boundary_violations(problem, eta, _orbits(problem, eta), zeros, tol, depth)
     return (not bad, bad)
 
 
@@ -343,18 +343,20 @@ def first_variation(
     iterates vanish within variation_tol.
     """
     y, eta = _resolve(y), _resolve(eta)
-    ok, bad = is_variation(problem, eta, variation_tol)
-    if not ok:
+    etas, zeros = _orbits(problem, eta), ((0.0,) * problem.r,) * 2
+    bad = _boundary_violations(problem, eta, etas, zeros, variation_tol, DEFAULT_DEPTH)
+    if bad:
         worst = max(v.error for v in bad)
         raise NotAVariation(
             f"perturbation does not vanish at the endpoints (worst error {worst:.3e})"
         )
+    ys = _orbits(problem, y)
     stream = slot_stream(problem.r)
     gradient = problem.lagrangian.gradient
     parts = []
     for origin in (Origin.B, Origin.A):
-        vy = _orbit(problem, y, origin)
-        windows = zip(stream(vy.walk()), stream(_orbit(problem, eta, origin).walk()))
+        vy = ys[origin]
+        windows = zip(stream(vy.walk()), stream(etas[origin].walk()))
         samples = (
             math.fsum(g * e for g, e in zip(gradient(t, us), es)) for (t, us), (_, es) in windows
         )
@@ -376,9 +378,7 @@ def first_variation_fd(
     shallower of the two."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    y, eta = _resolve(y), _resolve(eta)
-    ys = [_orbit(problem, y, origin) for origin in (Origin.B, Origin.A)]
-    es = [_orbit(problem, eta, origin) for origin in (Origin.B, Origin.A)]
+    ys, etas = _orbits(problem, _resolve(y)), _orbits(problem, _resolve(eta))
     shifted = []
     for coeff in (eps, -eps):
         at_b, at_a = (
@@ -389,7 +389,7 @@ def first_variation_fd(
                 tol,
                 max_terms,
             )
-            for vy, ve in zip(ys, es)
+            for vy, ve in ((ys[o], etas[o]) for o in (Origin.B, Origin.A))
         )
         shifted.append(at_b.value - at_a.value)
     return (shifted[0] - shifted[1]) / (2.0 * eps)
@@ -427,23 +427,20 @@ def el_residual(
     ``_residual_at_fixed`` estimate from the orbit read through ``depth``
     (or the grid depth, if shallower), ``el_report``'s omega0 entry at the
     same depth."""
-    y = _resolve(y)
-    if point.origin is not Origin.FIXED:
-        orbit = _orbit(problem, y, point.origin)
-        if not orbit.degenerate:
-            taus, vals = orbit.window(point.n, 2 * problem.r + 1)
-            return _residuals(problem.params.q, problem.lagrangian, taus, vals)[0]
-    return _residual_at_fixed(problem, y, depth)
+    orbits = _orbits(problem, _resolve(y))
+    if point.origin is not Origin.FIXED and not orbits[point.origin].degenerate:
+        taus, vals = orbits[point.origin].window(point.n, 2 * problem.r + 1)
+        return _residuals(problem.params.q, problem.lagrangian, taus, vals)[0]
+    return _residual_at_fixed(problem, orbits, depth)
 
 
-def _residual_at_fixed(problem: Problem, y: Resolved, depth: int) -> float:
+def _residual_at_fixed(problem: Problem, orbits: Orbits, depth: int) -> float:
     """Residual at omega0 extrapolated from the residuals R at the two deepest
     bases of an orbit: (R_top - q*R_(top-1)) / (1 - q), over the 2r + 2
     points of the ``fixed_point_window`` through ``depth`` (or the grid
     depth or the first merge, if shallower), points ``el_report`` also
-    reads at that depth; only those values are formed."""
-    orbits = (_orbit(problem, y, origin) for origin in (Origin.A, Origin.B))
-    q, taus, vals = fixed_point_window(orbits, depth, 2 * problem.r + 2)
+    reads at that depth, from the same orbits in a report."""
+    q, taus, vals = fixed_point_window(orbits.values(), depth, 2 * problem.r + 2)
     return extrapolate_to_fixed(q, _residuals(q, problem.lagrangian, taus, vals))
 
 
@@ -486,24 +483,22 @@ def el_report(
     if depth < 2 * r + 1:
         raise InsufficientDepth(f"el_report needs depth >= {2 * r + 1}")
     y = _resolve(y)
+    orbits = _orbits(problem, y)
     residuals: dict[LatticePoint, float] = {}
     depth_used = 0
-    for origin in (Origin.A, Origin.B):
-        orbit = _orbit(problem, y, origin)
-        if orbit.degenerate:
-            continue
-        top = orbit.cap(depth) - 2 * r
+    for origin, orbit in orbits.items():
+        top = -1 if orbit.degenerate else orbit.cap(depth) - 2 * r
         if top < 0:
             continue
         run = _residuals(problem.params.q, problem.lagrangian, *orbit.window(0, top + 2 * r + 1))
         residuals.update((LatticePoint(origin, n), v) for n, v in enumerate(run))
         depth_used = max(depth_used, top)
     orbit_max = max((abs(v) for v in residuals.values()), default=0.0)
-    violations = _boundary_violations(problem, y, problem.alpha, problem.beta, tol, depth)
+    violations = _boundary_violations(problem, y, orbits, (problem.alpha, problem.beta), tol, depth)
     passed = orbit_max <= tol and not violations
     omega0_res = None
     if include_omega0:
-        omega0_res = _residual_at_fixed(problem, y, depth)
+        omega0_res = _residual_at_fixed(problem, orbits, depth)
         residuals[OMEGA0_POINT] = omega0_res
         passed = passed and abs(omega0_res) <= 100.0 * tol
     max_abs = max((abs(v) for v in residuals.values()), default=0.0)

@@ -605,6 +605,34 @@ def test_integrate_out_of_max_terms_exits_4(capsys):
     assert err.count("\n") == 1
 
 
+def test_evaluate_says_why_it_exits_4(tmp_path, capsys):
+    # Out of terms: the cap is spent.
+    cfg = tmp_path / "expr.json"
+    cfg.write_text(json.dumps({
+        "q": 0.5, "omega": 0.5, "a": -1.0, "b": 1.0, "r": 1, "lagrangian": "u1^2",
+        "alpha": [0.0], "beta": [0.0], "candidate": {"type": "expr", "value": "t^2 - 1"},
+    }))
+    code, out, err = run(capsys, "evaluate", str(cfg), "--max-terms", "5", "--format", "json")
+    assert code == 4
+    assert json.loads(out)["terms_used"] == 5
+    assert err == "series did not converge within 5 terms (tail bound 0.205322265625, 5 terms used)\n"
+    # Out of points: a depth-3 table gives orbit a three order-1 windows.
+    cfg = tmp_path / "table.json"
+    rows = [[origin, n, 0.1 * n] for origin in "ab" for n in range(4)]
+    cfg.write_text(json.dumps({
+        "q": 0.9, "omega": 0.05, "a": -1.0, "b": 1.0, "r": 1, "lagrangian": "u1^2 + u0^2",
+        "alpha": [0.0], "beta": [0.0], "depth": 3,
+        "candidate": {"type": "table", "rows": rows, "omega0": 0.5},
+    }))
+    code, out, err = run(capsys, "evaluate", str(cfg), "--format", "json")
+    assert code == 4
+    assert json.loads(out)["terms_used"] == 3
+    assert err == (
+        "series did not converge within 10000 terms (tail bound 3.0941829629629658, 3 terms used)"
+        ": an orbit ran out of usable points\n"
+    )
+
+
 def test_the_builtin_candidate_flag_overrides_the_config_candidate(tmp_path, capsys):
     path = _double_well_config(tmp_path, candidate={"type": "expr", "value": "0"})
     code, out, err = run(

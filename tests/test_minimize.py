@@ -462,9 +462,9 @@ def test_the_emitted_factor_and_solve_equal_the_loops_bit_for_bit(data, w, defin
     if short:
         band = [row[: n - j] for j, row in enumerate(band)]
     rhs = data.draw(st.lists(_ENTRY, min_size=n, max_size=n))
-    want, got = (_raised(ldl, band, shift) for ldl in (_loop_ldl, minimize._ldl))
-    if want is OverflowError:  # float ** 2 raises past the float range
-        assert got is OverflowError
+    want, got = _raised(_loop_ldl, band, shift), minimize._ldl(band, shift)
+    if want is OverflowError:  # float ** 2 raises past the float range: no factor
+        assert got is None
         return
     assert (got is None) == (want is None)
     if definite:
@@ -474,6 +474,13 @@ def test_the_emitted_factor_and_solve_equal_the_loops_bit_for_bit(data, w, defin
         want_rows = [(*l, d) for l, d in zip(low, diag)]
         assert [[v.hex() for v in row] for row in got] == [[v.hex() for v in row] for row in want_rows]
         assert [v.hex() for v in minimize._solve(got, rhs)] == [v.hex() for v in _loop_solve(want, rhs)]
+
+
+def test_a_factor_whose_square_overflows_is_refused_not_raised():
+    # m = 1/1e-300 = 1e300, and m ** 2 passes the float range
+    assert minimize._ldl([[1e-300, 1.0], [1.0, 0.0]], 0.0) is None
+    with pytest.raises(OverflowError):
+        _loop_ldl([[1e-300, 1.0], [1.0, 0.0]], 0.0)
 
 
 def _loop_derivatives(search, x):

@@ -248,7 +248,7 @@ def test_el_report_flags_boundary_and_residuals():
 
     bad = el_report(pp, lambda t: 0.0, depth=40, tol=1e-9)
     assert not bad.passed
-    assert bad.boundary_violations
+    assert bad.boundary_violations == is_admissible(pp, lambda t: 0.0, depth=40)[1] != []
 
 
 def test_el_report_depth_validation():
@@ -380,7 +380,7 @@ def test_the_sample_stream_is_value_over_slot_windows_bit_for_bit(
         for series in (variational._one_sided_functional, reference):
             calls.clear()
             seen = []
-            orbit = variational._orbit(problem, y, origin)
+            orbit = variational._orbits(problem, y)[origin]
             points = _pulled(orbit.walk(), seen)
             outcome = _series_outcome(
                 lambda: series(problem, orbit.prefactor, points, tol, max_terms)
@@ -391,7 +391,7 @@ def test_the_sample_stream_is_value_over_slot_windows_bit_for_bit(
     def both_sides():
         at_b, at_a = (
             reference(problem, orbit.prefactor, orbit.walk(), tol, max_terms)
-            for orbit in (variational._orbit(problem, y, o) for o in (Origin.B, Origin.A))
+            for orbit in (variational._orbits(problem, y)[o] for o in (Origin.B, Origin.A))
         )
         return at_b - at_a
 
@@ -444,8 +444,10 @@ def test_the_omega0_residual_evaluates_the_candidate_on_its_window_only():
     el_residual(problem, _counted(calls), OMEGA0_POINT, 40)
     assert len(calls) == 6
     calls.clear()
+    # The report's omega0 entry and boundary check read the values its
+    # residual runs realized on the same two orbits: no call beyond theirs.
     el_report(problem, _counted(calls), depth=40, include_omega0=True)
-    assert len(calls) == 92
+    assert len(calls) == 82
 
 
 def test_the_omega0_entry_of_a_grid_reads_the_report_depth():
@@ -461,7 +463,10 @@ def test_the_omega0_entry_of_a_grid_reads_the_report_depth():
 def test_every_omega0_estimate_evaluates_the_candidate_on_its_window_only():
     # omega0 = 1, so on [-1, 1] the endpoint b is omega0.  Slot i at omega0
     # and D^i y(b) read i + 2 points of orbit a (one value at i = 0), the
-    # omega0 residual 2r + 2; no estimate samples a whole lattice.
+    # omega0 residual 2r + 2; no estimate samples a whole lattice.  Within
+    # el_report both read the points its run over orbit a realized, so the
+    # report costs that run and the one value at omega0, with or without
+    # the omega0 entry.
     free = Problem(P, 2, -1.0, 2.0, (0.0, 0.0), (0.0, 0.0), "u2^2 + u0^2")
     at_b = Problem(P, 2, -1.0, 1.0, (0.0, 0.0), (0.0, 0.0), "u2^2 + u0^2")
     counts = []
@@ -474,7 +479,7 @@ def test_every_omega0_estimate_evaluates_the_candidate_on_its_window_only():
         calls = []
         call(_counted(calls))
         counts.append(len(calls))
-    assert counts == [8, 6, 47, 53]
+    assert counts == [8, 6, 42, 42]
 
 
 def test_trajectory_at_omega0_reads_a_shallow_grid_at_its_own_depth():
@@ -550,6 +555,72 @@ def test_omega0_residual_extrapolates_the_last_two_orbit_residuals(seed, r):
     q = problem.params.q
     want = (r_top - q * r_prev) / (1 - q)
     assert el_residual(problem, y, OMEGA0_POINT, 24).hex() == want.hex()
+
+
+def _violations(bad):
+    return [(v.endpoint, v.index, v.actual.hex(), v.target.hex(), v.error.hex()) for v in bad]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from(["none", "a", "b"]),
+       st.sampled_from([1e-9, 0.5]), st.integers(12, 40))
+def test_el_report_agrees_with_the_one_point_checks_bit_for_bit(seed, r, at_omega0, tol, depth):
+    # Dyadic (q, omega) put omega0 on an endpoint exactly, so its orbit is
+    # degenerate; random cubics miss most boundary conditions.
+    rng = random.Random(seed)
+    problem = rand_problem(rng, r)
+    if at_omega0 != "none":
+        params = HahnParams(rng.choice([0.25, 0.5, 0.75]), rng.choice([0.25, 0.5, 1.0]))
+        w0 = params.omega0
+        a, b = (w0, w0 + 2.0) if at_omega0 == "a" else (w0 - 2.0, w0)
+        problem = Problem(params, r, a, b, problem.alpha, problem.beta, problem.lagrangian)
+        assert problem.lattice().orbit_degenerate(Origin.A if at_omega0 == "a" else Origin.B)
+    for form, y in _three_forms(rng, problem, depth).items():
+        report = el_report(problem, y, depth=depth, tol=tol, include_omega0=True)
+        _, bad = is_admissible(problem, y, tol=tol, depth=depth)
+        assert _violations(report.boundary_violations) == _violations(bad), form
+        want = el_residual(problem, y, OMEGA0_POINT, depth)
+        assert report.residuals[OMEGA0_POINT].hex() == want.hex(), form
+        assert report.omega0_residual.hex() == want.hex(), form
+
+
+def _public_calls(problem, y, eta):
+    """Every public function of ``variational`` that takes candidates, with
+    the number of candidates it takes."""
+    return {
+        "el_report": (1, lambda: el_report(problem, y, depth=16)),
+        "el_report omega0": (1, lambda: el_report(problem, y, depth=16, include_omega0=True)),
+        "is_admissible": (1, lambda: is_admissible(problem, y, depth=16)),
+        "is_variation": (1, lambda: is_variation(problem, y, depth=16)),
+        "first_variation": (2, lambda: first_variation(problem, y, eta, max_terms=60)),
+        "first_variation_fd": (2, lambda: first_variation_fd(problem, y, eta, max_terms=60)),
+        "functional_value": (1, lambda: functional_value(problem, y, max_terms=60)),
+        "trajectory": (1, lambda: trajectory(problem, y, LatticePoint(Origin.A, 2), 16)),
+        "trajectory omega0": (1, lambda: trajectory(problem, y, OMEGA0_POINT, 16)),
+        "el_residual": (1, lambda: el_residual(problem, y, LatticePoint(Origin.B, 1), 16)),
+        "el_residual omega0": (1, lambda: el_residual(problem, y, OMEGA0_POINT, 16)),
+    }
+
+
+@pytest.mark.parametrize("b", [2.0, 1.0])  # 1.0 is omega0: orbit b is degenerate
+@pytest.mark.parametrize("form", ["callable", "source", "grid"])
+def test_each_public_function_builds_one_orbit_per_endpoint_per_candidate(monkeypatch, b, form):
+    problem = Problem(P, 2, -1.0, b, (0.0, 0.0), (0.0, 0.0), "u2^2 + u0^2")
+    y = {"callable": poly([0.2, -0.3, 0.1]), "source": "0.2 - 0.3*t + 0.1*t^2",
+         "grid": materialize(problem, "0.2 - 0.3*t + 0.1*t^2", 16)}[form]
+    eta = GridFunction.sample(problem.lattice(16), lambda t: 0.0)
+    built = []
+    init = Orbit.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[2])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Orbit, "__init__", counting)
+    for name, (candidates, call) in _public_calls(problem, y, eta).items():
+        built.clear()
+        call()
+        assert sorted(built) == sorted([problem.a, problem.b] * candidates), name
 
 
 def test_a_deep_window_evaluates_the_candidate_on_the_window_only():
