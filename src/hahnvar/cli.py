@@ -14,6 +14,7 @@ Exit codes are a stable contract:
   3 evaluation error (domain faults, non-finite values, lattice too
     shallow, degenerate stencils)
   4 series non-convergence (integrate / evaluate)
+  141 stdout closed before the output was written (no message)
 
 All numbers are rendered with 17 significant digits in json and csv
 modes, which round-trips IEEE doubles exactly; json renders a
@@ -40,8 +41,8 @@ if TYPE_CHECKING:
 # Each subcommand imports the modules it runs when it runs, so a process
 # compiles no module its subcommand does not use.
 
-# Exit 2; OSError is an unreadable config, ValueError a value the library rejects.
-_INPUT_ERRORS = (ConfigError, ExprSyntaxError, UnknownIdentifier, ArityError, OSError, ValueError)
+# Exit 2; ValueError is a value the library rejects (an unreadable config is a ConfigError).
+_INPUT_ERRORS = (ConfigError, ExprSyntaxError, UnknownIdentifier, ArityError, ValueError)
 
 _FORMATS = ("table", "json", "csv")
 
@@ -217,6 +218,8 @@ def _load_config(args) -> dict:
                 cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(str(exc)) from exc
     else:
         raise ConfigError("provide a config file or --builtin NAME")
     if not isinstance(cfg, dict):
@@ -375,10 +378,7 @@ def _cmd_integrate(args) -> int:
         "expr": args.expr,
         "a": args.a,
         "b": args.b,
-        "value": result.value,
-        "terms_used": result.terms_used,
-        "tail_bound": result.tail_bound,
-        "converged": result.converged,
+        **vars(result),
     }
     _output(args, {}, report, list(report.keys()), [list(report.values())])
     return 0 if result.converged else _unconverged(result, max_terms)
@@ -414,15 +414,8 @@ def _cmd_evaluate(args) -> int:
     max_terms = _setting(args, cfg, "max_terms", DEFAULT_MAX_TERMS)
     candidate = _resolve_candidate(args, cfg, problem, depth)
     result = functional_value(problem, candidate, tol=tol, max_terms=max_terms)
-    report = {
-        "problem": _problem_echo(problem),
-        "value": result.value,
-        "terms_used": result.terms_used,
-        "tail_bound": result.tail_bound,
-        "converged": result.converged,
-    }
-    headers = ["value", "terms_used", "tail_bound", "converged"]
-    _output(args, cfg, report, headers, [[report[h] for h in headers]])
+    report = {"problem": _problem_echo(problem), **vars(result)}
+    _output(args, cfg, report, list(vars(result)), [list(vars(result).values())])
     return 0 if result.converged else _unconverged(result, max_terms)
 
 
@@ -442,16 +435,6 @@ def _cmd_el_check(args) -> int:
             report.residuals.items(), key=lambda kv: (kv[0].origin.value, kv[0].n)
         )
     ]
-    violation_rows = [
-        {
-            "endpoint": v.endpoint,
-            "index": v.index,
-            "actual": v.actual,
-            "target": v.target,
-            "error": v.error,
-        }
-        for v in report.boundary_violations
-    ]
     out = {
         "problem": _problem_echo(problem),
         "depth": depth,
@@ -461,7 +444,7 @@ def _cmd_el_check(args) -> int:
         "omega0_included": report.omega0_included,
         "omega0_residual": report.omega0_residual,
         "passed": report.passed,
-        "boundary_violations": violation_rows,
+        "boundary_violations": [vars(v) for v in report.boundary_violations],
         "residuals": residual_rows,
     }
     _output(
@@ -654,7 +637,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # nothing reads stdout: exit as for SIGPIPE, silent at exit
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -148,12 +148,7 @@ def run_double_well(
         "demo": "double-well",
         "params": {"q": problem.params.q, "omega": problem.params.omega},
         "interval": [problem.a, problem.b],
-        "functional": {
-            "value": value.value,
-            "terms_used": value.terms_used,
-            "tail_bound": value.tail_bound,
-            "converged": value.converged,
-        },
+        "functional": vars(value),
         "el": {
             "max_abs_residual": report.max_abs_residual,
             "points_checked": len(report.residuals),

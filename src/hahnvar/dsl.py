@@ -391,7 +391,8 @@ def _call_real(fn: str, x: float) -> float:
         raise DomainError(f"{fn}({x!r}) overflows") from None
 
 
-# Symbolic partials fold the zeros and ones they make.
+# Symbolic partials fold the zeros and ones they make, and a product of two
+# literals where it is finite and nonzero: an underflow or overflow stays.
 _ZERO, _ONE = Number(0.0), Number(1.0)
 
 
@@ -403,9 +404,19 @@ def _sub(a: Expr, b: Expr) -> Expr:
     return a if b == _ZERO else _neg(b) if a == _ZERO else BinOp("-", a, b)
 
 
+def _literal(e: Expr) -> float | None:
+    """The value of a literal, a negated one too, as ``_emit`` reads it; else None."""
+    if isinstance(e, Number):
+        return e.value
+    return -e.operand.value if isinstance(e, Neg) and isinstance(e.operand, Number) else None
+
+
 def _mul(a: Expr, b: Expr) -> Expr:
     if a == _ZERO or b == _ZERO:
         return _ZERO
+    x = _literal(a)
+    if x is not None and (y := _literal(b)) is not None and x * y and math.isfinite(x * y):
+        return Number(x * y)
     return b if a == _ONE else a if b == _ONE else BinOp("*", a, b)
 
 
@@ -483,8 +494,8 @@ def _emit(e: Expr, fresh: Iterator[int] | None = None, consts: list[float] | Non
     def emit(node: Expr) -> str:
         return _emit(node, fresh, consts)
 
-    if isinstance(e, Number) or isinstance(e, Neg) and isinstance(e.operand, Number):
-        consts.append(e.value if isinstance(e, Number) else -e.operand.value)
+    if (value := _literal(e)) is not None:
+        consts.append(value)
         return f"_k{len(consts) - 1}"
     if isinstance(e, Var):
         return e.name
@@ -667,18 +678,14 @@ class Lagrangian:
         return tuple(_slopes_eval(self.expr, self._slopes, self._bindings(t, us)))
 
     def partial(self, i: int, t: float, us) -> float:
-        """dL/du_i at (t, u0..ur); raises where ``value`` raises.  Only L and
-        slot i must be finite, so a kink in another slot does not raise."""
+        """dL/du_i at (t, u0..ur), ``gradient``'s entry i; raises where ``value`` raises.
+        Only L and slot i must be finite: past another slope's fault, slot i is walked alone."""
         if not 0 <= i <= self.order:
             raise ArityError(f"slot u{i} is outside order {self.order}")
         try:
-            out = self._gradient_code(t, *us)
-            v, d = out[0], out[i + 1]
-            if math.isfinite(v) and math.isfinite(d):
-                return d
-        except _FAST_FAULTS:
-            pass
-        return _slopes_eval(self.expr, self._slopes[i : i + 1], self._bindings(t, us))[0]
+            return self.gradient(t, us)[i]
+        except NotDifferentiable:
+            return _slopes_eval(self.expr, self._slopes[i : i + 1], self._bindings(t, us))[0]
 
     def derivatives(self, t: float, us) -> tuple[list[float], list[list[float]]]:
         """(dL/du_i, d2L/du_i du_j) over the slots at (t, u0..ur); raises

@@ -15,13 +15,14 @@ stopping term is formed, and an iterator that runs out is an exhausted
 orbit.  ``_orbit_samples`` takes an integral's samples off the walk through
 C-level iterators, so a term resumes one generator, the walk.
 
-For q < 1 convergence is certified with a geometric tail bound: once
-the running maximum of recent samples is M, the unsummed remainder is
-at most |prefactor| * q^(k+1) * M / (1 - q).  At q = 1 there is no
-envelope; the driver stops once |prefactor| * M <= tol, which is
-empirical, so converged is not a certificate there.  Results carry
-the bound instead of raising, so a caller can distinguish "converged
-under tol" from "ran out of terms" without exception handling.
+For q < 1 convergence is judged by a geometric tail bound: if later
+samples stay below M, the largest of the last five, the unsummed remainder
+is at most |prefactor| * q^(k+1) * M / (1 - q); nothing checks that, so an
+integrand zero on the nodes walked that spikes nearer omega0 converges
+with a bound of 0.  At q = 1 there is no envelope; the driver stops once
+|prefactor| * M <= tol, which is empirical, so converged is not a
+certificate there.  Results carry the bound instead of raising, so a
+caller can tell "converged under tol" from "ran out of terms".
 """
 
 from __future__ import annotations
@@ -46,10 +47,11 @@ _TAIL_WINDOW = 5
 class SeriesResult:
     """Outcome of one series evaluation.
 
-    converged means the tail bound dropped to the requested tolerance
-    before max_terms, or before the samples ran out (an exhausted orbit);
-    the partial value and bound are reported either way.  terms_used is
-    the number of samples drawn from the iterator.
+    converged means the tail bound (which assumes later samples stay below
+    the last five) dropped to the requested tolerance before max_terms, or
+    before the samples ran out (an exhausted orbit); the partial value and
+    bound are reported either way.  terms_used is the number of samples
+    drawn from the iterator.
     At q = 1 (the Noerlund sum) the bound is the weighted maximum of the
     last few terms, so converged there is empirical, not a certificate.
     """

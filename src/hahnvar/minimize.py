@@ -32,7 +32,7 @@ from .core import DEFAULT_DEPTH, GridFunction, Orbit, Origin
 from .dsl import Lagrangian, Neg
 from .errors import (DegenerateDenominator, DomainError, InsufficientDepth, NonFiniteValue,
                      NotDifferentiable)
-from .operators import extrapolate_to_fixed, fit_leading_values, fixed_point_window, quotient_levels
+from .operators import fit_leading_values, fixed_point_window, iterates_at_fixed
 from .variational import Problem, is_admissible, sample_stream, slot_stream, traj_components
 
 _ARMIJO = 1e-4
@@ -144,8 +144,7 @@ class _Newton:
             self.x0 += vals[r:]
             self.orbits.append(orb)
 
-        # At a degenerate endpoint, D^i (0 < i < r) at omega0 is extrapolated
-        # linearly from the live orbit's r+1 point fixed_point_window: one row each.
+        # At a degenerate endpoint, one row per condition on D^i y(omega0), 0 < i < r.
         self.rows: list[list[float]] = []
         self.targets: list[float] = []
         if len(self.orbits) == 1 and r >= 2:
@@ -154,11 +153,9 @@ class _Newton:
                 raise InsufficientDepth("live orbit too shallow for the omega0 conditions")
             taus = fixed_point_window([live.orbit], depth, r + 1)[1]
             units = [[float(j == m) for j in range(r + 1)] for m in range(r + 1)]
-            for i in range(1, r):
-                row = [0.0] * (len(self.x0) - r - 1)
-                row += [extrapolate_to_fixed(q, quotient_levels(taus, u, i)) for u in units]
-                self.rows.append(row)
-                self.targets.append((problem.beta if live.origin is Origin.A else problem.alpha)[i])
+            columns = [iterates_at_fixed(q, taus, u, r - 1) for u in units]
+            self.rows = [[0.0] * (len(self.x0) - r - 1) + list(row) for row in zip(*columns)]
+            self.targets = list((problem.beta if live.origin is Origin.A else problem.alpha)[1:])
             # Start feasible: the least-norm correction onto the constraints,
             # from the identity's factor (rows of r zeros and a unit pivot).
             identity = [(0.0,) * r + (1.0,)] * len(self.x0)

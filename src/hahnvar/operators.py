@@ -14,7 +14,8 @@ the value of any iterate *at* omega0 is recovered by geometric
 extrapolation along an orbit, using that for g continuous at omega0 with
 one-sided slope, g(t_n) - g(omega0) shrinks by a factor q per step.
 Every such estimate in the package reads the points that
-``fixed_point_window`` chooses.
+``fixed_point_window`` chooses, and every iterate D^i there, of grid data,
+a candidate or the minimizer's rows, comes from ``iterates_at_fixed``.
 """
 
 from __future__ import annotations
@@ -176,8 +177,8 @@ def extrapolate_to_fixed(q: float, vals: Sequence[float]) -> float:
     Removes the leading O(t - omega0) error of the two deepest values
     geometrically: with v_n = L + C*(t_n - omega0) and
     t_{n+1} - omega0 = q*(t_n - omega0), L = (v_{n+1} - q*v_n) / (1 - q).
-    Callers pass D^r values from ``quotient_levels`` over a
-    ``fixed_point_window``, or the residuals formed there.
+    Its two callers pass the D^i of ``iterates_at_fixed`` and the residuals of
+    ``variational``'s omega0 estimate, each over a ``fixed_point_window``.
     """
     return (vals[-1] - q * vals[-2]) / (1.0 - q)
 
@@ -196,14 +197,23 @@ def fixed_point_window(
     raise InsufficientDepth(f"no orbit offers {width} usable points for the omega0 estimate")
 
 
+def iterates_at_fixed(q: float, taus: Sequence[float], vals: Sequence[float], n: int) -> list[float]:
+    """D^1..D^n at omega0 from one window of n + 2 orbit points, deepest last:
+    D^i extrapolates the last two D^i of ``quotient_levels``, on i + 2 points."""
+    out, row = [], vals
+    for _ in range(n):
+        row = quotient_levels(taus, row, 1)
+        out.append(extrapolate_to_fixed(q, row))
+    return out
+
+
 def grid_derivative_at_fixed(y: GridFunction, r: int) -> float:
-    """Estimate D^r[y](omega0) by extrapolation over the r + 2 points (two
-    D^r values) of the ``fixed_point_window`` at the grid's own depth."""
+    """Estimate D^r[y](omega0) by ``iterates_at_fixed`` over the r + 2 points
+    of the ``fixed_point_window`` at the grid's own depth."""
     if r == 0:
         return y.value_at_fixed
     orbits = (y.orbit(origin) for origin in (Origin.A, Origin.B))
-    q, taus, vals = fixed_point_window(orbits, y.lattice.depth, r + 2)
-    return extrapolate_to_fixed(q, quotient_levels(taus, vals, r))
+    return iterates_at_fixed(*fixed_point_window(orbits, y.lattice.depth, r + 2), r)[-1]
 
 
 def norm_r_inf(y: GridFunction, r: int) -> float:

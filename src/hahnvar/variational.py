@@ -20,7 +20,8 @@ the same generated code yielding the Lagrangian's value at each window
 instead of the window, so a term resumes one generator above the walk.
 Every Euler-Lagrange residual comes from ``_residuals`` over a run of orbit
 points, with all partials of a window from one compiled call.  Every
-estimate at omega0 reads the points ``fixed_point_window`` chooses.
+estimate at omega0 reads the points ``fixed_point_window`` chooses, and a
+candidate's iterates there come from one ``iterates_at_fixed`` window per call.
 
 The Euler-Lagrange residual is oriented so that the first-order case
 reads D[dL/du1] - dL/du0, matching the classical
@@ -54,6 +55,7 @@ from .operators import (
     extrapolate_to_fixed,
     fixed_point_window,
     iterated_quotient,
+    iterates_at_fixed,
     quotient_levels,
 )
 
@@ -232,30 +234,28 @@ def trajectory(
 
     At omega0 (or on a degenerate orbit) the slot values reduce to
     v_i = q**(i*(r-i)) * D^i[y](omega0), with the iterates from
-    ``_derivative_at_fixed``: grid data at its own depth, a function of t
-    through ``depth``."""
+    ``_iterates_at_fixed``: y at omega0 and on one window of r + 2 points."""
     q, r = problem.params.q, problem.r
     y = _resolve(y)
     orbits = _orbits(problem, y)
     if point.origin is not Origin.FIXED and not orbits[point.origin].degenerate:
         taus, vals = orbits[point.origin].window(point.n, r + 1)
         return (taus[0], *traj_components(taus, vals))
-    slots = [q ** (i * (r - i)) * _derivative_at_fixed(problem, y, orbits, i, depth)
-             for i in range(r + 1)]
-    return (problem.params.omega0, *slots)
+    at_fixed = _iterates_at_fixed(problem, y, orbits, r, depth)
+    return (problem.params.omega0, *(q ** (i * (r - i)) * d for i, d in enumerate(at_fixed)))
 
 
-def _derivative_at_fixed(problem: Problem, y: Resolved, orbits: Orbits, i: int, depth: int) -> float:
-    """D^i y at omega0: the value there at i = 0, else the extrapolation over
-    the ``fixed_point_window`` of y's orbits, through the grid's own depth
-    for grid data (as ``grid_derivative_at_fixed`` reads it) and through
-    ``depth`` for a function of t."""
-    if i == 0:
-        return y.value_at_fixed if isinstance(y, GridFunction) else y(problem.params.omega0)
+def _iterates_at_fixed(problem: Problem, y: Resolved, orbits: Orbits, n: int, depth: int) -> list[float]:
+    """D^0..D^n y at omega0: the value there, then ``iterates_at_fixed`` over
+    the n + 2 point ``fixed_point_window`` of y's orbits, through the grid's
+    own depth for grid data and through ``depth`` for a function of t."""
     if isinstance(y, GridFunction):
-        depth = y.lattice.depth
-    q, taus, vals = fixed_point_window(orbits.values(), depth, i + 2)
-    return extrapolate_to_fixed(q, quotient_levels(taus, vals, i))
+        head, depth = y.value_at_fixed, y.lattice.depth
+    else:
+        head = y(problem.params.omega0)
+    if n == 0:
+        return [head]
+    return [head, *iterates_at_fixed(*fixed_point_window(orbits.values(), depth, n + 2), n)]
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +299,9 @@ def _boundary_violations(
     """The conditions D^i y = targets[endpoint][i], i < r, missed by more than tol."""
     out = []
     for (origin, orbit), want in zip(orbits.items(), targets):
-        for i in range(problem.r):
-            actual = (_derivative_at_fixed(problem, y, orbits, i, depth) if orbit.degenerate
-                      else iterated_quotient(*orbit.window(0, i + 1)))
+        actuals = (_iterates_at_fixed(problem, y, orbits, problem.r - 1, depth) if orbit.degenerate
+                   else [iterated_quotient(*orbit.window(0, i + 1)) for i in range(problem.r)])
+        for i, actual in enumerate(actuals):
             err = abs(actual - want[i])
             if not err <= tol:
                 out.append(BoundaryViolation(origin.value, i, actual, want[i], err))

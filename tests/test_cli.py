@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -727,3 +728,48 @@ def test_a_zero_residual_tolerance_runs(capsys, argv):
     # The double-well minimizer's residuals and boundary errors are exactly 0.
     code, _, err = run(capsys, *argv, "--tol=0")
     assert (code, err) == (0, "")
+
+
+def test_series_results_and_boundary_violations_keep_their_field_order(tmp_path, capsys):
+    # The JSON objects are rendered from the result's own fields, in their order.
+    series = ["value", "terms_used", "tail_bound", "converged"]
+    _, out, _ = run(capsys, "integrate", "--q", "0.5", "--omega", "0.5", "--expr", "t",
+                    "--a", "-1", "--b", "2", "--format", "json")
+    assert list(json.loads(out)) == ["q", "omega", "expr", "a", "b", *series]
+    _, out, _ = run(capsys, "evaluate", "--builtin", "double-well", "--format", "json")
+    assert list(json.loads(out)) == ["problem", *series]
+    _, out, _ = run(capsys, "evaluate", "--builtin", "double-well", "--format", "csv")
+    assert out.splitlines()[0] == ",".join(series)
+    _, out, _ = run(capsys, "demo", "double-well", "--depth", "12", "--format", "json")
+    assert list(json.loads(out)["functional"]) == series
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "q": 0.5, "omega": 0.5, "a": -1.0, "b": 2.0, "r": 2, "lagrangian": "u2^2 + u0^2",
+        "alpha": [0.0, 2.0], "beta": [3.0, 4.0], "depth": 12,
+        "candidate": {"type": "expr", "value": "t^2"},
+    }))
+    code, out, _ = run(capsys, "el-check", str(path), "--format", "json")
+    rows = json.loads(out)["boundary_violations"]
+    assert code == 1 and len(rows) == 4
+    assert all(list(row) == ["endpoint", "index", "actual", "target", "error"] for row in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["deriv", "--q", "0.5", "--omega", "0.5", "--expr", "t^2", "--t", "2"],
+    ["el-check", "--builtin", "double-well", "--format", "csv"],
+])
+def test_a_closed_stdout_exits_141_in_silence(argv):
+    # The read end is closed before the process starts, so its first write
+    # of stdout meets no reader.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = subprocess.Popen([sys.executable, "-m", "hahnvar.cli", *argv],
+                            stdout=write_end, stderr=subprocess.PIPE)
+    os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_an_unreadable_config_is_an_input_error(tmp_path, capsys):
+    code, _, err = run(capsys, "evaluate", str(tmp_path))
+    assert code == 2 and err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"

@@ -378,6 +378,67 @@ def test_compiled_partials_agree_with_the_checked_walk(tree, t, u0, u1):
             assert fast == slow
 
 
+@settings(deadline=None, max_examples=300)
+@given(_trees(3), _coord, _coord, _coord)
+def test_partial_is_the_gradients_entry_wherever_the_gradient_returns(tree, t, u0, u1):
+    L = compile_lagrangian(tree, 1)
+    grad = _outcome(L.gradient, t, (u0, u1))
+    if isinstance(grad, tuple):
+        assert tuple(L.partial(i, t, (u0, u1)) for i in (0, 1)) == grad
+
+
+def _is_literal(e):
+    return isinstance(e, Number) or isinstance(e, Neg) and isinstance(e.operand, Number)
+
+
+def _literal_products(e):
+    """Products of two literals (a negated literal counts) in the tree."""
+    if isinstance(e, BinOp):
+        here = e.op == "*" and _is_literal(e.left) and _is_literal(e.right)
+        return here + _literal_products(e.left) + _literal_products(e.right)
+    return _literal_products(e.operand) if isinstance(e, (Neg, Call)) else 0
+
+
+def _unfolded_mul(a, b):
+    if a == dsl._ZERO or b == dsl._ZERO:
+        return dsl._ZERO
+    return b if a == dsl._ONE else a if b == dsl._ONE else BinOp("*", a, b)
+
+
+def test_slopes_fold_literal_products_and_keep_every_value(monkeypatch):
+    rng, unfolded_products = random.Random(3), 0
+
+    def c():
+        return rng.choice(["2", "0.5", "3", "1.7", "-2.5", "0.1"])
+
+    for _ in range(60):
+        terms = [f"{c()}*({c()}*u{rng.randint(0, 2)} + {c()}*t)^{rng.randint(2, 4)}",
+                 f"{c()}*sin({c()}*u{rng.randint(0, 2)})*exp({c()}*u{rng.randint(0, 2)})"]
+        L = compile_lagrangian(" + ".join(terms), 2)
+        folded = L._second[0]
+        assert sum(map(_literal_products, folded)) == 0
+        with monkeypatch.context() as m:
+            m.setattr(dsl, "_mul", _unfolded_mul)
+            grad = [derivative(L.expr, u) for u in ("u0", "u1", "u2")]
+            unfolded = grad + [derivative(g, u) for i, g in enumerate(grad)
+                               for u in ("u0", "u1", "u2")[i:]]
+        unfolded_products += sum(map(_literal_products, unfolded))
+        for _ in range(10):
+            env = dict(zip(("t", "u0", "u1", "u2"), (rng.uniform(-2, 2) for _ in range(4))))
+            for a, b in zip(folded, unfolded):
+                assert _outcome(evaluate, a, env) == _outcome(evaluate, b, env)
+    assert unfolded_products >= 10
+
+
+@pytest.mark.parametrize("source, product", [("(1e-200*u1)^2", (2e-200, 1e-200)),
+                                             ("(1e200*u1)^2", (2e200, 1e200))])
+def test_a_literal_product_that_underflows_or_overflows_stays_and_raises(source, product):
+    second = compile_lagrangian(source, 1)._second[0][-1]
+    assert second == BinOp("*", *map(Number, product))
+    with pytest.raises(DomainError, match="underflowed|overflowed"):
+        _walk_eval(second, {})
+
+
 _EPS = 2.0**-52
 
 

@@ -26,6 +26,7 @@ from hahnvar import (
 )
 from hahnvar.core import Orbit
 from hahnvar.demos import ystar
+from hahnvar.operators import extrapolate_to_fixed, iterates_at_fixed, quotient_levels
 
 P = HahnParams(0.5, 0.5)
 
@@ -154,6 +155,27 @@ def test_grid_derivative_at_fixed_point():
     got = hahn_derivative_n(P, g, 1, OMEGA0_POINT)
     assert got == pytest.approx(2.0 * P.omega0, abs=1e-9)
     assert got == grid_derivative_at_fixed(g, 1)
+
+
+@given(
+    st.floats(0.05, 0.95),
+    st.floats(-3.0, 3.0),
+    st.floats(-4.0, 4.0).filter(lambda x: abs(x) > 1e-3),
+    st.integers(0, 30),
+    st.integers(1, 7),
+    st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9),
+)
+def test_each_iterate_at_omega0_reads_the_last_points_of_its_one_window(q, omega0, s0, k, n, vals):
+    # Every order of one n + 2 point window equals the two-level rule over
+    # the window's last i + 2 points, bit for bit.
+    orbit = Orbit(q, omega0 * (1.0 - q), omega0 + s0)
+    if orbit.degenerate or orbit.cap(k + n + 1) < k + n + 1:
+        return
+    taus, vals = orbit.window(k, n + 2)[0], vals[: n + 2]
+    got = iterates_at_fixed(q, taus, vals, n)
+    want = [extrapolate_to_fixed(q, quotient_levels(taus[-i - 2 :], vals[-i - 2 :], i))
+            for i in range(1, n + 1)]
+    assert list(map(repr, got)) == list(map(repr, want))  # deep windows may overflow to nan
 
 
 def test_iterated_quotient_degenerate():

@@ -16,7 +16,7 @@ README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encodi
 # attribute the commented line reads.  A two-sided integral's tail bound is
 # the sum of its sides', each within the default tol.
 PROSE = {
-    "with tail certificate": lambda res: res.converged and res.tail_bound <= 2 * DEFAULT_TOL,
+    "within its tail bound": lambda res: res.converged and res.tail_bound <= 2 * DEFAULT_TOL,
     "in 2 Newton steps": lambda res: res.converged and res.iterations == 2,
 }
 

@@ -41,6 +41,7 @@ from hahnvar import (
 from hahnvar import dsl, variational
 from hahnvar.core import Orbit
 from hahnvar.demos import double_well_problem, random_admissible_grid, ystar
+from hahnvar.operators import iterates_at_fixed
 from hahnvar.variational import slot_stream, traj_components
 
 P = HahnParams(0.5, 0.5)
@@ -461,9 +462,10 @@ def test_the_omega0_entry_of_a_grid_reads_the_report_depth():
 
 
 def test_every_omega0_estimate_evaluates_the_candidate_on_its_window_only():
-    # omega0 = 1, so on [-1, 1] the endpoint b is omega0.  Slot i at omega0
-    # and D^i y(b) read i + 2 points of orbit a (one value at i = 0), the
-    # omega0 residual 2r + 2; no estimate samples a whole lattice.  Within
+    # omega0 = 1, so on [-1, 1] the endpoint b is omega0.  The slots at
+    # omega0 read the value there and one window of r + 2 points of orbit a,
+    # D^i y(b), i < r, one of r + 1 points, the omega0 residual 2r + 2; no
+    # estimate samples a whole lattice.  Within
     # el_report both read the points its run over orbit a realized, so the
     # report costs that run and the one value at omega0, with or without
     # the omega0 entry.
@@ -479,7 +481,43 @@ def test_every_omega0_estimate_evaluates_the_candidate_on_its_window_only():
         calls = []
         call(_counted(calls))
         counts.append(len(calls))
-    assert counts == [8, 6, 42, 42]
+    assert counts == [5, 6, 42, 42]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 6])
+def test_each_estimate_at_omega0_reads_one_window(r):
+    # trajectory at omega0 evaluates y there and on one window of r + 2
+    # points.  is_admissible with b = omega0 reads the r values at orbit
+    # a's seed and, for b, the value at omega0 and (r >= 2) one window of
+    # r + 1 points for D^1..D^(r-1).
+    source = f"u{r}^2 + u0^2"
+    free = Problem(P, r, -1.0, 2.0, (0.0,) * r, (0.0,) * r, source)
+    at_b = Problem(P, r, -1.0, 1.0, (0.0,) * r, (0.0,) * r, source)
+    calls = []
+    trajectory(free, _counted(calls), OMEGA0_POINT, depth=40)
+    assert len(calls) == r + 3
+    calls.clear()
+    is_admissible(at_b, _counted(calls), depth=40)
+    assert len(calls) == r + 1 + (r + 1) * (r >= 2)
+
+
+def test_a_live_orbit_too_short_for_the_window_leaves_every_order_to_the_next():
+    # a is 4 ulps below omega0 = 1: orbit a is live with 4 usable points, too
+    # few for the r + 2 = 5 point window, so every slot at omega0 reads orbit
+    # b.  Slot 1 was 0.5 when orders 1 and 2 read orbit a; the exact value
+    # of q^2 * D y(omega0) is 0.25 * 1.3 = 0.325.
+    a = P.omega0 - 4.4e-16
+    prob = Problem(P, 3, a, 3.0, (0.0,) * 3, (0.0,) * 3, "u3^2")
+    assert not Orbit(P.q, P.omega, a).degenerate and Orbit(P.q, P.omega, a).cap(40) == 3
+
+    def y(t):
+        return 0.1 * t**3 + t
+
+    got = trajectory(prob, y, OMEGA0_POINT, depth=40)
+    assert got[:3] == (1.0, 1.1, 0.3250274658203125)
+    taus, vals = Orbit(P.q, P.omega, 3.0, y).window(40 - 4, 5)
+    deep = iterates_at_fixed(P.q, taus, vals, 3)
+    assert got[2:] == tuple(P.q ** (i * (3 - i)) * d for i, d in enumerate(deep, 1))
 
 
 def test_trajectory_at_omega0_reads_a_shallow_grid_at_its_own_depth():
