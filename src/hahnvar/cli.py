@@ -498,9 +498,10 @@ def _cmd_demo(args) -> int:
     from . import demos
 
     kwargs: dict[str, Any] = {}
+    r = 1 if args.name == "double-well" else 2  # the demos' orders
+    if args.depth is not None:
+        kwargs["depth"] = _depth(args, {}, 2 * r + 1, r)
     if args.name == "double-well":
-        if args.depth is not None:
-            kwargs["depth"] = args.depth
         if args.seed is not None:
             kwargs["seed"] = args.seed
         if args.tol is not None:
@@ -510,8 +511,6 @@ def _cmd_demo(args) -> int:
         rows = [[k, v] for k, v in report["functional"].items()]
         _output(args, {}, report, ["field", "value"], rows)
     else:
-        if args.depth is not None:
-            kwargs["depth"] = args.depth
         report = demos.run_beam(**kwargs)
         _output(
             args,
@@ -572,6 +571,15 @@ def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
         p.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose messages, --help's text among them, raise
+    OSError rather than drop it, so a closed stdout exits 141 here too."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     config_src = argparse.ArgumentParser(add_help=False)
     config_src.add_argument("config", nargs="?", help="path to a JSON run config")
@@ -582,7 +590,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                help="override candidate with an expression of t")
     candidate_src.add_argument("--candidate-builtin", help="override candidate with a builtin name")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hahnvar",
         description="Quantum-lattice variational calculus: derivatives, integrals, "
         "stationarity checks, and a Newton minimizer.",
@@ -635,8 +643,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
+        try:
+            args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+        except SystemExit:  # as after --help: its text meets a closed stdout here, not at exit
+            sys.stdout.flush()
+            raise
         code = args.func(args)
         sys.stdout.flush()
         return code

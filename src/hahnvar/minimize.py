@@ -4,10 +4,10 @@ The free variables are each live orbit's values past the first r, which
 the boundary data fixes; at a degenerate endpoint (one at omega0) the
 derivative conditions, linear in the live orbit's deepest values, join a
 bordered Newton system.  Gradient and Hessian (banded, half-width r)
-follow from the integrand's first and second partials, one dot product
-per entry with maps built once per window from its constant slot
-coefficients.  A step factors the Hessian by banded LDL^T, with a
-diagonal shift where it is not positive definite (the schedule is in
+follow from the integrand's first and second partials and each window's
+constant slot coefficients, kept once per window and multiplied per
+evaluation at every order.  A step factors the Hessian by banded LDL^T,
+with a diagonal shift where it is not positive definite (the schedule is in
 ``minimize_direct``), then backtracks until the Armijo condition holds;
 a trial point that faults is no descent (Nocedal & Wright, Numerical
 Optimization, chapters 3 and 6).  Assembly, factor and solve run as
@@ -39,11 +39,6 @@ _ARMIJO = 1e-4
 _HALVINGS = 40
 _SHIFT_START = 1e-6
 _SHIFT_CAP = 1e16
-# The highest order whose Hessian band is read through per-window maps
-# (_Orbit).  Timed per minimize_direct run, the maps are as fast or faster
-# through r = 4 (r = 5 even); past it their P^2 floats per window cost more
-# set-up time and memory than they save.
-_MAPPED_ORDER = 4
 
 
 @dataclass
@@ -68,8 +63,8 @@ class MinimizeResult:
 class _Orbit:
     """An endpoint orbit: nodes through the usable cap, the r values the
     boundary data fixes, where its free values start in the variable
-    vector, and per window its weight c*q^k and the coefficients that map
-    the window's partials onto the functional's derivatives.  The windows'
+    vector, and per window its weight c*q^k and its slot coefficients, which
+    map the window's partials onto the functional's derivatives.  The windows'
     slot values are not kept: each evaluation streams them from the nodes
     and the current values."""
 
@@ -88,26 +83,15 @@ class _Orbit:
         windows = range(self.usable - r + 1)
         self.weights = [coef * q**k for k in windows]
         units = [[float(m == j) for j in range(r + 1)] for m in range(r + 1)]
-        pairs = [(i, l) for i in range(r + 1) for l in range(i, r + 1)]
         # Per window k, with cs[m][i] = d v_i / d y_(k+m): w*cs[m] maps dL/dv
         # onto the gradient entry of y_(k+m), and band entry d of that row
         # gets w*cs[m].H.cs[m+d], H = d2L/dv2 (see _assembly, which drops
-        # the entries of the r values the boundary data fixes).  Up to
-        # _MAPPED_ORDER the band products are kept over H's upper triangle,
-        # one dot product per band entry: it pays where call overhead, not
-        # arithmetic, sets the cost.  Such a map holds P = (r+1)(r+2)/2
-        # floats and a window P of them, so past that order the window
-        # keeps its rows cs[m] instead and forms H.cs[m] per evaluation.
+        # the entries of the r values the boundary data fixes).  A window
+        # keeps the rows w*cs[m], then cs[m]; H.cs[m] is formed per evaluation.
         self.maps: list[tuple[float, ...]] = []
         for k, w in zip(windows, self.weights):
-            cs = [traj_components(self.taus[k : k + r + 1], u) for u in units]
-            coefs = [w * c for a in cs for c in a]
-            if r > _MAPPED_ORDER:
-                coefs += [c for a in cs for c in a]
-            else:
-                coefs += [w * (a[i] * b[l] + a[l] * b[i] if i < l else a[i] * b[i])
-                          for n, a in enumerate(cs) for b in cs[n:] for i, l in pairs]
-            self.maps.append(tuple(coefs))
+            cs = [c for u in units for c in traj_components(self.taus[k : k + r + 1], u)]
+            self.maps.append(tuple([w * c for c in cs] + cs))
         self.head: list[float] = []
         self.offset = 0
 
@@ -158,9 +142,11 @@ class _Newton:
             self.targets = list((problem.beta if live.origin is Origin.A else problem.alpha)[1:])
             # Start feasible: the least-norm correction onto the constraints,
             # from the identity's factor (rows of r zeros and a unit pivot).
+            # An indefinite Schur system (roundoff, at r = 9) leaves the start unfitted.
             identity = [(0.0,) * r + (1.0,)] * len(self.x0)
             fix = _bordered(identity, [0.0] * len(self.x0), self.rows, self.residuals(self.x0))
-            self.x0 = [xj + dj for xj, dj in zip(self.x0, fix)]
+            if fix is not None:
+                self.x0 = [xj + dj for xj, dj in zip(self.x0, fix)]
 
     def values(self, orb: _Orbit, x: list[float]) -> list[float]:
         return orb.head + x[orb.offset : orb.offset + orb.usable + 1 - self.r]
@@ -221,34 +207,27 @@ def _rotate(names: list[str], sources: list[str]) -> str:
 def _assembly(r: int) -> Callable:
     """kernel(windows, maps, derivatives): one orbit's gradient and band, in
     code built once per order that is straight-line per window.  Each
-    window's partials are unpacked into locals (v<i>, h<i>_<l>) and each of
-    its map's dot products is added to the running sums of the row at
-    window offset m: g<m> (gradient) and b<m>_<d> (band entry d).  Row
-    offset 0 is complete after its window; the first r rows, those of the
-    values the boundary data fixes, are dropped."""
+    window's partials are unpacked into locals (v<i>, h<i>_<l>), s<m>_<i> =
+    (H.cs[m])[i] is formed from its map's rows cs[m], and the row at window
+    offset m adds v.w*cs[m] to g<m> (gradient) and w*cs[m].s<m+d> to
+    b<m>_<d> (band entry d).  Row offset 0 is complete after its window;
+    the first r rows, those of the values the boundary data fixes, are
+    dropped."""
     slots, n = range(r + 1), (r + 1) ** 2
     gs = [f"g{m}" for m in slots]
     bs = [[f"b{m}_{d}" for d in slots] for m in slots]
     h = [[f"h{i}_{l}" for l in slots] for i in slots]
-    width = (r + 1) * (r + 2) // 2  # a band map's length: H's upper triangle
-    c = [f"c{k}" for k in range(n + (width * width if r <= _MAPPED_ORDER else n))]
+    c = [f"c{k}" for k in range(2 * n)]
     lines = ["def kernel(windows, maps, derivatives):", "    grad, band = [], []",
              f"    {' = '.join(gs + sum(bs, []))} = 0.0",
              f"    for (t, us), ({', '.join(c)},) in zip(windows, maps):",
              f"        ({', '.join(f'v{i}' for i in slots)},),"
              f" ({', '.join('(' + ', '.join(row) + ',)' for row in h)},) = derivatives(t, us)"]
     lines += [f"        g{m} += {_total([f'v{i} * {c[m * (r + 1) + i]}' for i in slots])}" for m in slots]
-    blocks = [(m, d) for m in slots for d in range(r + 1 - m)]
-    if r <= _MAPPED_ORDER:
-        upper = [h[i][l] for i in slots for l in range(i, r + 1)]
-        lines += [f"        b{m}_{d} += " + _total([f"{hv} * {c[n + k * width + p]}"
-                                                 for p, hv in enumerate(upper)])
-                  for k, (m, d) in enumerate(blocks)]
-    else:  # s<m>_<i> = (H.cs[m])[i]; the maps' second half holds the rows cs[m]
-        lines += [f"        s{m}_{i} = {_total([f'{h[i][l]} * {c[n + m * (r + 1) + l]}' for l in slots])}"
-                  for m in slots for i in slots]
-        lines += [f"        b{m}_{d} += {_total([f'{c[m * (r + 1) + i]} * s{m + d}_{i}' for i in slots])}"
-                  for m, d in blocks]
+    lines += [f"        s{m}_{i} = {_total([f'{h[i][l]} * {c[n + m * (r + 1) + l]}' for l in slots])}"
+              for m in slots for i in slots]
+    lines += [f"        b{m}_{d} += {_total([f'{c[m * (r + 1) + i]} * s{m + d}_{i}' for i in slots])}"
+              for m in slots for d in range(r + 1 - m)]
     lines += ["        grad.append(g0)", f"        band.append([{', '.join(bs[0])}])",
               "        " + _rotate(gs + sum(bs, []), gs[1:] + ["0.0"] + sum(bs[1:], []) + ["0.0"] * (r + 1)),
               f"    grad += [{', '.join(gs[:-1])}]",

@@ -467,11 +467,14 @@ FLAG_FAULTS = [
     ("candidate-builtin-unknown",
      ["el-check", "--builtin", "double-well", "--candidate-builtin", "nope"],
      "builtin candidate must name one of: ystar"),
-    # The least depth is 2r + 1 for el-check and 2r + 2 for minimize.
+    # The least depth is 2r + 1 for el-check and the demos, 2r + 2 for minimize.
     ("el-check-too-shallow", ["el-check", "--builtin", "double-well", "--depth", "2"],
      "el-check needs depth >= 3 for order 1, got 2"),
     ("minimize-too-shallow", ["minimize", "--builtin", "double-well", "--depth", "3"],
      "minimize needs depth >= 4 for order 1, got 3"),
+    ("double-well-too-shallow", ["demo", "double-well", "--depth", "2"],
+     "demo needs depth >= 3 for order 1, got 2"),
+    ("beam-too-shallow", ["demo", "beam", "--depth", "4"], "demo needs depth >= 5 for order 2, got 4"),
 ]
 
 
@@ -757,17 +760,23 @@ def test_series_results_and_boundary_violations_keep_their_field_order(tmp_path,
 @pytest.mark.parametrize("argv", [
     ["deriv", "--q", "0.5", "--omega", "0.5", "--expr", "t^2", "--t", "2"],
     ["el-check", "--builtin", "double-well", "--format", "csv"],
+    ["--help"],
+    ["deriv", "--help"],
+    ["demo", "beam", "--help"],
 ])
 def test_a_closed_stdout_exits_141_in_silence(argv):
     # The read end is closed before the process starts, so its first write
-    # of stdout meets no reader.
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    proc = subprocess.Popen([sys.executable, "-m", "hahnvar.cli", *argv],
-                            stdout=write_end, stderr=subprocess.PIPE)
-    os.close(write_end)
-    _, err = proc.communicate(timeout=120)
-    assert (proc.returncode, err) == (141, b"")
+    # of stdout meets no reader: at once when stdout is unbuffered, else at
+    # the flush.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for extra in ({}, {"PYTHONUNBUFFERED": "1"}):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = subprocess.Popen([sys.executable, "-m", "hahnvar.cli", *argv],
+                                stdout=write_end, stderr=subprocess.PIPE, env=env | extra)
+        os.close(write_end)
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err, extra) == (141, b"", extra)
 
 
 def test_an_unreadable_config_is_an_input_error(tmp_path, capsys):
