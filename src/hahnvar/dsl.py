@@ -14,10 +14,12 @@ than '^', so ``-u0^2`` means ``(-u0)^2``.  Nesting past MAX_NESTING
 with an integer literal exponent is the float power ``**``; any other
 exponent g uses exp(g*ln(f)) and requires a positive base.
 
-Numbers come from code built once per tree (``_emit``), with the
-checked walk, which does the same float operations, where that code
-faults or is not finite; ``evaluate`` runs this pair for one tree, as
-``Lagrangian`` does for its value and, in one function, all its partials.
+Every number comes from one rule, compiled with its trees' code
+(``_emit``) into one function (``_checked``): where that code faults or
+a value is not finite, the checked walk, which does the same float
+operations, gives the numbers and raises the precise error.
+``evaluate``, ``function_of_t`` and a ``Lagrangian``'s ``value``,
+``gradient`` and ``derivatives`` are each one call of such a function.
 The code holds no literal: it is compiled once per shape, and trees that
 differ only in their numbers share it, each bound to its own literals.
 The walk refuses every non-finite intermediate, and every product,
@@ -32,6 +34,7 @@ and d sqrt(a) = 0.5/sqrt(a)*da, so kinks divide by zero in the slope.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -68,11 +71,11 @@ class Expr:
     __slots__ = ()
 
     @cached_property
-    def _code(self) -> Callable[..., float]:
-        """The tree compiled once, keyword-only over its variables; extra
-        names go to ``**_`` and a missing one raises TypeError."""
-        names = sorted(variables(self))
-        return _compile(["*", *names, "**_"] if names else ["**_"], self)
+    def _code(self) -> Callable[[Expr, Mapping[str, float]], float]:
+        """``evaluate``'s checked function of (tree, bindings), built once;
+        it takes the tree at each call, so it makes no reference cycle."""
+        reads = "; ".join(f"{name} = _b[{name!r}]" for name in sorted(variables(self)))
+        return _checked("_e, _b", [self], "_v0", "_walks((_e,), _b)", reads)
 
     def __getstate__(self) -> dict:
         # Pickles and copies leave the compiled code behind: it is a cache.
@@ -463,14 +466,15 @@ def derivative(e: Expr, var: str) -> Expr:
 def partial_eval(e: Expr, bindings: Mapping[str, float], var: str) -> float:
     """de/dvar by the checked walk: raises what ``evaluate(e, bindings)`` raises,
     and NotDifferentiable where e is defined but its slope is not finite."""
-    return _slopes_eval(e, [derivative(e, var)], bindings)[0]
+    return _walks((e, derivative(e, var)), bindings)[1]
 
 
-def _slopes_eval(e: Expr, slopes: Sequence[Expr], bindings: Mapping[str, float]) -> list[float]:
-    """The slope trees of e by the checked walk, raising as ``partial_eval`` does."""
-    _walk_eval(e, bindings)
+def _walks(trees: Sequence[Expr], bindings: Mapping[str, float]) -> list[float]:
+    """The trees' values by the checked walk: the first raises what it
+    raises, and the rest, its slopes, raise as ``partial_eval`` does."""
+    value = _walk_eval(trees[0], bindings)
     try:
-        return [_walk_eval(slope, bindings) for slope in slopes]
+        return [value, *(_walk_eval(slope, bindings) for slope in trees[1:])]
     except DomainError as exc:
         raise NotDifferentiable(f"no finite slope here: {exc}") from None
 
@@ -542,73 +546,74 @@ def _nz(a: float, b: float, zero: float) -> float:
     return zero
 
 
-# What the unchecked path raises where the checked walk raises a HahnvarError;
-# TypeError is a binding that keyword-only code of a tree lacks.
-_FAST_FAULTS = (ValueError, ZeroDivisionError, OverflowError, NameError, TypeError)
+# What compiled code raises where the checked walk raises a HahnvarError;
+# a KeyError, a NameError (a slot past a Lagrangian's order) or an unpack
+# that does not fit is a binding it lacks.
+_FAST_FAULTS = (ValueError, ZeroDivisionError, OverflowError, KeyError, NameError, TypeError)
 
 
-def _uncompiled(*args: float, **kwargs: float) -> float:
-    raise ValueError("too deep for Python's compiler")
-
-
-def _compile(names: Sequence[str], *exprs: Expr) -> Callable:
-    """Unchecked lambda over names for the expression (a tuple for several):
-    the compiled code of its literal-free template, bound to this tree's
-    literals.  Code too deep for Python's compiler gets a stub that always
-    faults."""
+def _checked(head: str, trees: Sequence[Expr], shape: str, walk: str, unpack: str = "") -> Callable:
+    """The one evaluation rule, as a function ``_f(<head>)`` of code built
+    for the trees: it runs ``unpack`` and the trees' code into _v0, _v1, ...
+    and, where nothing faulted and their sum (so each) is finite, returns
+    ``shape`` of them; otherwise it returns ``shape`` of the checked walk's
+    values, ``<walk>``, and the walk raises the precise error.  The code is
+    the template's (``_template``), bound to these trees' literals; trees
+    too deep for Python's compiler get the template with bodies that always
+    fault, so they always walk."""
+    fresh, consts = itertools.count(), []
     try:
-        fresh, consts = itertools.count(), []
-        body = ", ".join(_emit(e, fresh, consts) for e in exprs)
-        params = ", ".join(f"_k{i}" for i in range(len(consts)))
-        return _lambda(f"lambda {params}: lambda {', '.join(names)}: ({body})")(*consts)
+        bodies = tuple(_emit(e, fresh, consts) for e in trees)
+        template = _template(head, unpack, bodies, shape, walk, len(consts))
     except (SyntaxError, RecursionError, MemoryError):
-        return _uncompiled
+        # 0 / 0 raises ZeroDivisionError, one of _FAST_FAULTS.
+        consts, template = [], _template(head, unpack, ("0 / 0",) * len(trees), shape, walk, 0)
+    return template(*consts)
 
 
 @lru_cache(maxsize=32)
-def _lambda(source: str) -> Callable:
-    """The compiled template, a function of the literals that returns the
-    expression's lambda; a pure function of the template's text, so
-    expressions of one shape share its code, whatever their numbers.
-    Trees parsed from text share their whole lambda through ``parse`` and
-    ``compile_lagrangian``; this cache serves every new tree of a shape seen
-    before: a Lagrangian whose coefficients changed, the r-fold derivative
-    of ``operators.hahn_derivative_n`` at omega0 and the negated Lagrangian
-    of ``minimize_direct(maximize=True)``."""
-    return eval(source, dict(_MATH, _fin=_fin, _nz=_nz))
+def _template(head: str, unpack: str, bodies: tuple[str, ...], shape: str, walk: str,
+              literals: int) -> Callable:
+    """The compiled template, a function of the literals that returns
+    ``_checked``'s function; a pure function of its text, so trees of one
+    shape share its code, whatever their numbers.  Trees parsed from text
+    share their whole function through ``parse`` and ``compile_lagrangian``;
+    this cache serves every new tree of a shape seen before: a Lagrangian
+    whose coefficients changed, the r-fold derivative of
+    ``operators.hahn_derivative_n`` at omega0 and the negated Lagrangian of
+    ``minimize_direct(maximize=True)``."""
+    values = [f"_v{i}" for i in range(len(bodies))]
+    lines = [f"def _bind({', '.join(f'_k{i}' for i in range(literals))}):",
+             f"    def _f({head}):",
+             "        try:",
+             f"            {unpack or 'pass'}",
+             *[f"            {v} = {body}" for v, body in zip(values, bodies)],
+             f"            _fast = isfinite({' + '.join(values)})",
+             "        except _FAST_FAULTS:",
+             "            _fast = False",
+             "        if not _fast:",
+             f"            {', '.join(values)}, = {walk}",
+             f"        return {shape}",
+             "    return _f"]
+    namespace = dict(_MATH, _fin=_fin, _nz=_nz, isfinite=math.isfinite, _walks=_walks,
+                     _FAST_FAULTS=_FAST_FAULTS)
+    exec("\n".join(lines), namespace)
+    return namespace.pop("_bind")  # so that namespace and _bind form no cycle
 
 
 def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
     """e under the given variable bindings; extra names are ignored.
 
-    Runs the tree's compiled code, and the checked walk where that code
-    faults or is not finite, so it raises what the walk raises:
-    UnboundVariable for a missing name, DomainError outside a function's
-    domain, at a zero divisor or on an overflow."""
-    try:
-        v = e._code(**bindings)
-        if math.isfinite(v):
-            return v
-    except _FAST_FAULTS:
-        pass
-    return _walk_eval(e, bindings)
+    One call of the tree's checked function, so it raises what the walk
+    raises: UnboundVariable for a missing name, DomainError outside a
+    function's domain, at a zero divisor or on an overflow."""
+    return e._code(e, bindings)
 
 
 def function_of_t(e: Expr) -> Callable[[float], float]:
     """The expression as a function of t, evaluated as ``evaluate`` does."""
-    # The same rule inline: a bindings dict per point would cost more than the code.
     code = e._code
-
-    def f(t: float) -> float:
-        try:
-            v = code(t=t)
-            if math.isfinite(v):
-                return v
-        except _FAST_FAULTS:
-            pass
-        return _walk_eval(e, {"t": t})
-
-    return f
+    return lambda t: code(e, {"t": t})
 
 
 @dataclass
@@ -616,11 +621,11 @@ class Lagrangian:
     """An expression read as L(t, u0, ..., ur) with the slot count fixed.
 
     Slot i holds the i-th operator iterate of the trajectory, so r is the
-    problem order.  ``value`` compiles L on first use; ``gradient`` and
-    every slot's ``partial`` share one function compiled for
-    (L, dL/du0, ..., dL/dur), and ``derivatives`` adds the second
-    partials.  Each falls back to the checked tree walk to produce precise
-    errors.  The compiled code is a cache: pickles and copies leave it behind.
+    problem order.  ``value``, ``gradient`` and ``derivatives`` are each
+    one call of a checked function (``_checked``) of (t, us), built on
+    first use: of L; of L and its slopes dL/du0, ..., dL/dur, which every
+    slot's ``partial`` reads too; and of those and the second partials.
+    The compiled code is a cache: pickles and copies leave it behind.
     An instance from ``compile_lagrangian`` of source text may be shared by
     every problem built from that text, so it must not be mutated.
     """
@@ -634,48 +639,48 @@ class Lagrangian:
     def arg_names(self) -> tuple[str, ...]:
         return ("t",) + tuple(f"u{i}" for i in range(self.order + 1))
 
-    def _bindings(self, t: float, us) -> dict[str, float]:
-        return dict(zip(self.arg_names(), (t, *us)))
-
     @cached_property
     def _slopes(self) -> list[Expr]:
         """dL/du_i as trees, one per slot."""
         return [derivative(self.expr, u) for u in self.arg_names()[1:]]
 
-    @cached_property
-    def _value_code(self) -> Callable:
-        return _compile(self.arg_names(), self.expr)
+    def _compile(self, trees: list[Expr], shape: str) -> Callable:
+        """The checked function of (t, us) for trees, with the trees bound
+        by partial: it refers to them, not to this Lagrangian, so caching it
+        here makes no reference cycle."""
+        names = self.arg_names()
+        walk = f"_walks(_trees, dict(zip({names!r}, (t, *us))))"
+        code = _checked("_trees, t, us", trees, shape, walk, f"{', '.join(names[1:])}, = us")
+        return functools.partial(code, tuple(trees))
 
     @cached_property
-    def _gradient_code(self) -> Callable:
-        return _compile(self.arg_names(), self.expr, *self._slopes)
+    def _value(self) -> Callable:
+        return self._compile([self.expr], "_v0")
 
     @cached_property
-    def _second(self) -> tuple[list[Expr], Callable]:
-        slots = self.arg_names()[1:]
-        grad = self._slopes
-        trees = grad + [derivative(g, u) for i, g in enumerate(grad) for u in slots[i:]]
-        return trees, _compile(self.arg_names(), self.expr, *trees)
+    def _gradient(self) -> Callable:
+        slots = range(1, self.order + 2)
+        return self._compile([self.expr, *self._slopes], f"({''.join(f'_v{i}, ' for i in slots)})")
+
+    @cached_property
+    def _derivatives(self) -> Callable:
+        """After L and its slopes, the values are the second partials of the
+        upper triangle, row by row; the Hessian reads each twice."""
+        n = self.order + 1
+        upper = [(i, j) for i in range(n) for j in range(i, n)]
+        second = {ij: f"_v{n + 1 + k}" for k, ij in enumerate(upper)}
+        hess = ", ".join(f"[{', '.join(second[min(i, j), max(i, j)] for j in range(n))}]"
+                         for i in range(n))
+        trees = [self.expr, *self._slopes, *(derivative(self._slopes[i], f"u{j}") for i, j in upper)]
+        return self._compile(trees, f"[{', '.join(f'_v{i}' for i in range(1, n + 1))}], [{hess}]")
 
     def value(self, t: float, us) -> float:
-        try:
-            v = self._value_code(t, *us)
-            if math.isfinite(v):
-                return v
-        except _FAST_FAULTS:
-            pass
-        return _walk_eval(self.expr, self._bindings(t, us))
+        return self._value(t, us)
 
     def gradient(self, t: float, us) -> tuple[float, ...]:
-        """(dL/du0, ..., dL/dur) at (t, u0..ur) from one compiled call; raises
-        where ``value`` raises, NotDifferentiable where any slope is not finite."""
-        try:
-            out = self._gradient_code(t, *us)
-            if all(map(math.isfinite, out)):
-                return out[1:]
-        except _FAST_FAULTS:
-            pass
-        return tuple(_slopes_eval(self.expr, self._slopes, self._bindings(t, us)))
+        """(dL/du0, ..., dL/dur) at (t, u0..ur); raises where ``value``
+        raises, NotDifferentiable where any slope is not finite."""
+        return self._gradient(t, us)
 
     def partial(self, i: int, t: float, us) -> float:
         """dL/du_i at (t, u0..ur), ``gradient``'s entry i; raises where ``value`` raises.
@@ -685,25 +690,12 @@ class Lagrangian:
         try:
             return self.gradient(t, us)[i]
         except NotDifferentiable:
-            return _slopes_eval(self.expr, self._slopes[i : i + 1], self._bindings(t, us))[0]
+            return _walks((self.expr, self._slopes[i]), dict(zip(self.arg_names(), (t, *us))))[1]
 
     def derivatives(self, t: float, us) -> tuple[list[float], list[list[float]]]:
         """(dL/du_i, d2L/du_i du_j) over the slots at (t, u0..ur); raises
         where ``value`` raises, NotDifferentiable where a slope is not finite."""
-        trees, fast = self._second
-        try:
-            out = fast(t, *us)
-        except _FAST_FAULTS:
-            out = (math.nan,)
-        if not all(map(math.isfinite, out)):
-            out = (0.0, *_slopes_eval(self.expr, trees, self._bindings(t, us)))
-        n = self.order + 1
-        hess = [[0.0] * n for _ in range(n)]
-        seconds = iter(out[n + 1 :])
-        for i in range(n):
-            for j in range(i, n):
-                hess[i][j] = hess[j][i] = next(seconds)
-        return list(out[1 : n + 1]), hess
+        return self._derivatives(t, us)
 
     def __str__(self) -> str:
         return to_string(self.expr)
@@ -715,6 +707,8 @@ def compile_lagrangian(source: Expr | str, r: int) -> Lagrangian:
     Equal source texts at one order share one Lagrangian (a bounded cache
     of recent texts), so its slopes and compiled code are built once; a
     tree gets a Lagrangian of its own.  Faults raise on every call."""
+    if type(r) is not int:  # a bool is no order either
+        raise ArityError(f"order r must be an integer, got {r!r}")
     if not 1 <= r <= 9:
         raise ArityError(f"order r must be between 1 and 9, got {r!r}")
     if not isinstance(source, str):

@@ -83,6 +83,8 @@ class Problem:
     lagrangian: Lagrangian
 
     def __post_init__(self) -> None:
+        if type(self.r) is not int:  # a bool is no order either
+            raise ValueError(f"order r must be an integer, got {self.r!r}")
         if isinstance(self.lagrangian, (str, Expr)):
             object.__setattr__(self, "lagrangian", compile_lagrangian(self.lagrangian, self.r))
         object.__setattr__(self, "alpha", tuple(float(v) for v in self.alpha))

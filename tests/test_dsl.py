@@ -1,9 +1,11 @@
 """Expression language: parsing, printing, evaluation, symbolic partials."""
 
 import copy
+import gc
 import math
 import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,8 +33,8 @@ from hahnvar.dsl import (
     Neg,
     Number,
     _emit,
-    _slopes_eval,
     _walk_eval,
+    _walks,
     derivative,
     function_of_t,
     partial_eval,
@@ -244,6 +246,11 @@ def test_lagrangian_slot_arity_checked():
     L = compile_lagrangian("u1^2/2", 1)
     with pytest.raises(ArityError):
         L.partial(2, 0.0, (0.0, 0.0))
+    # Built directly, a Lagrangian is not checked: a slot past its order is unbound.
+    L = Lagrangian(parse("u5 + u0"), 1)
+    for call in (L.value, L.gradient, L.derivatives):
+        with pytest.raises(UnboundVariable, match="u5"):
+            call(0.0, (1.0, 2.0))
 
 
 def test_lagrangian_fast_path_matches_walker():
@@ -334,14 +341,16 @@ def test_trees_at_the_nesting_bound_evaluate_with_their_partials(make):
 
 
 def test_value_takes_the_walk_where_python_cannot_compile():
-    # Trees of one shape past Python's compiler, at several scales: each
-    # gets the stub, and a fault raises through the checked walk every time.
+    # Trees past Python's compiler, of two shapes and at several scales: all
+    # get one template whose body always faults, so a value comes from the
+    # checked walk and a fault raises through it every time.
+    codes = set()
     for factor in ("u0", "1.5*u0", "2.5*u0"):
         tree = BinOp("/", parse("0.5*u1"), parse("u0"))
         for _ in range(3 * MAX_NESTING):
             tree = BinOp("*", parse(factor), tree)
         L = Lagrangian(tree, 1)
-        assert L._value_code is L._gradient_code is dsl._uncompiled
+        codes.add(L._value.func.__code__)
         env = {"u0": 1.001, "u1": 2.0}
         assert L.value(0.0, (1.001, 2.0)) == _walk_eval(tree, env)
         assert L.partial(1, 0.0, (1.001, 2.0)) == partial_eval(tree, env, "u1")
@@ -350,6 +359,7 @@ def test_value_takes_the_walk_where_python_cannot_compile():
                 L.value(0.0, (0.0, 1.0))
             with pytest.raises(DomainError, match="division by zero"):
                 L.gradient(0.0, (0.0, 1.0))
+    assert len(codes) == 1
 
 
 def _outcome(fn, *args):
@@ -415,7 +425,7 @@ def test_slopes_fold_literal_products_and_keep_every_value(monkeypatch):
         terms = [f"{c()}*({c()}*u{rng.randint(0, 2)} + {c()}*t)^{rng.randint(2, 4)}",
                  f"{c()}*sin({c()}*u{rng.randint(0, 2)})*exp({c()}*u{rng.randint(0, 2)})"]
         L = compile_lagrangian(" + ".join(terms), 2)
-        folded = L._second[0]
+        folded = L._derivatives.args[0][1:]
         assert sum(map(_literal_products, folded)) == 0
         with monkeypatch.context() as m:
             m.setattr(dsl, "_mul", _unfolded_mul)
@@ -433,7 +443,7 @@ def test_slopes_fold_literal_products_and_keep_every_value(monkeypatch):
 @pytest.mark.parametrize("source, product", [("(1e-200*u1)^2", (2e-200, 1e-200)),
                                              ("(1e200*u1)^2", (2e200, 1e200))])
 def test_a_literal_product_that_underflows_or_overflows_stays_and_raises(source, product):
-    second = compile_lagrangian(source, 1)._second[0][-1]
+    second = compile_lagrangian(source, 1)._derivatives.args[0][-1]
     assert second == BinOp("*", *map(Number, product))
     with pytest.raises(DomainError, match="underflowed|overflowed"):
         _walk_eval(second, {})
@@ -645,20 +655,50 @@ def test_compiled_second_partials_agree_with_the_checked_walk(tree, t, u0, u1):
             )
 
 
+def _raised(fn, *args):
+    """fn(*args), or the class and text of the package error it raises."""
+    try:
+        return fn(*args)
+    except HahnvarError as exc:
+        return type(exc), str(exc)
+
+
 @settings(deadline=None, max_examples=300)
 @given(_trees(3), _coord, _coord, _coord, st.sampled_from(("all", "extra", "missing")))
 def test_evaluate_is_the_checked_walk_bit_for_bit(tree, t, u0, u1, names):
+    # function_of_t joins with the tree's slots read as t, a tree in t alone.
     env = {"t": t, "u0": u0, "u1": u1}
     if names == "extra":
         env["u7"] = 1.5
     elif names == "missing":
         del env["u1"]
-    walk = _outcome(_walk_eval, tree, env)
-    got = _outcome(evaluate, tree, env)
-    if isinstance(walk, type):
-        assert got is walk
-    else:
-        assert isinstance(got, float) and got == walk and math.copysign(1.0, got) == math.copysign(1.0, walk)
+    in_t = parse(to_string(tree).replace("u0", "t").replace("u1", "t"))
+    for got, walk in ((_raised(evaluate, tree, env), _raised(_walk_eval, tree, env)),
+                      (_raised(function_of_t(in_t), t), _raised(_walk_eval, in_t, {"t": t}))):
+        if isinstance(walk, tuple):
+            assert got == walk
+        else:
+            assert isinstance(got, float) and got == walk and math.copysign(1.0, got) == math.copysign(1.0, walk)
+
+
+def test_no_tree_or_lagrangian_forms_a_reference_cycle_with_its_code():
+    # Each caches its compiled code; were that code to refer back to its
+    # owner, only the cycle collector could free either.
+    gc.disable()
+    try:
+        tree = parse("0.5*t^2 - sin(t)")
+        evaluate(tree, {"t": 0.3})
+        function_of_t(tree)(0.7)
+        L = compile_lagrangian(parse("0.5*u1^2 + sin(u0)*t"), 1)
+        L.value(0.2, (0.3, 0.4))
+        L.gradient(0.2, (0.3, 0.4))
+        L.derivatives(0.2, (0.3, 0.4))
+        dsl._parsed.cache_clear()
+        refs = weakref.ref(tree), weakref.ref(L)
+        del tree, L
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def _cold():
@@ -666,19 +706,19 @@ def _cold():
     or compile_lagrangian of any text builds its tree and code anew."""
     dsl._parsed.cache_clear()
     dsl._text_lagrangian.cache_clear()
-    dsl._lambda.cache_clear()
+    dsl._template.cache_clear()
 
 
 def test_each_tree_compiles_once_and_fallbacks_compile_nothing(monkeypatch):
     _cold()
     compiles = []
-    original = dsl._compile
+    original = dsl._checked
 
     def counting(*args):
         compiles.append(args)
         return original(*args)
 
-    monkeypatch.setattr(dsl, "_compile", counting)
+    monkeypatch.setattr(dsl, "_checked", counting)
     tree = parse("0.3*t^3 - 1.2*t^2 + 0.5*t + 2")
     for i in range(1000):
         evaluate(tree, {"t": i / 1000.0})
@@ -760,13 +800,13 @@ def test_true_zeros_and_subnormal_results_do_not_raise(source, env, want):
 def test_gradient_is_one_compile_shared_with_every_partial(monkeypatch):
     _cold()
     compiles = []
-    original = dsl._compile
+    original = dsl._checked
 
     def counting(*args):
         compiles.append(args)
         return original(*args)
 
-    monkeypatch.setattr(dsl, "_compile", counting)
+    monkeypatch.setattr(dsl, "_checked", counting)
     L = compile_lagrangian("u0^2*u1 + sin(u2)*u3 - t*u3^3", 3)
     us = (0.4, -1.3, 0.7, 2.1)
     partials = [L.partial(i, 0.2, us) for i in range(4)]
@@ -830,13 +870,13 @@ def test_equal_texts_share_one_tree_and_one_lagrangian():
 def test_a_shared_text_compiles_once_across_calls(monkeypatch):
     _cold()
     compiles = []
-    original = dsl._compile
+    original = dsl._checked
 
     def counting(*args):
         compiles.append(args)
         return original(*args)
 
-    monkeypatch.setattr(dsl, "_compile", counting)
+    monkeypatch.setattr(dsl, "_checked", counting)
     for _ in range(3):
         assert evaluate(parse("t^2 - 3*t"), {"t": 2.0}) == -2.0
         assert function_of_t(parse("t^2 - 3*t"))(1.0) == -2.0
@@ -893,16 +933,15 @@ def test_texts_that_differ_only_in_their_numbers_share_code():
     first = compile_lagrangian("0.3*t + 0.2*u0^2 + -0.4*u1^2 + 0.05*u0*u1", 1)
     second = compile_lagrangian("1.5*t + 7*u0^2 + 0.25*u1^2 + -2e-3*u0*u1", 1)
     t, us = 0.3, (0.7, -1.2)
+    env = {"t": t, "u0": us[0], "u1": us[1]}
     for L in (first, second):
-        env = L._bindings(t, us)
         assert L.value(t, us) == _walk_eval(L.expr, env)
-        assert list(L.gradient(t, us)) == _slopes_eval(L.expr, L._slopes, env)
+        assert list(L.gradient(t, us)) == _walks([L.expr, *L._slopes], env)[1:]
         L.derivatives(t, us)
-    assert first._value_code.__code__ is second._value_code.__code__
-    assert first._gradient_code.__code__ is second._gradient_code.__code__
-    assert first._second[1].__code__ is second._second[1].__code__
+    for code in ("_value", "_gradient", "_derivatives"):
+        assert getattr(first, code).func.__code__ is getattr(second, code).func.__code__
     assert first.value(t, us) != second.value(t, us)
-    info = dsl._lambda.cache_info()
+    info = dsl._template.cache_info()
     assert (info.misses, info.maxsize) == (3, 32)
 
 
@@ -914,7 +953,7 @@ def test_a_negated_zero_literal_keeps_its_sign():
 
 def test_integer_exponents_are_part_of_the_shape():
     square, cube = (compile_lagrangian(f"0.5*u0^{k}", 1) for k in (2, 3))
-    assert square._value_code.__code__ is not cube._value_code.__code__
+    assert square._value.func.__code__ is not cube._value.func.__code__
     assert (square.value(0.0, (2.0, 0.0)), cube.value(0.0, (2.0, 0.0))) == (2.0, 4.0)
 
 
@@ -954,14 +993,19 @@ def test_a_shared_template_gives_the_cold_results_bit_for_bit(tree, values, t, u
     other = _renumbered(tree, iter(values))
     shared = Lagrangian(other, 1)
     got = _outcomes(shared, t, us)
-    assert shared._value_code.__code__ is warm._value_code.__code__
+    assert shared._value.func.__code__ is warm._value.func.__code__
     if not {0.0, 1.0} & set(values):
         # derivative folds a literal 0 or 1, so only other values keep the slopes' shape.
-        assert shared._second[1].__code__ is warm._second[1].__code__
-    dsl._lambda.cache_clear()
+        assert shared._derivatives.func.__code__ is warm._derivatives.func.__code__
+    dsl._template.cache_clear()
     assert got == _outcomes(Lagrangian(other, 1), t, us)
-    # The checked walk decides what either should read.
+    # The checked walk decides what each should read.
     env = {"t": t, "u0": u0, "u1": u1}
     assert repr(_outcome(shared.value, t, us)) == repr(_outcome(_walk_eval, other, env))
     gradient = _outcome(lambda *a: list(shared.gradient(*a)), t, us)
-    assert repr(gradient) == repr(_outcome(_slopes_eval, other, shared._slopes, env))
+    assert repr(gradient) == repr(_outcome(lambda: _walks([other, *shared._slopes], env)[1:]))
+    walked = _outcome(_walks, shared._derivatives.args[0], env)
+    if isinstance(walked, list):
+        g0, g1, h00, h01, h11 = walked[1:]
+        walked = ([g0, g1], [[h00, h01], [h01, h11]])
+    assert repr(_outcome(shared.derivatives, t, us)) == repr(walked)

@@ -61,6 +61,18 @@ def test_problem_validation():
         Problem(P, 1, -1.0, 2.0, (math.nan,), (0.0,), "u1")
 
 
+@pytest.mark.parametrize("order", [1.0, 1.5, True, "1", None])
+def test_an_order_that_is_not_an_int_is_refused_where_it_is_given(order):
+    # Before the check, 1.0 and True got through and each later use raised
+    # a bare TypeError, or (True) ran as order 1.
+    with pytest.raises(ArityError, match="must be an integer"):
+        compile_lagrangian("u1^2", order)
+    with pytest.raises(ValueError, match="must be an integer"):
+        Problem(HahnParams(0.5, 0.5), order, 0.0, 2.0, (0.0,), (1.0,), "u1^2")
+    with pytest.raises(ValueError, match="must be an integer"):
+        hahn_derivative_n(HahnParams(0.5, 0.5), "t^2", order, 2.0)
+
+
 def test_trajectory_identity_candidate():
     # slots of y = t at order 1: (t, sigma(t), 1)
     assert trajectory(FREE, lambda t: t, LatticePoint(Origin.A, 0)) == (-1.0, 0.0, 1.0)
@@ -744,7 +756,7 @@ def test_a_shared_lagrangian_gives_the_cold_results_bit_for_bit():
         ))
 
     shared = [results(_shared_problem(_SHARED_TEXT)) for _ in range(2)]
-    for cached in (dsl._parsed, dsl._text_lagrangian, dsl._lambda):
+    for cached in (dsl._parsed, dsl._text_lagrangian, dsl._template):
         cached.cache_clear()
     cold = results(_shared_problem(Lagrangian(dsl.parse(_SHARED_TEXT), 2)))
     assert shared == [cold, cold]
