@@ -72,10 +72,8 @@ class Expr:
 
     @cached_property
     def _code(self) -> Callable[[Expr, Mapping[str, float]], float]:
-        """``evaluate``'s checked function of (tree, bindings), built once;
-        it takes the tree at each call, so it makes no reference cycle."""
-        reads = "; ".join(f"{name} = _b[{name!r}]" for name in sorted(variables(self)))
-        return _checked("_e, _b", [self], "_v0", "_walks((_e,), _b)", reads)
+        """``evaluate``'s checked function of (tree, bindings), built once."""
+        return _checked([self], 0)
 
     def __getstate__(self) -> dict:
         # Pickles and copies leave the compiled code behind: it is a cache.
@@ -552,23 +550,30 @@ def _nz(a: float, b: float, zero: float) -> float:
 _FAST_FAULTS = (ValueError, ZeroDivisionError, OverflowError, KeyError, NameError, TypeError)
 
 
-def _checked(head: str, trees: Sequence[Expr], shape: str, walk: str, unpack: str = "") -> Callable:
-    """The one evaluation rule, as a function ``_f(<head>)`` of code built
-    for the trees: it runs ``unpack`` and the trees' code into _v0, _v1, ...
-    and, where nothing faulted and their sum (so each) is finite, returns
-    ``shape`` of them; otherwise it returns ``shape`` of the checked walk's
-    values, ``<walk>``, and the walk raises the precise error.  The code is
-    the template's (``_template``), bound to these trees' literals; trees
-    too deep for Python's compiler get the template with bodies that always
-    fault, so they always walk."""
-    fresh, consts = itertools.count(), []
+def _checked(trees: Sequence[Expr], shape: int | Sequence, slots: Sequence[str] = ()) -> Callable:
+    """The one evaluation rule, compiled for the trees: where their code
+    faults or a value is not finite, the checked walk gives the values and
+    raises the precise error; either way the function returns ``shape`` of
+    the values, where a shape is a tree's index or a tuple or list of shapes.
+    With slots ("t", "u0", ..., "ur") it is a function of (t, us), with the
+    trees bound by partial; without, of (tree, bindings), taking its one
+    tree at each call.  Neither refers to the trees' owner, so the owner's
+    cache of it forms no reference cycle.  Trees too deep for Python's
+    compiler get the template (``_template``) with bodies that always fault."""
+    if slots:
+        head, unpack = "_trees, t, us", f"{', '.join(slots[1:])}, = us"
+        walk = f"_walks(_trees, dict(zip({tuple(slots)!r}, (t, *us))))"
+    else:
+        head, walk = "_e, _b", "_walks((_e,), _b)"
+        unpack = "; ".join(f"{name} = _b[{name!r}]" for name in sorted(variables(trees[0])))
+    shape, fresh, consts = re.sub(r"\d+", r"_v\g<0>", repr(shape)), itertools.count(), []
     try:
         bodies = tuple(_emit(e, fresh, consts) for e in trees)
         template = _template(head, unpack, bodies, shape, walk, len(consts))
-    except (SyntaxError, RecursionError, MemoryError):
-        # 0 / 0 raises ZeroDivisionError, one of _FAST_FAULTS.
+    except (SyntaxError, RecursionError, MemoryError):  # 0 / 0 is in _FAST_FAULTS
         consts, template = [], _template(head, unpack, ("0 / 0",) * len(trees), shape, walk, 0)
-    return template(*consts)
+    code = template(*consts)
+    return functools.partial(code, tuple(trees)) if slots else code
 
 
 @lru_cache(maxsize=32)
@@ -644,35 +649,24 @@ class Lagrangian:
         """dL/du_i as trees, one per slot."""
         return [derivative(self.expr, u) for u in self.arg_names()[1:]]
 
-    def _compile(self, trees: list[Expr], shape: str) -> Callable:
-        """The checked function of (t, us) for trees, with the trees bound
-        by partial: it refers to them, not to this Lagrangian, so caching it
-        here makes no reference cycle."""
-        names = self.arg_names()
-        walk = f"_walks(_trees, dict(zip({names!r}, (t, *us))))"
-        code = _checked("_trees, t, us", trees, shape, walk, f"{', '.join(names[1:])}, = us")
-        return functools.partial(code, tuple(trees))
-
     @cached_property
     def _value(self) -> Callable:
-        return self._compile([self.expr], "_v0")
+        return _checked([self.expr], 0, self.arg_names())
 
     @cached_property
     def _gradient(self) -> Callable:
-        slots = range(1, self.order + 2)
-        return self._compile([self.expr, *self._slopes], f"({''.join(f'_v{i}, ' for i in slots)})")
+        slots = self.arg_names()
+        return _checked([self.expr, *self._slopes], tuple(range(1, len(slots))), slots)
 
     @cached_property
     def _derivatives(self) -> Callable:
-        """After L and its slopes, the values are the second partials of the
-        upper triangle, row by row; the Hessian reads each twice."""
+        """After L and its slopes come the second partials of the upper
+        triangle, row by row; the Hessian reads each twice."""
         n = self.order + 1
         upper = [(i, j) for i in range(n) for j in range(i, n)]
-        second = {ij: f"_v{n + 1 + k}" for k, ij in enumerate(upper)}
-        hess = ", ".join(f"[{', '.join(second[min(i, j), max(i, j)] for j in range(n))}]"
-                         for i in range(n))
+        hess = [[n + 1 + upper.index((min(i, j), max(i, j))) for j in range(n)] for i in range(n)]
         trees = [self.expr, *self._slopes, *(derivative(self._slopes[i], f"u{j}") for i, j in upper)]
-        return self._compile(trees, f"[{', '.join(f'_v{i}' for i in range(1, n + 1))}], [{hess}]")
+        return _checked(trees, (list(range(1, n + 1)), hess), self.arg_names())
 
     def value(self, t: float, us) -> float:
         return self._value(t, us)
@@ -707,7 +701,7 @@ def compile_lagrangian(source: Expr | str, r: int) -> Lagrangian:
     Equal source texts at one order share one Lagrangian (a bounded cache
     of recent texts), so its slopes and compiled code are built once; a
     tree gets a Lagrangian of its own.  Faults raise on every call."""
-    if type(r) is not int:  # a bool is no order either
+    if isinstance(r, bool) or not isinstance(r, int):
         raise ArityError(f"order r must be an integer, got {r!r}")
     if not 1 <= r <= 9:
         raise ArityError(f"order r must be between 1 and 9, got {r!r}")

@@ -120,7 +120,7 @@ def hahn_derivative_n(params: HahnParams, f, r: int, t) -> float:
     callable (``_central_derivative`` states its accuracy).  A callable's
     first quotient off omega0, the case series integrands take per node,
     is formed here, as the quotient table over (t, sigma(t)) forms it."""
-    if type(r) is not int:  # a bool is no order either
+    if isinstance(r, bool) or not isinstance(r, int):
         raise ValueError(f"order r must be an integer, got {r!r}")
     if r == 1 and callable(f) and not isinstance(t, LatticePoint) and t != params.omega0:
         s = params.q * t + params.omega

@@ -83,7 +83,7 @@ class Problem:
     lagrangian: Lagrangian
 
     def __post_init__(self) -> None:
-        if type(self.r) is not int:  # a bool is no order either
+        if isinstance(self.r, bool) or not isinstance(self.r, int):
             raise ValueError(f"order r must be an integer, got {self.r!r}")
         if isinstance(self.lagrangian, (str, Expr)):
             object.__setattr__(self, "lagrangian", compile_lagrangian(self.lagrangian, self.r))

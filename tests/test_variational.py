@@ -1,5 +1,6 @@
 """Variational layer: trajectories, functionals, variations, residual checks."""
 
+import enum
 import math
 import pickle
 import random
@@ -71,6 +72,19 @@ def test_an_order_that_is_not_an_int_is_refused_where_it_is_given(order):
         Problem(HahnParams(0.5, 0.5), order, 0.0, 2.0, (0.0,), (1.0,), "u1^2")
     with pytest.raises(ValueError, match="must be an integer"):
         hahn_derivative_n(HahnParams(0.5, 0.5), "t^2", order, 2.0)
+
+
+class _Order(enum.IntEnum):
+    ONE = 1
+
+
+def test_an_int_subclass_is_an_order_where_it_is_given():
+    # An IntEnum member is an int: each entry point takes it as its value.
+    params, y = HahnParams(0.5, 0.5), lambda t: t * t
+    assert hahn_derivative_n(params, "t^2", _Order.ONE, 2.0) == hahn_derivative_n(params, "t^2", 1, 2.0)
+    assert compile_lagrangian("u1^2", _Order.ONE).value(0.0, (1.0, 3.0)) == 9.0
+    got, want = (Problem(params, r, 0.0, 2.0, (0.0,), (1.0,), "u1^2") for r in (_Order.ONE, 1))
+    assert functional_value(got, y).value == functional_value(want, y).value
 
 
 def test_trajectory_identity_candidate():
