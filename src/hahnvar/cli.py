@@ -46,26 +46,6 @@ _INPUT_ERRORS = (ConfigError, ExprSyntaxError, UnknownIdentifier, ArityError, Va
 
 _FORMATS = ("table", "json", "csv")
 
-# Builtin candidates: functions of t in ``demos``, by name.
-_BUILTIN_CANDIDATES = ("ystar",)
-
-
-_BUILTIN_CONFIGS: dict[str, dict] = {
-    "double-well": {
-        "q": 0.5,
-        "omega": 0.5,
-        "a": -1.0,
-        "b": 1.0,
-        "r": 1,
-        "lagrangian": "(u0 + 0.5)^2 * (u1^2 - 1)^2",
-        "alpha": [0.0],
-        "beta": [-1.0],
-        "candidate": {"type": "builtin", "name": "ystar"},
-        "depth": 40,
-        "tol": 1e-9,
-    }
-}
-
 
 # ---------------------------------------------------------------------------
 # Rendering
@@ -76,14 +56,8 @@ def _fmt_num(x: float) -> str:
 
 
 def _json_scalar(v: Any) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return _fmt_num(v) if math.isfinite(v) else "null"
-    if isinstance(v, int):
-        return str(v)
-    if v is None:
-        return "null"
     return json.dumps(v)
 
 
@@ -206,12 +180,14 @@ _REQUIRED_KEYS = ("q", "omega", "a", "b", "r", "lagrangian", "alpha", "beta")
 def _load_config(args) -> dict:
     """The run config of ``--builtin`` or the config file, each key checked."""
     if args.builtin:
+        from .demos import BUILTIN_CONFIGS
+
         name = args.builtin
-        if name not in _BUILTIN_CONFIGS:
+        if name not in BUILTIN_CONFIGS:
             raise ConfigError(
-                f"unknown builtin config {name!r}; choose from {', '.join(_BUILTIN_CONFIGS)}"
+                f"unknown builtin config {name!r}; choose from {', '.join(BUILTIN_CONFIGS)}"
             )
-        cfg = _BUILTIN_CONFIGS[name]
+        cfg = BUILTIN_CONFIGS[name]
     elif args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -312,13 +288,13 @@ def _resolve_candidate(args, cfg: dict, problem: Problem, depth: int):
             raise ConfigError("expr candidate must be {'type': 'expr', 'value': string}")
         return _expr_of_t(entry["value"])
     if kind == "builtin":
-        if set(entry) != {"type", "name"} or entry.get("name") not in _BUILTIN_CANDIDATES:
-            raise ConfigError(
-                f"builtin candidate must name one of: {', '.join(_BUILTIN_CANDIDATES)}"
-            )
         from . import demos
 
-        return getattr(demos, entry["name"])
+        if set(entry) != {"type", "name"} or entry.get("name") not in demos.BUILTIN_CANDIDATES:
+            raise ConfigError(
+                f"builtin candidate must name one of: {', '.join(demos.BUILTIN_CANDIDATES)}"
+            )
+        return getattr(demos, entry["name"])  # at call time, so a traced run sees its wrapper
     if kind == "table":
         return _table_candidate(problem, entry, depth)
     raise ConfigError(f"unknown candidate type {kind!r}")

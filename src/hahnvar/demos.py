@@ -6,7 +6,10 @@ Two showcases ship with the package:
   = 1/2 whose known minimizer is discontinuous at two lattice points.
   The integrand is a product of squares, so the functional is
   nonnegative for every admissible candidate and exactly zero at the
-  built-in minimizer.
+  built-in minimizer.  Its problem, candidate, depth and tolerance are
+  defined once, in the run config ``BUILTIN_CONFIGS["double-well"]``,
+  which ``double_well_problem``, ``run_double_well`` and the CLI's
+  ``--builtin double-well`` read.
 
 * ``beam``: the second-order bending-beam energy 0.5*(E*u2)^2 - xi*u0
   with constant stiffness and load.  The classical solution of
@@ -26,6 +29,18 @@ from .variational import Problem, el_report, functional_value
 # (q, omega) sequence the beam demo sweeps, approaching the classical limit.
 BEAM_SEQUENCE = ((0.9, 0.1), (0.99, 0.01), (0.999, 0.001))
 
+# Run configs by name, each as a JSON run config file would give it.
+BUILTIN_CONFIGS: dict[str, dict] = {
+    "double-well": {
+        "q": 0.5, "omega": 0.5, "a": -1.0, "b": 1.0, "r": 1,
+        "lagrangian": "(u0 + 0.5)^2 * (u1^2 - 1)^2", "alpha": [0.0], "beta": [-1.0],
+        "candidate": {"type": "builtin", "name": "ystar"}, "depth": 40, "tol": 1e-9,
+    }
+}
+
+# The functions of t here that a run config may name as a builtin candidate.
+BUILTIN_CANDIDATES = ("ystar",)
+
 
 def ystar(t: float) -> float:
     """The known minimizer of the double-well problem.
@@ -44,15 +59,9 @@ def ystar(t: float) -> float:
 def double_well_problem() -> Problem:
     """First-order model problem: minimize the product-of-squares integrand
     on [-1, 1] with y(-1) = 0 and y(1) = -1 at q = omega = 1/2."""
-    return Problem(
-        params=HahnParams(q=0.5, omega=0.5),
-        r=1,
-        a=-1.0,
-        b=1.0,
-        alpha=(0.0,),
-        beta=(-1.0,),
-        lagrangian="(u0 + 0.5)^2 * (u1^2 - 1)^2",
-    )
+    cfg = BUILTIN_CONFIGS["double-well"]
+    return Problem(HahnParams(cfg["q"], cfg["omega"]), cfg["r"], cfg["a"], cfg["b"],
+                   cfg["alpha"], cfg["beta"], cfg["lagrangian"])
 
 
 def beam_problem(
@@ -123,9 +132,9 @@ def random_admissible_grid(problem: Problem, rng: random.Random, depth: int = 48
     )
 
 
-def run_double_well(
-    depth: int = 40, tol: float = 1e-9, seed: int = 0, include_omega0: bool = False
-) -> dict:
+def run_double_well(depth: int = BUILTIN_CONFIGS["double-well"]["depth"],
+                    tol: float = BUILTIN_CONFIGS["double-well"]["tol"],
+                    seed: int = 0, include_omega0: bool = False) -> dict:
     """Full report dict for the double-well demo (JSON-ready), with a sweep
     over 25 random admissible grids."""
     problem = double_well_problem()

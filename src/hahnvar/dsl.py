@@ -545,9 +545,16 @@ def _nz(a: float, b: float, zero: float) -> float:
 
 
 # What compiled code raises where the checked walk raises a HahnvarError;
-# a KeyError, a NameError (a slot past a Lagrangian's order) or an unpack
-# that does not fit is a binding it lacks.
-_FAST_FAULTS = (ValueError, ZeroDivisionError, OverflowError, KeyError, NameError, TypeError)
+# a KeyError or an unpack that does not fit (a window of another length) is
+# a binding it lacks.
+_FAST_FAULTS = (ValueError, ZeroDivisionError, OverflowError, KeyError, TypeError)
+
+
+def _window(slots: Sequence[str], t: float, us) -> dict[str, float]:
+    """The slots ("t", "u0", ..., "ur") bound to t and a window us of r + 1 values."""
+    if len(us) != len(slots) - 1:
+        raise ArityError(f"order {len(slots) - 2} takes {len(slots) - 1} slot values, got {len(us)}")
+    return dict(zip(slots, (t, *us)))
 
 
 def _checked(trees: Sequence[Expr], shape: int | Sequence, slots: Sequence[str] = ()) -> Callable:
@@ -562,7 +569,7 @@ def _checked(trees: Sequence[Expr], shape: int | Sequence, slots: Sequence[str] 
     compiler get the template (``_template``) with bodies that always fault."""
     if slots:
         head, unpack = "_trees, t, us", f"{', '.join(slots[1:])}, = us"
-        walk = f"_walks(_trees, dict(zip({tuple(slots)!r}, (t, *us))))"
+        walk = f"_walks(_trees, _window({tuple(slots)!r}, t, us))"
     else:
         head, walk = "_e, _b", "_walks((_e,), _b)"
         unpack = "; ".join(f"{name} = _b[{name!r}]" for name in sorted(variables(trees[0])))
@@ -601,7 +608,7 @@ def _template(head: str, unpack: str, bodies: tuple[str, ...], shape: str, walk:
              f"        return {shape}",
              "    return _f"]
     namespace = dict(_MATH, _fin=_fin, _nz=_nz, isfinite=math.isfinite, _walks=_walks,
-                     _FAST_FAULTS=_FAST_FAULTS)
+                     _window=_window, _FAST_FAULTS=_FAST_FAULTS)
     exec("\n".join(lines), namespace)
     return namespace.pop("_bind")  # so that namespace and _bind form no cycle
 
@@ -626,10 +633,12 @@ class Lagrangian:
     """An expression read as L(t, u0, ..., ur) with the slot count fixed.
 
     Slot i holds the i-th operator iterate of the trajectory, so r is the
-    problem order.  ``value``, ``gradient`` and ``derivatives`` are each
-    one call of a checked function (``_checked``) of (t, us), built on
+    problem order, an int from 1 to 9, and the expression uses no slot past
+    it (else ArityError).  ``value``, ``gradient`` and ``derivatives`` are
+    each one call of a checked function (``_checked``) of (t, us), built on
     first use: of L; of L and its slopes dL/du0, ..., dL/dur, which every
     slot's ``partial`` reads too; and of those and the second partials.
+    Each raises ArityError for a window us that does not hold r + 1 values.
     The compiled code is a cache: pickles and copies leave it behind.
     An instance from ``compile_lagrangian`` of source text may be shared by
     every problem built from that text, so it must not be mutated.
@@ -637,6 +646,16 @@ class Lagrangian:
 
     expr: Expr
     order: int
+
+    def __post_init__(self) -> None:
+        r = self.order
+        if isinstance(r, bool) or not isinstance(r, int):
+            raise ArityError(f"order r must be an integer, got {r!r}")
+        if not 1 <= r <= 9:
+            raise ArityError(f"order r must be between 1 and 9, got {r!r}")
+        past = variables(self.expr) - set(self.arg_names())
+        if past:
+            raise ArityError(f"expression uses slot {max(past)} but the order is {r}")
 
     def __getstate__(self) -> dict:
         return {"expr": self.expr, "order": self.order}
@@ -684,7 +703,7 @@ class Lagrangian:
         try:
             return self.gradient(t, us)[i]
         except NotDifferentiable:
-            return _walks((self.expr, self._slopes[i]), dict(zip(self.arg_names(), (t, *us))))[1]
+            return _walks((self.expr, self._slopes[i]), _window(self.arg_names(), t, us))[1]
 
     def derivatives(self, t: float, us) -> tuple[list[float], list[list[float]]]:
         """(dL/du_i, d2L/du_i du_j) over the slots at (t, u0..ur); raises
@@ -696,17 +715,13 @@ class Lagrangian:
 
 
 def compile_lagrangian(source: Expr | str, r: int) -> Lagrangian:
-    """Check slot usage against the declared order and wrap the expression.
+    """The Lagrangian of the expression at order r, checked as ``Lagrangian`` checks.
 
     Equal source texts at one order share one Lagrangian (a bounded cache
     of recent texts), so its slopes and compiled code are built once; a
     tree gets a Lagrangian of its own.  Faults raise on every call."""
-    if isinstance(r, bool) or not isinstance(r, int):
-        raise ArityError(f"order r must be an integer, got {r!r}")
-    if not 1 <= r <= 9:
-        raise ArityError(f"order r must be between 1 and 9, got {r!r}")
     if not isinstance(source, str):
-        return _lagrangian(source, r)
+        return Lagrangian(source, r)
     # Each text still goes through parse (a cache hit once it is shared), so
     # a per-layer trace counts the texts read as it did before this cache.
     parse(source)
@@ -715,11 +730,4 @@ def compile_lagrangian(source: Expr | str, r: int) -> Lagrangian:
 
 @lru_cache(maxsize=32, typed=True)
 def _text_lagrangian(text: str, r: int) -> Lagrangian:
-    return _lagrangian(_parsed(text), r)
-
-
-def _lagrangian(expr: Expr, r: int) -> Lagrangian:
-    top = max((int(name[1:]) for name in variables(expr) if name != "t"), default=-1)
-    if top > r:
-        raise ArityError(f"expression uses slot u{top} but the order is {r}")
-    return Lagrangian(expr, r)
+    return Lagrangian(_parsed(text), r)

@@ -120,8 +120,7 @@ def hahn_derivative_n(params: HahnParams, f, r: int, t) -> float:
     callable (``_central_derivative`` states its accuracy).  A callable's
     first quotient off omega0, the case series integrands take per node,
     is formed here, as the quotient table over (t, sigma(t)) forms it."""
-    if isinstance(r, bool) or not isinstance(r, int):
-        raise ValueError(f"order r must be an integer, got {r!r}")
+    _order(r)
     if r == 1 and callable(f) and not isinstance(t, LatticePoint) and t != params.omega0:
         s = params.q * t + params.omega
         fx, fs = _checked(f(t), t), _checked(f(s), s)
@@ -129,8 +128,6 @@ def hahn_derivative_n(params: HahnParams, f, r: int, t) -> float:
         if den == 0.0:
             raise DegenerateDenominator(f"orbit step underflowed to zero near t={t!r}")
         return (fs - fx) / den
-    if r < 0:
-        raise ValueError("order r must be non-negative")
     if isinstance(f, GridFunction):
         if not isinstance(t, LatticePoint):
             raise TypeError("grid functions are differentiated at LatticePoints")
@@ -145,6 +142,14 @@ def hahn_derivative_n(params: HahnParams, f, r: int, t) -> float:
             return _jackson_factor(params.q, r) * function_of_t(expr)(t)
         f = function_of_t(expr)
     return _callable_derivative_n(params.q, params.omega, params.omega0, f, r, t)
+
+
+def _order(r: int) -> None:
+    """Refuse an order that is not a nonnegative int (a bool is not one)."""
+    if isinstance(r, bool) or not isinstance(r, int):
+        raise ValueError(f"order r must be an integer, got {r!r}")
+    if r < 0:
+        raise ValueError("order r must be non-negative")
 
 
 def _jackson_factor(q: float, r: int) -> float:
@@ -212,6 +217,7 @@ def iterates_at_fixed(q: float, taus: Sequence[float], vals: Sequence[float], n:
 def grid_derivative_at_fixed(y: GridFunction, r: int) -> float:
     """Estimate D^r[y](omega0) by ``iterates_at_fixed`` over the r + 2 points
     of the ``fixed_point_window`` at the grid's own depth."""
+    _order(r)
     if r == 0:
         return y.value_at_fixed
     orbits = (y.orbit(origin) for origin in (Origin.A, Origin.B))
@@ -224,8 +230,7 @@ def norm_r_inf(y: GridFunction, r: int) -> float:
     The fixed point contributes only at i = 0; orbit points whose
     stencil ran past the depth or collapsed onto omega0 are skipped.
     """
-    if r < 0:
-        raise ValueError("order r must be non-negative")
+    _order(r)
     lat = y.lattice
     if lat.depth < r + 1:
         raise InsufficientDepth(f"norm of order {r} needs depth >= {r + 1}")

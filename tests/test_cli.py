@@ -295,18 +295,31 @@ def test_an_endpoint_rounding_onto_omega0_exits_3(tmp_path, capsys, command):
 
 
 def test_the_builtin_double_well_config_is_the_demo_problem():
-    from hahnvar.cli import _BUILTIN_CONFIGS, _build_problem
-    from hahnvar.demos import double_well_problem
+    from hahnvar.cli import _build_problem
+    from hahnvar.demos import BUILTIN_CONFIGS, double_well_problem
 
-    assert _build_problem(_BUILTIN_CONFIGS["double-well"]) == double_well_problem()
+    assert _build_problem(BUILTIN_CONFIGS["double-well"]) == double_well_problem()
 
 
 def _double_well_config(tmp_path, **extra):
-    from hahnvar.cli import _BUILTIN_CONFIGS
+    from hahnvar.demos import BUILTIN_CONFIGS
 
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({**_BUILTIN_CONFIGS["double-well"], "depth": 12, **extra}))
+    cfg.write_text(json.dumps({**BUILTIN_CONFIGS["double-well"], "depth": 12, **extra}))
     return str(cfg)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "el-check", "minimize"])
+def test_the_builtin_double_well_runs_as_a_file_of_its_config(tmp_path, capsys, command):
+    # --builtin reads demos' dict, so a file dumped from it gives the same bytes.
+    from hahnvar.demos import BUILTIN_CONFIGS
+
+    path = tmp_path / "double-well.json"
+    path.write_text(json.dumps(BUILTIN_CONFIGS["double-well"]))
+    flags = ("--format", "json", "--depth", "12")
+    code, out, err = run(capsys, command, "--builtin", "double-well", *flags)
+    assert out.startswith('{"problem": ')
+    assert run(capsys, command, str(path), *flags) == (code, out, err)
 
 
 @pytest.mark.parametrize("command", ["evaluate", "el-check", "minimize"])

@@ -246,11 +246,15 @@ def test_lagrangian_slot_arity_checked():
     L = compile_lagrangian("u1^2/2", 1)
     with pytest.raises(ArityError):
         L.partial(2, 0.0, (0.0, 0.0))
-    # Built directly, a Lagrangian is not checked: a slot past its order is unbound.
-    L = Lagrangian(parse("u5 + u0"), 1)
-    for call in (L.value, L.gradient, L.derivatives):
-        with pytest.raises(UnboundVariable, match="u5"):
-            call(0.0, (1.0, 2.0))
+    # Built directly, a Lagrangian is checked too.
+    with pytest.raises(ArityError, match="uses slot u5 but the order is 1"):
+        Lagrangian(parse("u5 + u0"), 1)
+    # A window of another length than r + 1 is refused, not cut short or left unbound.
+    L = compile_lagrangian("u1^2 + u0", 1)
+    for us in ((1.0,), (1.0, 2.0, 3.0)):
+        for call in (L.value, L.gradient, L.derivatives, lambda t, window: L.partial(0, t, window)):
+            with pytest.raises(ArityError, match=f"order 1 takes 2 slot values, got {len(us)}"):
+                call(0.0, us)
 
 
 def test_lagrangian_fast_path_matches_walker():

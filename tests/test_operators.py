@@ -157,6 +157,13 @@ def test_grid_derivative_at_fixed_point():
     assert got == grid_derivative_at_fixed(g, 1)
 
 
+def test_grid_derivative_at_fixed_refuses_a_negative_order():
+    # Before the check, it raised a bare IndexError.
+    g = GridFunction.sample(Lattice(P, -1.0, 2.0, depth=12), lambda t: t * t)
+    with pytest.raises(ValueError, match="order r must be non-negative"):
+        grid_derivative_at_fixed(g, -1)
+
+
 @given(
     st.floats(0.05, 0.95),
     st.floats(-3.0, 3.0),

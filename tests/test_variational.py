@@ -35,6 +35,7 @@ from hahnvar import (
     is_admissible,
     is_variation,
     materialize,
+    norm_r_inf,
     q_el_residual,
     sigma_pow,
     trajectory,
@@ -72,6 +73,10 @@ def test_an_order_that_is_not_an_int_is_refused_where_it_is_given(order):
         Problem(HahnParams(0.5, 0.5), order, 0.0, 2.0, (0.0,), (1.0,), "u1^2")
     with pytest.raises(ValueError, match="must be an integer"):
         hahn_derivative_n(HahnParams(0.5, 0.5), "t^2", order, 2.0)
+    grid = GridFunction.sample(Lattice(HahnParams(0.5, 0.5), -1.0, 2.0, 12), lambda t: t * t)
+    for operator in (grid_derivative_at_fixed, norm_r_inf):
+        with pytest.raises(ValueError, match="must be an integer"):
+            operator(grid, order)
 
 
 class _Order(enum.IntEnum):
@@ -85,6 +90,9 @@ def test_an_int_subclass_is_an_order_where_it_is_given():
     assert compile_lagrangian("u1^2", _Order.ONE).value(0.0, (1.0, 3.0)) == 9.0
     got, want = (Problem(params, r, 0.0, 2.0, (0.0,), (1.0,), "u1^2") for r in (_Order.ONE, 1))
     assert functional_value(got, y).value == functional_value(want, y).value
+    grid = GridFunction.sample(Lattice(params, -1.0, 2.0, 12), y)
+    for operator in (grid_derivative_at_fixed, norm_r_inf):
+        assert operator(grid, _Order.ONE) == operator(grid, 1)
 
 
 def test_trajectory_identity_candidate():
