@@ -24,8 +24,6 @@ non-finite number as null, table and csv as inf or nan.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -108,6 +106,9 @@ def _render_table(report: dict, out: list[str], prefix: str = "") -> None:
 
 
 def _render_csv(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(headers)
@@ -474,10 +475,11 @@ def _cmd_demo(args) -> int:
     from . import demos
 
     kwargs: dict[str, Any] = {}
-    r = 1 if args.name == "double-well" else 2  # the demos' orders
+    double_well = args.name == "double-well"
+    r = demos.BUILTIN_CONFIGS["double-well"]["r"] if double_well else demos.BEAM_ORDER
     if args.depth is not None:
         kwargs["depth"] = _depth(args, {}, 2 * r + 1, r)
-    if args.name == "double-well":
+    if double_well:
         if args.seed is not None:
             kwargs["seed"] = args.seed
         if args.tol is not None:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator
 
@@ -37,25 +36,63 @@ DEFAULT_MAX_TERMS = 10_000
 DEFAULT_DEPTH = 64
 
 
+class Record:
+    """Base of the package's value classes.  As on a dataclass, a subclass
+    declares its fields by annotation, in order, and its ``__init__`` sets
+    them in that order; the repr lists them, == compares them between
+    instances of one class, and an instance is unhashable."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__) or cls._fields
+
+    def _values(self) -> list:
+        return [getattr(self, name) for name in self._fields]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+
+class Frozen(Record):
+    """A Record whose fields are set once, in ``__dict__``, by ``__init__``:
+    assignment raises AttributeError, and the hash is the fields' tuple's."""
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._values()))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def q_bracket(k: int, q: float) -> float:
     """The q-integer [k]_q = (1 - q**k)/(1 - q) = 1 + q + ... + q**(k-1)."""
     return (1.0 - q**k) / (1.0 - q)
 
 
-@dataclass(frozen=True)
-class HahnParams:
+class HahnParams(Frozen):
     """Scale pair (q, omega) for sigma(t) = q*t + omega."""
 
     q: float
     omega: float
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.q, float) or isinstance(self.q, int)):
+    def __init__(self, q: float, omega: float) -> None:
+        if not (isinstance(q, float) or isinstance(q, int)):
             raise TypeError("q must be a real number")
-        if not math.isfinite(self.q) or not (0.0 < self.q < 1.0):
-            raise ValueError(f"q must be a finite number strictly inside (0, 1), got {self.q!r}")
-        if not math.isfinite(self.omega) or not self.omega > 0.0:
-            raise ValueError(f"omega must be finite and strictly positive, got {self.omega!r}")
+        if not math.isfinite(q) or not (0.0 < q < 1.0):
+            raise ValueError(f"q must be a finite number strictly inside (0, 1), got {q!r}")
+        if not math.isfinite(omega) or not omega > 0.0:
+            raise ValueError(f"omega must be finite and strictly positive, got {omega!r}")
+        self.__dict__.update(q=q, omega=omega)
 
     @cached_property
     def omega0(self) -> float:
@@ -191,18 +228,31 @@ class Origin(enum.Enum):
     FIXED = "omega0"
 
 
-@dataclass(frozen=True)
-class LatticePoint:
-    """Integer identity of a lattice point: n-th sigma-iterate of the origin seed."""
+class LatticePoint(Frozen):
+    """Integer identity of a lattice point: n-th sigma-iterate of the origin seed.
+
+    ``el_report`` keys a dict with one per residual, so construction,
+    hashing and == are written out rather than inherited."""
 
     origin: Origin
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, origin: Origin, n: int) -> None:
+        if n < 0:
             raise ValueError("lattice index n must be non-negative")
-        if self.origin is Origin.FIXED and self.n != 0:
+        if origin is Origin.FIXED and n != 0:
             raise ValueError("the fixed point has index 0")
+        fields = self.__dict__
+        fields["origin"] = origin
+        fields["n"] = n
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.origin == other.origin and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.origin, self.n))
 
     def advanced(self, k: int = 1) -> "LatticePoint":
         """Point k sigma-steps deeper along the same orbit (omega0 is a fixed point)."""
@@ -214,8 +264,7 @@ class LatticePoint:
 OMEGA0_POINT = LatticePoint(Origin.FIXED, 0)
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Frozen):
     """Finite two-orbit lattice over a working interval.
 
     Holds the orbit of ``a`` and the orbit of ``b`` up to ``depth``
@@ -227,15 +276,16 @@ class Lattice:
     params: HahnParams
     a: float
     b: float
-    depth: int = DEFAULT_DEPTH
+    depth: int
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+    def __init__(self, params: HahnParams, a: float, b: float, depth: int = DEFAULT_DEPTH) -> None:
+        if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError("endpoints must be finite")
-        if not self.a < self.b:
-            raise ValueError(f"need a < b, got a={self.a!r}, b={self.b!r}")
-        if self.depth < 1:
+        if not a < b:
+            raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
+        if depth < 1:
             raise ValueError("depth must be at least 1")
+        self.__dict__.update(params=params, a=a, b=b, depth=depth)
 
     def seed(self, origin: Origin) -> float:
         if origin is Origin.A:
@@ -283,8 +333,7 @@ class Lattice:
         return 2 * (self.depth + 1) + 1
 
 
-@dataclass
-class GridFunction:
+class GridFunction(Record):
     """Real values attached to every point of a lattice.
 
     Orbit values are stored as dense per-orbit lists indexed by n; the
@@ -298,17 +347,20 @@ class GridFunction:
     values_b: list[float]
     value_at_fixed: float
 
-    def __post_init__(self) -> None:
-        want = self.lattice.depth + 1
-        if len(self.values_a) != want or len(self.values_b) != want:
-            raise ValueError(
-                f"need {want} values per orbit, got {len(self.values_a)}/{len(self.values_b)}"
-            )
-        for v in self.values_a:
+    def __init__(self, lattice: Lattice, values_a: list[float], values_b: list[float],
+                 value_at_fixed: float) -> None:
+        self.lattice = lattice
+        self.values_a = values_a
+        self.values_b = values_b
+        self.value_at_fixed = value_at_fixed
+        want = lattice.depth + 1
+        if len(values_a) != want or len(values_b) != want:
+            raise ValueError(f"need {want} values per orbit, got {len(values_a)}/{len(values_b)}")
+        for v in values_a:
             _require_finite(v)
-        for v in self.values_b:
+        for v in values_b:
             _require_finite(v)
-        _require_finite(self.value_at_fixed)
+        _require_finite(value_at_fixed)
 
     @classmethod
     def sample(cls, lattice: Lattice, fn: Callable[[float], float]) -> "GridFunction":

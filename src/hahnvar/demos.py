@@ -29,6 +29,9 @@ from .variational import Problem, el_report, functional_value
 # (q, omega) sequence the beam demo sweeps, approaching the classical limit.
 BEAM_SEQUENCE = ((0.9, 0.1), (0.99, 0.01), (0.999, 0.001))
 
+# The beam problem's order: its energy reads the second derivative.
+BEAM_ORDER = 2
+
 # Run configs by name, each as a JSON run config file would give it.
 BUILTIN_CONFIGS: dict[str, dict] = {
     "double-well": {
@@ -74,17 +77,17 @@ def beam_problem(
     residual is informative."""
     params = HahnParams(q=q, omega=omega)
     a, b = 0.0, 2.0
-    source = f"0.5*({elastic!r}*u2)^2 - {load!r}*u0"
+    source = f"0.5*({elastic!r}*u{BEAM_ORDER})^2 - {load!r}*u0"
     coeff = load / (24.0 * elastic * elastic)
     candidate = f"{coeff!r}*t^4"
 
     def y(t: float) -> float:
         return coeff * t**4
 
-    alpha = tuple(hahn_derivative_n(params, y, i, a) for i in range(2))
-    beta = tuple(hahn_derivative_n(params, y, i, b) for i in range(2))
+    alpha = tuple(hahn_derivative_n(params, y, i, a) for i in range(BEAM_ORDER))
+    beta = tuple(hahn_derivative_n(params, y, i, b) for i in range(BEAM_ORDER))
     problem = Problem(
-        params=params, r=2, a=a, b=b, alpha=alpha, beta=beta, lagrangian=source
+        params=params, r=BEAM_ORDER, a=a, b=b, alpha=alpha, beta=beta, lagrangian=source
     )
     return problem, candidate
 

@@ -38,10 +38,10 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Mapping, Sequence
 
+from .core import Frozen, Record
 from .errors import (
     ArityError,
     DomainError,
@@ -65,10 +65,11 @@ _VAR_RE = re.compile(r"^(t|u[0-9])$")
 # Syntax tree
 # ---------------------------------------------------------------------------
 
-class Expr:
-    """Base class for expression nodes."""
+class Expr(Frozen):
+    """Base class for expression nodes.
 
-    __slots__ = ()
+    Parsing and the folding of partials build and compare nodes by the
+    thousand, so each node writes out its construction, hashing and ==."""
 
     @cached_property
     def _code(self) -> Callable[[Expr, Mapping[str, float]], float]:
@@ -80,36 +81,85 @@ class Expr:
         return {k: v for k, v in vars(self).items() if k != "_code"}
 
 
-@dataclass(frozen=True)
 class Number(Expr):
     value: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
+    def __init__(self, value: float) -> None:
+        if not math.isfinite(value):
             raise ValueError("numeric literals must be finite")
+        self.__dict__["value"] = value
+
+    def __eq__(self, other):
+        return self.value == other.value if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
 class Var(Expr):
     name: str
 
+    def __init__(self, name: str) -> None:
+        self.__dict__["name"] = name
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        return self.name == other.name if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
+
 class Neg(Expr):
     operand: Expr
 
+    def __init__(self, operand: Expr) -> None:
+        self.__dict__["operand"] = operand
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.operand,) == (other.operand,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.operand,))
+
+
 class BinOp(Expr):
     op: str  # one of + - * / ^
     left: Expr
     right: Expr
 
+    def __init__(self, op: str, left: Expr, right: Expr) -> None:
+        fields = self.__dict__
+        fields["op"] = op
+        fields["left"] = left
+        fields["right"] = right
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.op, self.left, self.right) == (other.op, other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.op, self.left, self.right))
+
+
 class Call(Expr):
     fn: str
     operand: Expr
+
+    def __init__(self, fn: str, operand: Expr) -> None:
+        fields = self.__dict__
+        fields["fn"] = fn
+        fields["operand"] = operand
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.fn, self.operand) == (other.fn, other.operand)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.fn, self.operand))
 
 
 def _walk(e: Expr) -> Iterator[tuple[Expr, int]]:
@@ -139,11 +189,13 @@ _OPS = set("+-*/^()")
 _TOO_DEEP = {f"at most {MAX_NESTING} levels of nesting"}
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # "num", "ident", one of _OPS, or "end"
-    text: str
-    pos: int
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int) -> None:
+        self.kind = kind  # "num", "ident", one of _OPS, or "end"
+        self.text = text
+        self.pos = pos
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -628,8 +680,7 @@ def function_of_t(e: Expr) -> Callable[[float], float]:
     return lambda t: code(e, {"t": t})
 
 
-@dataclass
-class Lagrangian:
+class Lagrangian(Record):
     """An expression read as L(t, u0, ..., ur) with the slot count fixed.
 
     Slot i holds the i-th operator iterate of the trajectory, so r is the
@@ -647,13 +698,14 @@ class Lagrangian:
     expr: Expr
     order: int
 
-    def __post_init__(self) -> None:
-        r = self.order
+    def __init__(self, expr: Expr, order: int) -> None:
+        self.expr = expr
+        self.order = r = order
         if isinstance(r, bool) or not isinstance(r, int):
             raise ArityError(f"order r must be an integer, got {r!r}")
         if not 1 <= r <= 9:
             raise ArityError(f"order r must be between 1 and 9, got {r!r}")
-        past = variables(self.expr) - set(self.arg_names())
+        past = variables(expr) - set(self.arg_names())
         if past:
             raise ArityError(f"expression uses slot {max(past)} but the order is {r}")
 

@@ -23,12 +23,12 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import chain
 from operator import mul
 from typing import Callable
 
-from .core import DEFAULT_DEPTH, GridFunction, Orbit, Origin
+from .core import DEFAULT_DEPTH, GridFunction, Orbit, Origin, Record
 from .dsl import Lagrangian, Neg
 from .errors import (DegenerateDenominator, DomainError, InsufficientDepth, NonFiniteValue,
                      NotDifferentiable)
@@ -41,8 +41,7 @@ _SHIFT_START = 1e-6
 _SHIFT_CAP = 1e16
 
 
-@dataclass
-class MinimizeResult:
+class MinimizeResult(Record):
     """Final iterate of the Newton search plus its trace.
 
     ``objective`` and ``functional`` both are the truncated functional at
@@ -58,6 +57,18 @@ class MinimizeResult:
     iterations: int
     boundary_violation_norm: float
     penalty_weight: float
+
+    def __init__(self, grid: GridFunction, objective: float, functional: float,
+                 history: list[float], converged: bool, iterations: int,
+                 boundary_violation_norm: float, penalty_weight: float) -> None:
+        self.grid = grid
+        self.objective = objective
+        self.functional = functional
+        self.history = history
+        self.converged = converged
+        self.iterations = iterations
+        self.boundary_violation_norm = boundary_violation_norm
+        self.penalty_weight = penalty_weight
 
 
 class _Orbit:

@@ -40,6 +40,7 @@ from .core import (
     DEFAULT_DEPTH,
     DEFAULT_MAX_TERMS,
     DEFAULT_TOL,
+    Frozen,
     GridFunction,
     HahnParams,
     Lattice,
@@ -47,6 +48,7 @@ from .core import (
     OMEGA0_POINT,
     Orbit,
     Origin,
+    Record,
 )
 from .dsl import Expr, Lagrangian, compile_lagrangian, function_of_t, parse
 from .errors import InsufficientDepth, NotAVariation
@@ -285,13 +287,17 @@ def functional_value(
     return at_b - at_a
 
 
-@dataclass(frozen=True)
-class BoundaryViolation:
+class BoundaryViolation(Frozen):
     endpoint: str  # "a" or "b"
     index: int  # derivative order i
     actual: float
     target: float
     error: float
+
+    def __init__(self, endpoint: str, index: int, actual: float, target: float,
+                 error: float) -> None:
+        self.__dict__.update(endpoint=endpoint, index=index, actual=actual, target=target,
+                             error=error)
 
 
 def _boundary_violations(
@@ -446,8 +452,7 @@ def _residual_at_fixed(problem: Problem, orbits: Orbits, depth: int) -> float:
     return extrapolate_to_fixed(q, _residuals(q, problem.lagrangian, taus, vals))
 
 
-@dataclass
-class ElReport:
+class ElReport(Record):
     """Stationarity check over a whole lattice.
 
     ``residuals`` maps orbit points to ``el_residual``'s values, bit for
@@ -465,6 +470,19 @@ class ElReport:
     omega0_residual: float | None
     tol: float
     passed: bool
+
+    def __init__(self, residuals: dict[LatticePoint, float], max_abs_residual: float,
+                 boundary_violations: list[BoundaryViolation], depth_used: int,
+                 omega0_included: bool, omega0_residual: float | None, tol: float,
+                 passed: bool) -> None:
+        self.residuals = residuals
+        self.max_abs_residual = max_abs_residual
+        self.boundary_violations = boundary_violations
+        self.depth_used = depth_used
+        self.omega0_included = omega0_included
+        self.omega0_residual = omega0_residual
+        self.tol = tol
+        self.passed = passed
 
 
 def el_report(

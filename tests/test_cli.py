@@ -277,6 +277,33 @@ def test_subcommand_imports_only_the_modules_it_runs(argv, unloaded):
     assert imported.isdisjoint(f"hahnvar.{name}" for name in unloaded)
 
 
+def test_deriv_loads_neither_dataclasses_nor_inspect_nor_csv():
+    # core, dsl and operators build their value classes without dataclasses,
+    # and csv loads only to render --format csv.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from hahnvar.cli import main\n"
+        "assert main(['deriv', '--q', '0.5', '--omega', '0.5', '--expr', 't^2', '--t', '2']) == 0\n"
+        "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["deriv", "--q", "0.5", "--omega", "0.5", "--expr", "t^2", "--t", "2"],
+     "q,omega,expr,t,order,value\n0.5,0.5,t^2,2,1,3.5\n"),
+    (["integrate", "--q", "0.5", "--omega", "0.5", "--expr", "t", "--a", "-1", "--b", "2"],
+     "q,omega,expr,a,b,value,terms_used,tail_bound,converged\n"
+     "0.5,0.5,t,-1,2,0.99999999999818112,41,1.8189894035706719e-12,true\n"),
+    (["evaluate", "--builtin", "double-well"], "value,terms_used,tail_bound,converged\n0,5,0,true\n"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_csv_output_is_pinned(capsys, argv, text):
+    assert run(capsys, *argv, "--format", "csv") == (0, text, "")
+
+
 @pytest.mark.parametrize("command", ["minimize", "el-check"])
 def test_an_endpoint_rounding_onto_omega0_exits_3(tmp_path, capsys, command):
     # a = omega0 up to a prefactor of -5.6e-17, so orbit a merges at its seed.

@@ -8,7 +8,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hahnvar import (
     ArityError,
@@ -988,8 +988,18 @@ def _outcomes(L, t, us):
 _literal_values = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8)
 
 
+def _shape(trees):
+    """The text ``_checked`` compiles for the trees, where each literal is a
+    name: trees share it, and so their code, iff they differ only in numbers."""
+    return [dsl._emit(tree) for tree in trees]
+
+
 @settings(deadline=None, max_examples=200)
 @given(_trees(3), _literal_values, _coord, _coord, _coord)
+# Renumbered literals whose product in a slope overflows, or is 1 where the
+# tree's is not, so the slopes' shapes differ.
+@example(parse("sin((u0*2)^2)"), [9.5e153] * 8, 0.5, 0.5, 0.5)
+@example(parse("sin(u0*2*0.5)"), [3.0, 0.7] + [2.0] * 6, 0.5, 0.5, 0.5)
 def test_a_shared_template_gives_the_cold_results_bit_for_bit(tree, values, t, u0, u1):
     us = (u0, u1)
     warm = Lagrangian(tree, 1)
@@ -998,8 +1008,10 @@ def test_a_shared_template_gives_the_cold_results_bit_for_bit(tree, values, t, u
     shared = Lagrangian(other, 1)
     got = _outcomes(shared, t, us)
     assert shared._value.func.__code__ is warm._value.func.__code__
-    if not {0.0, 1.0} & set(values):
-        # derivative folds a literal 0 or 1, so only other values keep the slopes' shape.
+    # derivative folds each literal or literal product that is 0 or 1, and
+    # each product that is finite and nonzero, so the slopes keep the
+    # tree's shape only where the new numbers fold as the old ones did.
+    if _shape(shared._derivatives.args[0]) == _shape(warm._derivatives.args[0]):
         assert shared._derivatives.func.__code__ is warm._derivatives.func.__code__
     dsl._template.cache_clear()
     assert got == _outcomes(Lagrangian(other, 1), t, us)
