@@ -988,10 +988,24 @@ def _outcomes(L, t, us):
 _literal_values = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8)
 
 
-def _shape(trees):
-    """The text ``_checked`` compiles for the trees, where each literal is a
-    name: trees share it, and so their code, iff they differ only in numbers."""
-    return [dsl._emit(tree) for tree in trees]
+def _folded_products(tree):
+    """Each product of two literals that ``derivative`` forms, and so folds
+    into one literal where it is finite and nonzero, in tree's first and
+    second partials at order 1."""
+    products, fold = [], dsl._mul
+
+    def recording(a, b):
+        x, y = dsl._literal(a), dsl._literal(b)
+        if x and y:  # _mul folds a 0 operand before it multiplies
+            products.append(x * y)
+        return fold(a, b)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dsl, "_mul", recording)
+        for u in ("u0", "u1"):
+            for v in ("u0", "u1"):
+                derivative(derivative(tree, u), v)
+    return products
 
 
 @settings(deadline=None, max_examples=200)
@@ -1008,10 +1022,12 @@ def test_a_shared_template_gives_the_cold_results_bit_for_bit(tree, values, t, u
     shared = Lagrangian(other, 1)
     got = _outcomes(shared, t, us)
     assert shared._value.func.__code__ is warm._value.func.__code__
-    # derivative folds each literal or literal product that is 0 or 1, and
-    # each product that is finite and nonzero, so the slopes keep the
-    # tree's shape only where the new numbers fold as the old ones did.
-    if _shape(shared._derivatives.args[0]) == _shape(warm._derivatives.args[0]):
+    # derivative folds a literal 0 or 1 away, and a product of two literals
+    # into one literal only while it is finite and nonzero; a product of 1
+    # then folds away.  Where no literal or product of either tree is 0, 1
+    # or not finite, both fold alike, so their slopes have one shape.
+    products = _folded_products(tree) + _folded_products(other)
+    if not {0.0, 1.0} & set(values) and all(math.isfinite(p) and p not in (0.0, 1.0) for p in products):
         assert shared._derivatives.func.__code__ is warm._derivatives.func.__code__
     dsl._template.cache_clear()
     assert got == _outcomes(Lagrangian(other, 1), t, us)
