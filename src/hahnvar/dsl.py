@@ -615,9 +615,8 @@ def _template(head: str, unpack: str, bodies: tuple[str, ...], shape: str, walk:
     shape share its code, whatever their numbers.  Trees parsed from text
     share their whole function through ``parse`` and ``compile_lagrangian``;
     this cache serves every new tree of a shape seen before: a Lagrangian
-    whose coefficients changed, the r-fold derivative of
-    ``operators.hahn_derivative_n`` at omega0 and the negated Lagrangian of
-    ``minimize_direct(maximize=True)``."""
+    whose coefficients changed, a candidate's source with new numbers and
+    the negated Lagrangian of ``minimize_direct(maximize=True)``."""
     values = [f"_v{i}" for i in range(len(bodies))]
     lines = [f"def _bind({', '.join(f'_k{i}' for i in range(literals))}):",
              f"    def _f({head}):",
@@ -647,9 +646,14 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
 
 
 def function_of_t(e: Expr) -> Callable[[float], float]:
-    """The expression as a function of t, evaluated as ``evaluate`` does."""
-    code = e._code
-    return lambda t: code(e, {"t": t})
+    """The expression as a function of t, evaluated as ``evaluate`` does,
+    compiled at its first call; the function keeps the tree as ``expr``."""
+
+    def f(t: float) -> float:
+        return e._code(e, {"t": t})
+
+    f.expr = e
+    return f
 
 
 class Lagrangian(Record):

@@ -6,9 +6,9 @@ The basic operator is
 
 extended to the fixed point by the classical derivative f'(omega0).
 In s = t - omega0 sigma is s -> q*s, so D is the Jackson derivative
-there and D^r[f](omega0) = [r]_q!/r! * f^(r)(omega0): exact for an
-expression, through its symbolic derivative in t, and estimated by a
-central difference for a black-box function.  Iterated operators on
+there and D^r[f](omega0) = [r]_q!/r! * f^(r)(omega0): for an expression
+from its Taylor jet at omega0 (``jets``), and estimated by a central
+difference for a black-box function.  Iterated operators on
 grid data are computed through stencils of consecutive orbit points;
 the value of any iterate *at* omega0 is recovered by geometric
 extrapolation along an orbit, using that for g continuous at omega0 with
@@ -25,7 +25,7 @@ import sys
 from typing import Callable, Iterable, Sequence
 
 from .core import GridFunction, HahnParams, LatticePoint, Orbit, Origin, q_bracket
-from .dsl import Expr, derivative, function_of_t, parse
+from .dsl import Expr, function_of_t, parse
 from .errors import DegenerateDenominator, InsufficientDepth, NonFiniteValue
 
 
@@ -115,9 +115,11 @@ def hahn_derivative_n(params: HahnParams, f, r: int, t) -> float:
     """r-fold iterate D^r[f] at t (r = 0 returns the plain value).
 
     Away from omega0 it is the quotient table over the r + 1 orbit nodes
-    from t.  At t == omega0 it is [r]_q!/r! * f^(r)(omega0), with f^(r)
-    exact for an expression and a central-difference estimate for a
-    callable (``_central_derivative`` states its accuracy).  A callable's
+    from t.  At t == omega0 it is [r]_q! f_r for an expression, from its
+    Taylor jet there (``jets.derivative_at``, which raises DomainError
+    where f is not smooth at omega0), and [r]_q!/r! * f^(r)(omega0) for a
+    callable, with f^(r) a central-difference estimate
+    (``_central_derivative`` states its accuracy).  A callable's
     first quotient off omega0, the case series integrands take per node,
     is formed here, as the quotient table over (t, sigma(t)) forms it."""
     _order(r)
@@ -136,10 +138,10 @@ def hahn_derivative_n(params: HahnParams, f, r: int, t) -> float:
         raise TypeError("a lattice point needs a GridFunction carrying its lattice")
     if isinstance(f, (Expr, str)):
         expr = parse(f) if isinstance(f, str) else f
-        if t == params.omega0:
-            for _ in range(r):
-                expr = derivative(expr, "t")
-            return _jackson_factor(params.q, r) * function_of_t(expr)(t)
+        if r and t == params.omega0:
+            from .jets import derivative_at
+
+            return derivative_at(expr, params.q, params.omega0, r)
         f = function_of_t(expr)
     return _callable_derivative_n(params.q, params.omega, params.omega0, f, r, t)
 

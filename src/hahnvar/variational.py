@@ -17,7 +17,9 @@ residuals, in the first variation or in the minimizer, comes from
 ``slot_stream``: one pass over the orbit points in code generated once per
 order.  The functional's series takes its samples from ``sample_stream``,
 the same generated code yielding the Lagrangian's value at each window
-instead of the window, so a term resumes one generator above the walk.
+instead of the window, so a term resumes one generator above the walk;
+for an expression candidate the series closes where the jet of its
+integrand at omega0 converges (``jets``), after as few as 0 terms.
 Every Euler-Lagrange residual comes from ``_residuals`` over a run of orbit
 points, with all partials of a window from one compiled call.  Every
 estimate at omega0 reads the points ``fixed_point_window`` chooses, and a
@@ -51,7 +53,7 @@ from .core import (
     Record,
 )
 from .dsl import Expr, Lagrangian, compile_lagrangian, function_of_t, parse
-from .errors import InsufficientDepth, NotAVariation
+from .errors import HahnvarError, InsufficientDepth, NotAVariation
 from .integrals import SeriesResult, _indexed_series
 from .operators import (
     extrapolate_to_fixed,
@@ -65,7 +67,8 @@ from .operators import (
 # of t, or an expression (tree or source) in the variable t.
 Candidate = Union[GridFunction, Callable[[float], float], Expr, str]
 
-# A candidate after ``_resolve``: grid data or a function of t.
+# A candidate after ``_resolve``: grid data or a function of t; one made
+# from an expression keeps the tree as its ``expr``.
 Resolved = Union[GridFunction, Callable[[float], float]]
 
 # A candidate's two endpoint orbits, a's then b's, from ``_orbits``.
@@ -111,7 +114,8 @@ class Problem:
 
 def _resolve(y: Candidate) -> Resolved:
     """The candidate as grid data or a function of t; source text is parsed
-    and compiled here.  A resolved candidate resolves to itself."""
+    here, and a tree's function compiles at its first call.  A resolved
+    candidate resolves to itself."""
     if isinstance(y, GridFunction):
         return y
     if isinstance(y, str):
@@ -267,11 +271,35 @@ def _iterates_at_fixed(problem: Problem, y: Resolved, orbits: Orbits, n: int, de
 # ---------------------------------------------------------------------------
 
 def _one_sided_functional(
-    problem: Problem, prefactor: float, points: Iterator[tuple[float, float]], tol: float, max_terms: int
+    problem: Problem, prefactor: float, points: Iterator[tuple[float, float]], tol: float,
+    max_terms: int, closing: tuple[int, tuple[float, float]] | None = None,
 ) -> SeriesResult:
-    """The one-sided series over a walk of (t, value) orbit points."""
+    """The one-sided series over a walk of (t, value) orbit points; with a
+    ``closing`` (N, (value, bound)) from ``jets.Integrand.close``, its
+    first N terms plus the closed tail past them."""
     samples = sample_stream(problem.r)(points, problem.lagrangian.value)
-    return _indexed_series(problem.params.q, prefactor, samples, tol, max_terms)
+    n, closed = closing or (max_terms, None)
+    return _indexed_series(problem.params.q, prefactor, samples, tol, n, closed)
+
+
+def _closings(problem: Problem, y: Resolved, orbits: Sequence[Orbit], tol: float,
+              max_terms: int) -> list:
+    """Per orbit, where its series closes from the jet of the integrand
+    along an expression candidate (``jets.Integrand.close``); None where
+    the candidate is not an expression, its jet refuses, or the jet
+    converges at no checked index, and where max_terms is below 1, which
+    the walk refuses.  ``jets`` is imported here, on first use."""
+    expr = getattr(y, "expr", None)
+    if not isinstance(expr, Expr) or max_terms < 1:
+        return [None] * len(orbits)
+    from . import jets
+
+    params = problem.params
+    try:
+        jet = jets.integrand(problem.lagrangian.expr, problem.r, expr, params.q, params.omega0)
+    except HahnvarError:
+        return [None] * len(orbits)
+    return [jet.close(o.prefactor, tol, max_terms) for o in orbits]
 
 
 def functional_value(
@@ -280,10 +308,22 @@ def functional_value(
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> SeriesResult:
-    """The objective integral, as the difference of the two one-sided series."""
-    a, b = _orbits(problem, _resolve(y)).values()
-    at_b, at_a = (_one_sided_functional(problem, o.prefactor, o.walk(), tol, max_terms)
-                  for o in (b, a))
+    """The objective integral, as the difference of the two one-sided series.
+
+    For an expression candidate (a tree or its source) each series closes
+    at the first checked orbit index where the jet of the integrand at
+    omega0 converges (``jets.Integrand.close``): terms_used counts the
+    terms walked before it, 0 for a polynomial problem, and tail_bound is
+    the jet's truncation estimate, 0.0 for a polynomial jet.  Where the
+    jet refuses, or converges at no index through max_terms, the series
+    walks its orbit as for any other candidate."""
+    y = _resolve(y)
+    a, b = _orbits(problem, y).values()
+    orbits = (b, a)
+    at_b, at_a = (
+        _one_sided_functional(problem, o.prefactor, o.walk(), tol, max_terms, closing)
+        for o, closing in zip(orbits, _closings(problem, y, orbits, tol, max_terms))
+    )
     return at_b - at_a
 
 

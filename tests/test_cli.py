@@ -362,20 +362,37 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-def test_json_renders_an_unbounded_tail_as_null(tmp_path, capsys):
-    # The b orbit merges before its first r-window, so its tail bound is inf.
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({
+def _near_omega0_run(candidate):
+    # omega0 is 1, and b is one ulp past it.
+    return {
         "q": 0.5, "omega": 0.5, "a": -1.0, "b": 1.0000000000000002, "r": 2,
         "lagrangian": "u2^2", "alpha": [0.0, 0.0], "beta": [0.0, 0.0],
-        "candidate": {"type": "expr", "value": "0"},
-    }))
+        "candidate": {"type": "expr", "value": candidate},
+    }
+
+
+def test_json_renders_an_unbounded_tail_as_null(tmp_path, capsys):
+    # The b orbit merges before its first r-window, so its tail bound is inf;
+    # the kink at omega0 refuses a jet, so the series walks the orbit.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(_near_omega0_run("abs(t - 1)")))
     code, out, _ = run(capsys, "evaluate", str(cfg), "--format", "json")
     assert code == 4
     assert json.loads(out, parse_constant=_reject_constant)["tail_bound"] is None
     code, out, _ = run(capsys, "evaluate", str(cfg), "--format", "csv")
     assert code == 4
     assert out.splitlines()[1].split(",")[2] == "inf"
+
+
+def test_a_smooth_candidate_closes_an_orbit_that_merges_at_once(tmp_path, capsys):
+    # The same run with a polynomial candidate: both series close from the
+    # jet at omega0, with no orbit term walked.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(_near_omega0_run("0")))
+    code, out, err = run(capsys, "evaluate", str(cfg), "--format", "json")
+    assert (code, err) == (0, "")
+    got = json.loads(out, parse_constant=_reject_constant)
+    assert (got["value"], got["terms_used"], got["tail_bound"], got["converged"]) == (0, 0, 0, True)
 
 
 # ---------------------------------------------------------------------------
@@ -649,17 +666,22 @@ def test_integrate_out_of_max_terms_exits_4(capsys):
     assert err.count("\n") == 1
 
 
-def test_evaluate_says_why_it_exits_4(tmp_path, capsys):
-    # Out of terms: the cap is spent.
-    cfg = tmp_path / "expr.json"
-    cfg.write_text(json.dumps({
+def _first_order_run(candidate):
+    return {
         "q": 0.5, "omega": 0.5, "a": -1.0, "b": 1.0, "r": 1, "lagrangian": "u1^2",
-        "alpha": [0.0], "beta": [0.0], "candidate": {"type": "expr", "value": "t^2 - 1"},
-    }))
+        "alpha": [0.0], "beta": [0.0], "candidate": {"type": "expr", "value": candidate},
+    }
+
+
+def test_evaluate_says_why_it_exits_4(tmp_path, capsys):
+    # Out of terms: the cap is spent.  The kink at omega0 = 1 refuses a jet,
+    # so the series walks the orbit.
+    cfg = tmp_path / "expr.json"
+    cfg.write_text(json.dumps(_first_order_run("abs(t - 1)")))
     code, out, err = run(capsys, "evaluate", str(cfg), "--max-terms", "5", "--format", "json")
     assert code == 4
     assert json.loads(out)["terms_used"] == 5
-    assert err == "series did not converge within 5 terms (tail bound 0.205322265625, 5 terms used)\n"
+    assert err == "series did not converge within 5 terms (tail bound 0.0625, 5 terms used)\n"
     # Out of points: a depth-3 table gives orbit a three order-1 windows.
     cfg = tmp_path / "table.json"
     rows = [[origin, n, 0.1 * n] for origin in "ab" for n in range(4)]
@@ -675,6 +697,19 @@ def test_evaluate_says_why_it_exits_4(tmp_path, capsys):
         "series did not converge within 10000 terms (tail bound 3.0941829629629658, 3 terms used)"
         ": an orbit ran out of usable points\n"
     )
+
+
+def test_a_polynomial_candidate_converges_with_no_term_walked(tmp_path, capsys):
+    # The run whose kinked candidate spends the cap above: with t^2 - 1 the
+    # series closes from the jet at omega0, within any cap.
+    cfg = tmp_path / "expr.json"
+    cfg.write_text(json.dumps(_first_order_run("t^2 - 1")))
+    code, out, err = run(capsys, "evaluate", str(cfg), "--max-terms", "5", "--format", "json")
+    assert (code, err) == (0, "")
+    got = json.loads(out)
+    assert (got["terms_used"], got["tail_bound"], got["converged"]) == (0, 0, True)
+    # u1 = D(t^2 - 1) = 1.5*t + 0.5, and its square integrates to 16/7 over [-1, 1].
+    assert got["value"] == pytest.approx(16 / 7, rel=1e-15)
 
 
 def test_the_builtin_candidate_flag_overrides_the_config_candidate(tmp_path, capsys):
