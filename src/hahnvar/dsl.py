@@ -646,14 +646,9 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
 
 
 def function_of_t(e: Expr) -> Callable[[float], float]:
-    """The expression as a function of t, evaluated as ``evaluate`` does,
-    compiled at its first call; the function keeps the tree as ``expr``."""
-
-    def f(t: float) -> float:
-        return e._code(e, {"t": t})
-
-    f.expr = e
-    return f
+    """The expression as a function of t, evaluated as ``evaluate`` does."""
+    code = e._code
+    return lambda t: code(e, {"t": t})
 
 
 class Lagrangian(Record):

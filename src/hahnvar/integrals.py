@@ -24,14 +24,14 @@ with a bound of 0.  At q = 1 there is no envelope; the driver stops once
 certificate there.  Results carry the bound instead of raising, so a
 caller can tell "converged under tol" from "ran out of terms".
 
-A caller that knows the series past some term in closed form passes it
-to ``_indexed_series``, which sums the terms before it and adds it:
+A caller that knows the series past some term exactly passes it to
+``_indexed_series``, which sums the terms before it and adds it:
 ``variational.functional_value`` closes the series of an expression
-candidate from the Taylor jet of its integrand at omega0 (``jets``).
-Then terms_used counts the terms walked, 0 for a polynomial problem, and
-the bound is the jet's truncation estimate, 0.0 for a polynomial jet and
-empirical for a transcendental integrand.  ``integral`` and the other
-functions here walk their orbits for every integrand.
+candidate whose integrand has a polynomial Taylor jet at omega0
+(``jets``).  Then terms_used counts the terms walked, 0 for a polynomial
+problem, and the bound is 0.0.  A transcendental or rational integrand
+is walked, as is every integrand of ``integral`` and the other functions
+here.
 """
 
 from __future__ import annotations
@@ -63,11 +63,9 @@ class SeriesResult:
     drawn from the iterator.
     At q = 1 (the Noerlund sum) the bound is the weighted maximum of the
     last few terms, so converged there is empirical, not a certificate.
-    A series closed in closed form past term N (``functional_value`` of an
-    expression candidate) is converged with terms_used = N, the terms
-    walked, and the closed tail's estimate as its bound: 0.0 for a
-    polynomial jet, and for a transcendental integrand the jet's last two
-    terms, an empirical estimate.
+    A series closed exactly past term N (``functional_value`` of an
+    expression candidate whose integrand has a polynomial jet at omega0)
+    is converged with terms_used = N, the terms walked, and bound 0.0.
     """
 
     value: float
@@ -92,15 +90,15 @@ def _indexed_series(
     samples: Iterable[float],
     tol: float,
     max_terms: int,
-    closed: tuple[float, float] | None = None,
+    closed: float | None = None,
 ) -> SeriesResult:
     """prefactor * sum_k q^k * s_k over the samples s_0, s_1, ...,
     Kahan-compensated.
 
-    A ``closed`` tail, the (value, bound) of the series past term
-    max_terms, lets max_terms be 0: once max_terms terms are summed
-    without the series converging first, the result is that partial sum
-    plus the tail's value, converged, with the tail's bound.
+    A ``closed`` tail, the exact value of the series past term max_terms,
+    lets max_terms be 0: once max_terms terms are summed without the
+    series converging first, the result is that partial sum plus the
+    tail, converged, with bound 0.0.
 
     A sample is drawn only when its term is summed, so nothing past the
     stopping term is evaluated.  A zero prefactor is an exact empty sum
@@ -115,7 +113,7 @@ def _indexed_series(
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if max_terms < (0 if closed else 1):
+    if max_terms < (1 if closed is None else 0):
         raise ValueError(f"max_terms must be at least 1, got {max_terms!r}")
     if prefactor == 0.0:
         return SeriesResult(0.0, 0, 0.0, True)
@@ -142,7 +140,7 @@ def _indexed_series(
             if tail <= tol:
                 return SeriesResult(prefactor * total, done, tail, True)
     if closed is not None and done == max_terms:
-        return SeriesResult(prefactor * total + closed[0], done, closed[1], True)
+        return SeriesResult(prefactor * total + closed, done, 0.0, True)
     tail = envelope * max(recent) if done else math.inf
     return SeriesResult(prefactor * total, done, tail, False)
 

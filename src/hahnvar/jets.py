@@ -12,18 +12,21 @@ order unknown.
 A jet refuses, with DomainError, what is not smooth at x0: abs or sqrt
 of 0 (unless the operand is 0 identically), ln of a non-positive value,
 a zero divisor, a non-integer power of a non-positive base, and a value
-that is not finite.  Where abs, sqrt, ln, a divisor or the base of a
-non-integer power is expanded, the operand's jet is kept as a guard: the
-expansion holds for |s| below the point where the operand's higher
-terms, summed in absolute value, reach its value at x0.
+that is not finite.  Where abs of a non-constant operand is expanded,
+the operand's jet is kept as a guard: the expansion holds for |s| below
+the point where the operand's higher terms, summed in absolute value,
+reach its value at x0.  Every other expansion that needs such a bound
+(sqrt, ln, a divisor that is not a constant, a non-integer power) gives
+a series, which is never closed.
 
 On the sigma scale sigma is s -> q*s, so y o sigma^m has coefficients
 c_k q^(mk) and the Hahn operator D maps coefficient k + 1 to
 [k+1]_q c_(k+1) (Kac & Cheung).  ``derivative_at`` gives
 D^r f(x0) = [r]_q! f_r, ``integrand`` the jet of a Lagrangian along a
-candidate's trajectory slots v_i = D^i[y o sigma^(r-i)], and
-``Integrand.close`` the Jackson integral of that jet from x0 out to an
-orbit node, sum_m F_m s^(m+1) / [m+1]_q.
+candidate's trajectory slots v_i = D^i[y o sigma^(r-i)] where that jet
+is exact, and ``Integrand.close`` the Jackson integral of the polynomial
+from x0 out to an orbit node, sum_m F_m s^(m+1) / [m+1]_q, with no
+truncation.
 """
 
 from __future__ import annotations
@@ -35,9 +38,8 @@ from typing import Mapping
 from .dsl import BinOp, Call, Expr, Neg, Number, Var
 from .errors import DomainError, UnboundVariable
 
-# Working order of the integrand's jet in ``integrand``, and the highest
-# degree an exact jet keeps before it is truncated like a series.
-ORDER = 24
+# The highest degree an exact jet keeps before it is truncated like a
+# series.
 CAP = 64
 
 
@@ -57,7 +59,7 @@ def _int_exponent(e: Expr) -> int | None:
 class Expansion:
     """Jets of trees in one number type, truncated at ``order``; exact jets
     keep up to ``cap`` + 1 coefficients.  ``guards`` collects the operand
-    jets whose sign or size the expansions so far rely on."""
+    jets of abs whose sign the expansions so far rely on."""
 
     def __init__(self, num: type, order: int, cap: int) -> None:
         self.num, self.order, self.cap = num, order, cap
@@ -138,7 +140,6 @@ class Expansion:
             raise _refuse("a zero divisor")
         if len(cb) == 1 and eb:
             return self._fit([x / b0 for x in ca], ea)
-        self.guards.append(cb)
         ca = self._fit(ca, False)[0]
         c: list = []
         for k in range(self.order + 1):
@@ -184,8 +185,6 @@ class Expansion:
             raise _refuse(f"{fn}({x!r}) overflows") from None
         if len(c) == 1 and exact:
             return [self.num(head)], True
-        if fn in ("ln", "sqrt"):
-            self.guards.append(c)
         c, out, n = self._fit(c, False)[0], [head], self.order + 1
         if fn == "exp":
             for k in range(1, n):
@@ -226,11 +225,11 @@ def derivative_at(e: Expr, q: float, x0: float, r: int) -> float:
 
 
 class Integrand:
-    """The jet F of a Lagrangian along a candidate's trajectory slots, in
-    s = t - omega0, with the guards its expansion relies on."""
+    """The polynomial jet F of a Lagrangian along a candidate's trajectory
+    slots, in s = t - omega0, with the guards its expansion relies on."""
 
-    def __init__(self, coeffs: list, exact: bool, guards: list[list], q) -> None:
-        self.coeffs, self.exact, self.guards, self.q = coeffs, exact, guards, q
+    def __init__(self, coeffs: list, guards: list[list], q) -> None:
+        self.coeffs, self.guards, self.q = coeffs, guards, q
 
     def terms(self, s) -> list:
         """The Jackson integral's terms F_m s^(m+1) / [m+1]_q from 0 to s."""
@@ -253,41 +252,19 @@ class Integrand:
                 return False
         return True
 
-    def _tail(self, s, tol: float) -> tuple[float, float] | None:
-        """(value, estimate) of the Jackson integral from omega0 out to
-        omega0 + s, or None where the jet does not converge at s.  An exact
-        jet converges wherever its guards hold, with estimate 0; a series
-        where, besides, its last two terms are at most tol times its
-        largest, nonzero one, and the estimate is their sum.  The rule is
-        empirical: a series whose coefficients vanish through the order
-        passes it."""
-        if not self._holds_at(s):
-            return None
-        terms = self.terms(s)
-        value = sum(terms)
-        if self.exact:
-            bound = 0.0
-        else:
-            sizes = [abs(x) for x in terms]
-            largest = max(sizes)
-            if not (largest > 0 and max(sizes[-2:]) <= tol * largest):
-                return None
-            bound = sizes[-2] + sizes[-1]
-        if not (math.isfinite(value) and math.isfinite(bound)):
-            return None
-        return value, bound
-
-    def close(self, prefactor: float, tol: float,
-              max_terms: int) -> tuple[int, tuple[float, float]] | None:
-        """(N, (value, estimate)): the first checked orbit index N <=
-        max_terms where the jet converges at s_N = prefactor * q^N / (1 - q),
-        with the tail's value and estimate there.  The checked indices are
-        0, 1, 2, 4, 8, ...; None when none of them converges."""
+    def close(self, prefactor: float, max_terms: int) -> tuple[int, float] | None:
+        """(N, value): the first checked orbit index N <= max_terms where
+        the guards hold at s_N = prefactor * q^N / (1 - q) and the Jackson
+        integral of the jet from omega0 out to omega0 + s_N is finite, with
+        that integral.  The checked indices are 0, 1, 2, 4, 8, ...; None
+        when none of them qualifies."""
         q, n = self.q, 0
         while n <= max_terms:
-            closed = self._tail(prefactor * q**n / (1 - q), tol)
-            if closed is not None:
-                return n, closed
+            s = prefactor * q**n / (1 - q)
+            if self._holds_at(s):
+                value = sum(self.terms(s))
+                if math.isfinite(value):
+                    return n, value
             n = 2 * n or 1
         return None
 
@@ -309,18 +286,21 @@ def slots(c: list, q, r: int) -> list[list]:
     return out
 
 
-def integrand(lagrangian: Expr, r: int, y: Expr, q, x0) -> Integrand:
+def integrand(lagrangian: Expr, r: int, y: Expr, q, x0) -> Integrand | None:
     """The jet of L(t, v_0, ..., v_r) along the candidate y's slots at
-    x0 = omega0, in x0's number type: y to order ORDER + r, so that every
-    slot holds ORDER + 1 coefficients, and L to ORDER.  Raises what
-    ``Expansion.jet`` raises where a jet refuses."""
+    x0 = omega0, in x0's number type, or None where it is not exact.  Only
+    a polynomial is closed, so the expansions keep no term of a series
+    past its first.  Raises what ``Expansion.jet`` raises where a jet
+    refuses."""
     num = type(x0)
     t = ([x0, num(1)], True)
-    of_y = Expansion(num, ORDER + r, CAP + r)
+    of_y = Expansion(num, 0, CAP + r)
     c, exact = of_y.jet(y, {"t": t})
-    of_l = Expansion(num, ORDER, CAP)
+    of_l = Expansion(num, 0, CAP)
     env = {"t": t}
     for i, v in enumerate(slots(c, q, r)):
         env[f"u{i}"] = of_l._fit(v or [of_l.zero], exact)
     coeffs, exact = of_l.jet(lagrangian, env)
-    return Integrand(of_l._finite(coeffs), exact, of_y.guards + of_l.guards, q)
+    if not exact:
+        return None
+    return Integrand(of_l._finite(coeffs), of_y.guards + of_l.guards, q)

@@ -18,8 +18,8 @@ residuals, in the first variation or in the minimizer, comes from
 order.  The functional's series takes its samples from ``sample_stream``,
 the same generated code yielding the Lagrangian's value at each window
 instead of the window, so a term resumes one generator above the walk;
-for an expression candidate the series closes where the jet of its
-integrand at omega0 converges (``jets``), after as few as 0 terms.
+for an expression candidate whose integrand has a polynomial jet at
+omega0 (``jets``) the series closes exactly, after as few as 0 terms.
 Every Euler-Lagrange residual comes from ``_residuals`` over a run of orbit
 points, with all partials of a window from one compiled call.  Every
 estimate at omega0 reads the points ``fixed_point_window`` chooses, and a
@@ -67,8 +67,7 @@ from .operators import (
 # of t, or an expression (tree or source) in the variable t.
 Candidate = Union[GridFunction, Callable[[float], float], Expr, str]
 
-# A candidate after ``_resolve``: grid data or a function of t; one made
-# from an expression keeps the tree as its ``expr``.
+# A candidate after ``_resolve``: grid data or a function of t.
 Resolved = Union[GridFunction, Callable[[float], float]]
 
 # A candidate's two endpoint orbits, a's then b's, from ``_orbits``.
@@ -114,8 +113,7 @@ class Problem:
 
 def _resolve(y: Candidate) -> Resolved:
     """The candidate as grid data or a function of t; source text is parsed
-    here, and a tree's function compiles at its first call.  A resolved
-    candidate resolves to itself."""
+    and compiled here.  A resolved candidate resolves to itself."""
     if isinstance(y, GridFunction):
         return y
     if isinstance(y, str):
@@ -272,25 +270,24 @@ def _iterates_at_fixed(problem: Problem, y: Resolved, orbits: Orbits, n: int, de
 
 def _one_sided_functional(
     problem: Problem, prefactor: float, points: Iterator[tuple[float, float]], tol: float,
-    max_terms: int, closing: tuple[int, tuple[float, float]] | None = None,
+    max_terms: int, closing: tuple[int, float] | None = None,
 ) -> SeriesResult:
     """The one-sided series over a walk of (t, value) orbit points; with a
-    ``closing`` (N, (value, bound)) from ``jets.Integrand.close``, its
-    first N terms plus the closed tail past them."""
+    ``closing`` (N, value) from ``jets.Integrand.close``, its first N terms
+    plus the exact tail past them."""
     samples = sample_stream(problem.r)(points, problem.lagrangian.value)
     n, closed = closing or (max_terms, None)
     return _indexed_series(problem.params.q, prefactor, samples, tol, n, closed)
 
 
-def _closings(problem: Problem, y: Resolved, orbits: Sequence[Orbit], tol: float,
+def _closings(problem: Problem, expr: Expr | None, orbits: Sequence[Orbit],
               max_terms: int) -> list:
-    """Per orbit, where its series closes from the jet of the integrand
-    along an expression candidate (``jets.Integrand.close``); None where
-    the candidate is not an expression, its jet refuses, or the jet
-    converges at no checked index, and where max_terms is below 1, which
-    the walk refuses.  ``jets`` is imported here, on first use."""
-    expr = getattr(y, "expr", None)
-    if not isinstance(expr, Expr) or max_terms < 1:
+    """Per orbit, where its series closes from the exact jet of the
+    integrand along the candidate's tree (``jets.Integrand.close``); None
+    where there is no tree, max_terms is below 1 (which the walk refuses),
+    the jet refuses or is not a polynomial, or its guards hold at no
+    checked index.  ``jets`` is imported here, on first use."""
+    if expr is None or max_terms < 1:
         return [None] * len(orbits)
     from . import jets
 
@@ -298,8 +295,10 @@ def _closings(problem: Problem, y: Resolved, orbits: Sequence[Orbit], tol: float
     try:
         jet = jets.integrand(problem.lagrangian.expr, problem.r, expr, params.q, params.omega0)
     except HahnvarError:
+        jet = None
+    if jet is None:
         return [None] * len(orbits)
-    return [jet.close(o.prefactor, tol, max_terms) for o in orbits]
+    return [jet.close(o.prefactor, max_terms) for o in orbits]
 
 
 def functional_value(
@@ -310,19 +309,23 @@ def functional_value(
 ) -> SeriesResult:
     """The objective integral, as the difference of the two one-sided series.
 
-    For an expression candidate (a tree or its source) each series closes
-    at the first checked orbit index where the jet of the integrand at
-    omega0 converges (``jets.Integrand.close``): terms_used counts the
-    terms walked before it, 0 for a polynomial problem, and tail_bound is
-    the jet's truncation estimate, 0.0 for a polynomial jet.  Where the
-    jet refuses, or converges at no index through max_terms, the series
-    walks its orbit as for any other candidate."""
+    For an expression candidate (a tree or its source) whose integrand has
+    a polynomial Taylor jet at omega0 (``jets.integrand``), each series
+    closes exactly at the first checked orbit index where the jet holds
+    (``jets.Integrand.close``): terms_used counts the terms walked before
+    it, 0 for a polynomial problem, and tail_bound is 0.0.  Where the jet
+    refuses, is a truncated series (a transcendental or rational
+    integrand), or holds at no index through max_terms, the series walks
+    its orbit as for any other candidate."""
+    if isinstance(y, str):
+        y = parse(y)
+    expr = y if isinstance(y, Expr) else None
     y = _resolve(y)
     a, b = _orbits(problem, y).values()
     orbits = (b, a)
     at_b, at_a = (
         _one_sided_functional(problem, o.prefactor, o.walk(), tol, max_terms, closing)
-        for o, closing in zip(orbits, _closings(problem, y, orbits, tol, max_terms))
+        for o, closing in zip(orbits, _closings(problem, expr, orbits, max_terms))
     )
     return at_b - at_a
 
