@@ -346,10 +346,11 @@ def to_string(e: Expr) -> str:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _literal_int_exponent(e: Expr) -> int | None:
-    """Integer value of a literal (possibly negated) exponent, else None."""
+def literal_int_exponent(e: Expr) -> int | None:
+    """Integer value of a literal (possibly negated) exponent, else None:
+    the exponents evaluated as an integer power, here and in ``jets``."""
     if isinstance(e, Neg):
-        inner = _literal_int_exponent(e.operand)
+        inner = literal_int_exponent(e.operand)
         return None if inner is None else -inner
     return int(e.value) if isinstance(e, Number) and float(e.value).is_integer() else None
 
@@ -378,7 +379,7 @@ def _walk_eval(e: Expr, bindings: Mapping[str, float]) -> float:
     if isinstance(e, BinOp):
         left = _walk_eval(e.left, bindings)
         if e.op == "^":
-            k = _literal_int_exponent(e.right)
+            k = literal_int_exponent(e.right)
             if k is not None:
                 if k < 0 and left == 0.0:
                     raise DomainError("division by zero")
@@ -476,7 +477,7 @@ def derivative(e: Expr, var: str) -> Expr:
             return _add(_mul(da, b), _mul(a, db))
         if e.op == "/":
             return BinOp("/", _sub(da, _mul(e, db)), b)
-        k = _literal_int_exponent(b)
+        k = literal_int_exponent(b)
         if k is not None:
             lower = a if k == 2 else BinOp("^", a, Number(k - 1.0))
             return _mul(_mul(Number(float(k)), lower), da)
@@ -532,7 +533,7 @@ def _emit(e: Expr, fresh: Iterator[int] | None = None, consts: list[float] | Non
     if isinstance(e, BinOp):
         if e.op in "+-":
             return f"({emit(e.left)} {e.op} {emit(e.right)})"
-        k = _literal_int_exponent(e.right) if e.op == "^" else None
+        k = literal_int_exponent(e.right) if e.op == "^" else None
         if e.op == "^" and k is None:
             return f"exp(_fin(({emit(e.right)})*ln(_fin({emit(e.left)}))))"
 

@@ -24,14 +24,12 @@ with a bound of 0.  At q = 1 there is no envelope; the driver stops once
 certificate there.  Results carry the bound instead of raising, so a
 caller can tell "converged under tol" from "ran out of terms".
 
-A caller that knows the series past some term exactly passes it to
-``_indexed_series``, which sums the terms before it and adds it:
-``variational.functional_value`` closes the series of an expression
+A caller that knows the whole series exactly passes it to
+``_indexed_series``, which returns it with 0 terms and bound 0.0:
+``variational.functional_value`` closes each series of an expression
 candidate whose integrand has a polynomial Taylor jet at omega0
-(``jets``).  Then terms_used counts the terms walked, 0 for a polynomial
-problem, and the bound is 0.0.  A transcendental or rational integrand
-is walked, as is every integrand of ``integral`` and the other functions
-here.
+(``jets``).  Every other integrand walks, as does every integrand of
+``integral`` and the other functions here.
 """
 
 from __future__ import annotations
@@ -63,9 +61,9 @@ class SeriesResult:
     drawn from the iterator.
     At q = 1 (the Noerlund sum) the bound is the weighted maximum of the
     last few terms, so converged there is empirical, not a certificate.
-    A series closed exactly past term N (``functional_value`` of an
-    expression candidate whose integrand has a polynomial jet at omega0)
-    is converged with terms_used = N, the terms walked, and bound 0.0.
+    A series closed exactly (``functional_value`` of an expression
+    candidate whose integrand has a polynomial jet at omega0) is
+    converged with terms_used 0 and bound 0.0.
     """
 
     value: float
@@ -95,10 +93,8 @@ def _indexed_series(
     """prefactor * sum_k q^k * s_k over the samples s_0, s_1, ...,
     Kahan-compensated.
 
-    A ``closed`` tail, the exact value of the series past term max_terms,
-    lets max_terms be 0: once max_terms terms are summed without the
-    series converging first, the result is that partial sum plus the
-    tail, converged, with bound 0.0.
+    A ``closed`` value, the whole series known exactly, is returned
+    converged with 0 terms and bound 0.0, and no sample is drawn.
 
     A sample is drawn only when its term is summed, so nothing past the
     stopping term is evaluated.  A zero prefactor is an exact empty sum
@@ -113,10 +109,12 @@ def _indexed_series(
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if max_terms < (1 if closed is None else 0):
+    if max_terms < 1:
         raise ValueError(f"max_terms must be at least 1, got {max_terms!r}")
     if prefactor == 0.0:
         return SeriesResult(0.0, 0, 0.0, True)
+    if closed is not None:
+        return SeriesResult(closed, 0, 0.0, True)
     total = 0.0
     comp = 0.0
     weight = 1.0
@@ -139,8 +137,6 @@ def _indexed_series(
             tail = envelope * max(recent)
             if tail <= tol:
                 return SeriesResult(prefactor * total, done, tail, True)
-    if closed is not None and done == max_terms:
-        return SeriesResult(prefactor * total + closed, done, 0.0, True)
     tail = envelope * max(recent) if done else math.inf
     return SeriesResult(prefactor * total, done, tail, False)
 

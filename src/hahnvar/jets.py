@@ -7,26 +7,24 @@ operators only, so a polynomial's jet runs on ``fractions.Fraction`` as
 well as on floats.  An exact jet is the whole coefficient list of a
 polynomial of degree at most the expansion's cap; every other jet is a
 series truncated at the expansion's order, its coefficients past the
-order unknown.
+order unknown.  Abs of a non-constant operand, sqrt, ln, a divisor
+that is not a constant and a non-integer power give series jets: their
+expansions hold only near x0.
 
 A jet refuses, with DomainError, what is not smooth at x0: abs or sqrt
 of 0 (unless the operand is 0 identically), ln of a non-positive value,
 a zero divisor, a non-integer power of a non-positive base, and a value
-that is not finite.  Where abs of a non-constant operand is expanded,
-the operand's jet is kept as a guard: the expansion holds for |s| below
-the point where the operand's higher terms, summed in absolute value,
-reach its value at x0.  Every other expansion that needs such a bound
-(sqrt, ln, a divisor that is not a constant, a non-integer power) gives
-a series, which is never closed.
+that is not finite.  A float jet also refuses where a product or
+quotient of nonzero coefficients rounds to 0.0, as ``dsl`` evaluation
+refuses an underflow.
 
 On the sigma scale sigma is s -> q*s, so y o sigma^m has coefficients
 c_k q^(mk) and the Hahn operator D maps coefficient k + 1 to
 [k+1]_q c_(k+1) (Kac & Cheung).  ``derivative_at`` gives
 D^r f(x0) = [r]_q! f_r, ``integrand`` the jet of a Lagrangian along a
 candidate's trajectory slots v_i = D^i[y o sigma^(r-i)] where that jet
-is exact, and ``Integrand.close`` the Jackson integral of the polynomial
-from x0 out to an orbit node, sum_m F_m s^(m+1) / [m+1]_q, with no
-truncation.
+is a polynomial, and ``terms`` the Jackson integral of a polynomial jet
+from x0 out to x0 + s, sum_m F_m s^(m+1) / [m+1]_q, with no truncation.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import math
 from itertools import zip_longest
 from typing import Mapping
 
-from .dsl import BinOp, Call, Expr, Neg, Number, Var
+from .dsl import BinOp, Call, Expr, Neg, Number, Var, literal_int_exponent
 from .errors import DomainError, UnboundVariable
 
 # The highest degree an exact jet keeps before it is truncated like a
@@ -47,25 +45,22 @@ def _refuse(why: str) -> DomainError:
     return DomainError(f"no Taylor jet at omega0: {why}")
 
 
-def _int_exponent(e: Expr) -> int | None:
-    """The integer value of a literal exponent, a negated one too, else None:
-    the exponents ``dsl`` evaluates as an integer power."""
-    if isinstance(e, Neg):
-        inner = _int_exponent(e.operand)
-        return None if inner is None else -inner
-    return int(e.value) if isinstance(e, Number) and float(e.value).is_integer() else None
+def _nonzero(p, x, y):
+    """p, the product or quotient of x and y, refused where it rounded to
+    0 from nonzero x and y (a Fraction never does)."""
+    if not p and x and y:
+        raise _refuse("a product or quotient underflowed to zero")
+    return p
 
 
 class Expansion:
     """Jets of trees in one number type, truncated at ``order``; exact jets
-    keep up to ``cap`` + 1 coefficients.  ``guards`` collects the operand
-    jets of abs whose sign the expansions so far rely on."""
+    keep up to ``cap`` + 1 coefficients."""
 
     def __init__(self, num: type, order: int, cap: int) -> None:
         self.num, self.order, self.cap = num, order, cap
         self.zero, self.one = num(0), num(1)
         self.floats = num is float
-        self.guards: list[list] = []
 
     def _fit(self, c: list, exact: bool) -> tuple[list, bool]:
         """An exact jet past the cap becomes a series; a series has exactly
@@ -98,7 +93,7 @@ class Expansion:
         if isinstance(e, BinOp):
             a = self.jet(e.left, env)
             if e.op == "^":
-                k = _int_exponent(e.right)
+                k = literal_int_exponent(e.right)
                 if k is not None:
                     return self._power(a, k)
                 if not a[0][0] > 0:
@@ -116,9 +111,9 @@ class Expansion:
     def _mul(self, a: tuple[list, bool], b: tuple[list, bool]) -> tuple[list, bool]:
         (ca, ea), (cb, eb) = a, b
         if len(cb) == 1 and eb:
-            return self._fit([x * cb[0] for x in ca], ea)
+            return self._fit([_nonzero(x * cb[0], x, cb[0]) for x in ca], ea)
         if len(ca) == 1 and ea:
-            return self._fit([ca[0] * y for y in cb], eb)
+            return self._fit([_nonzero(ca[0] * y, ca[0], y) for y in cb], eb)
         la, lb = len(ca), len(cb)
         n = la + lb - 1
         exact = ea and eb and n <= self.cap + 1
@@ -128,7 +123,8 @@ class Expansion:
         for k in range(n):
             total = self.zero
             for j in range(max(0, k - lb + 1), min(k, la - 1) + 1):
-                total += ca[j] * cb[k - j]
+                x, y = ca[j], cb[k - j]
+                total += _nonzero(x * y, x, y)
             c.append(total)
         return self._fit(c, exact)
 
@@ -139,14 +135,14 @@ class Expansion:
         if b0 == 0:
             raise _refuse("a zero divisor")
         if len(cb) == 1 and eb:
-            return self._fit([x / b0 for x in ca], ea)
+            return self._fit([_nonzero(x / b0, x, b0) for x in ca], ea)
         ca = self._fit(ca, False)[0]
         c: list = []
         for k in range(self.order + 1):
             total = ca[k]
             for j in range(1, min(k, len(cb) - 1) + 1):
-                total -= cb[j] * c[k - j]
-            c.append(total / b0)
+                total -= _nonzero(cb[j] * c[k - j], cb[j], c[k - j])
+            c.append(_nonzero(total / b0, total, b0))
         return c, False
 
     def _power(self, a: tuple[list, bool], k: int) -> tuple[list, bool]:
@@ -171,9 +167,8 @@ class Expansion:
                 return [self.zero], True
             raise _refuse(f"{fn} of 0")
         if fn == "abs":
-            if len(c) > 1:
-                self.guards.append(c)
-            return ([-v for v in c] if x < 0 else c), exact
+            c = [-v for v in c] if x < 0 else c
+            return (c, True) if exact and len(c) == 1 else self._fit(c, False)
         if fn == "ln" and not x > 0:
             raise _refuse(f"ln of {x!r}")
         if fn == "sqrt" and x < 0:
@@ -224,49 +219,14 @@ def derivative_at(e: Expr, q: float, x0: float, r: int) -> float:
     return value
 
 
-class Integrand:
-    """The polynomial jet F of a Lagrangian along a candidate's trajectory
-    slots, in s = t - omega0, with the guards its expansion relies on."""
-
-    def __init__(self, coeffs: list, guards: list[list], q) -> None:
-        self.coeffs, self.guards, self.q = coeffs, guards, q
-
-    def terms(self, s) -> list:
-        """The Jackson integral's terms F_m s^(m+1) / [m+1]_q from 0 to s."""
-        out, power = [], s
-        for f, b in zip(self.coeffs, _brackets(self.q, len(self.coeffs))):
-            out.append(f * power / b)
-            power *= s
-        return out
-
-    def _holds_at(self, s) -> bool:
-        """Whether every guard keeps its sign out to |s|: its higher terms,
-        in absolute value, stay below its value at omega0."""
-        size = abs(s)
-        for g in self.guards:
-            total, power = 0, size
-            for x in g[1:]:
-                total += abs(x) * power
-                power *= size
-            if not total < abs(g[0]):
-                return False
-        return True
-
-    def close(self, prefactor: float, max_terms: int) -> tuple[int, float] | None:
-        """(N, value): the first checked orbit index N <= max_terms where
-        the guards hold at s_N = prefactor * q^N / (1 - q) and the Jackson
-        integral of the jet from omega0 out to omega0 + s_N is finite, with
-        that integral.  The checked indices are 0, 1, 2, 4, 8, ...; None
-        when none of them qualifies."""
-        q, n = self.q, 0
-        while n <= max_terms:
-            s = prefactor * q**n / (1 - q)
-            if self._holds_at(s):
-                value = sum(self.terms(s))
-                if math.isfinite(value):
-                    return n, value
-            n = 2 * n or 1
-        return None
+def terms(coeffs: list, q, s) -> list:
+    """The terms F_m s^(m+1) / [m+1]_q of the Jackson integral of the
+    polynomial jet F = coeffs from omega0 out to omega0 + s."""
+    out, power = [], s
+    for f, b in zip(coeffs, _brackets(q, len(coeffs))):
+        out.append(f * power / b)
+        power *= s
+    return out
 
 
 def slots(c: list, q, r: int) -> list[list]:
@@ -286,21 +246,18 @@ def slots(c: list, q, r: int) -> list[list]:
     return out
 
 
-def integrand(lagrangian: Expr, r: int, y: Expr, q, x0) -> Integrand | None:
+def integrand(lagrangian: Expr, r: int, y: Expr, q, x0) -> list | None:
     """The jet of L(t, v_0, ..., v_r) along the candidate y's slots at
-    x0 = omega0, in x0's number type, or None where it is not exact.  Only
-    a polynomial is closed, so the expansions keep no term of a series
-    past its first.  Raises what ``Expansion.jet`` raises where a jet
-    refuses."""
+    x0 = omega0, in x0's number type, where it is a polynomial; None where
+    it is a series.  Only a polynomial is closed, so the expansions keep
+    no term of a series past its first.  Raises what ``Expansion.jet``
+    raises where a jet refuses."""
     num = type(x0)
     t = ([x0, num(1)], True)
-    of_y = Expansion(num, 0, CAP + r)
-    c, exact = of_y.jet(y, {"t": t})
+    c, exact = Expansion(num, 0, CAP + r).jet(y, {"t": t})
     of_l = Expansion(num, 0, CAP)
     env = {"t": t}
     for i, v in enumerate(slots(c, q, r)):
         env[f"u{i}"] = of_l._fit(v or [of_l.zero], exact)
     coeffs, exact = of_l.jet(lagrangian, env)
-    if not exact:
-        return None
-    return Integrand(of_l._finite(coeffs), of_y.guards + of_l.guards, q)
+    return of_l._finite(coeffs) if exact else None

@@ -19,7 +19,8 @@ order.  The functional's series takes its samples from ``sample_stream``,
 the same generated code yielding the Lagrangian's value at each window
 instead of the window, so a term resumes one generator above the walk;
 for an expression candidate whose integrand has a polynomial jet at
-omega0 (``jets``) the series closes exactly, after as few as 0 terms.
+omega0 (``jets``) the series closes exactly there, with 0 terms, and
+anything else walks.
 Every Euler-Lagrange residual comes from ``_residuals`` over a run of orbit
 points, with all partials of a window from one compiled call.  Every
 estimate at omega0 reads the points ``fixed_point_window`` chooses, and a
@@ -270,35 +271,33 @@ def _iterates_at_fixed(problem: Problem, y: Resolved, orbits: Orbits, n: int, de
 
 def _one_sided_functional(
     problem: Problem, prefactor: float, points: Iterator[tuple[float, float]], tol: float,
-    max_terms: int, closing: tuple[int, float] | None = None,
+    max_terms: int, closed: float | None = None,
 ) -> SeriesResult:
-    """The one-sided series over a walk of (t, value) orbit points; with a
-    ``closing`` (N, value) from ``jets.Integrand.close``, its first N terms
-    plus the exact tail past them."""
+    """The one-sided series over a walk of (t, value) orbit points, or its
+    ``closed`` value from ``_closings``."""
     samples = sample_stream(problem.r)(points, problem.lagrangian.value)
-    n, closed = closing or (max_terms, None)
-    return _indexed_series(problem.params.q, prefactor, samples, tol, n, closed)
+    return _indexed_series(problem.params.q, prefactor, samples, tol, max_terms, closed)
 
 
-def _closings(problem: Problem, expr: Expr | None, orbits: Sequence[Orbit],
-              max_terms: int) -> list:
-    """Per orbit, where its series closes from the exact jet of the
-    integrand along the candidate's tree (``jets.Integrand.close``); None
-    where there is no tree, max_terms is below 1 (which the walk refuses),
-    the jet refuses or is not a polynomial, or its guards hold at no
-    checked index.  ``jets`` is imported here, on first use."""
-    if expr is None or max_terms < 1:
+def _closings(problem: Problem, expr: Expr | None, orbits: Sequence[Orbit]) -> list:
+    """Per orbit, its whole series closed at omega0: the Jackson integral of
+    the polynomial jet of the integrand along the candidate's tree out to
+    the seed, s_0 = prefactor / (1 - q) (``jets.terms``).  None where there
+    is no tree, the jet refuses or is not a polynomial, or the value is not
+    finite.  ``jets`` is imported here, on first use."""
+    if expr is None:
         return [None] * len(orbits)
     from . import jets
 
-    params = problem.params
+    q, omega0 = problem.params.q, problem.params.omega0
     try:
-        jet = jets.integrand(problem.lagrangian.expr, problem.r, expr, params.q, params.omega0)
+        jet = jets.integrand(problem.lagrangian.expr, problem.r, expr, q, omega0)
     except HahnvarError:
         jet = None
     if jet is None:
         return [None] * len(orbits)
-    return [jet.close(o.prefactor, max_terms) for o in orbits]
+    values = [sum(jets.terms(jet, q, o.prefactor / (1 - q))) for o in orbits]
+    return [v if math.isfinite(v) else None for v in values]
 
 
 def functional_value(
@@ -311,12 +310,11 @@ def functional_value(
 
     For an expression candidate (a tree or its source) whose integrand has
     a polynomial Taylor jet at omega0 (``jets.integrand``), each series
-    closes exactly at the first checked orbit index where the jet holds
-    (``jets.Integrand.close``): terms_used counts the terms walked before
-    it, 0 for a polynomial problem, and tail_bound is 0.0.  Where the jet
-    refuses, is a truncated series (a transcendental or rational
-    integrand), or holds at no index through max_terms, the series walks
-    its orbit as for any other candidate."""
+    closes there exactly (``_closings``), with terms_used 0 and tail_bound
+    0.0.  Anything else walks its orbit as for any other candidate: a jet
+    that refuses or is a series (abs of a non-constant operand, a
+    transcendental or rational integrand), or a closed value that is not
+    finite."""
     if isinstance(y, str):
         y = parse(y)
     expr = y if isinstance(y, Expr) else None
@@ -324,8 +322,8 @@ def functional_value(
     a, b = _orbits(problem, y).values()
     orbits = (b, a)
     at_b, at_a = (
-        _one_sided_functional(problem, o.prefactor, o.walk(), tol, max_terms, closing)
-        for o, closing in zip(orbits, _closings(problem, expr, orbits, max_terms))
+        _one_sided_functional(problem, o.prefactor, o.walk(), tol, max_terms, closed)
+        for o, closed in zip(orbits, _closings(problem, expr, orbits))
     )
     return at_b - at_a
 

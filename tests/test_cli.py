@@ -108,6 +108,17 @@ def test_zero_base_under_negative_exponent_exits_3(capsys):
     assert code == 3 and "division by zero" in err
 
 
+@pytest.mark.parametrize("t", ["1", "1.1"])
+def test_an_underflowing_product_exits_3_at_omega0_as_beside_it(capsys, t):
+    # omega0 = 1; the jet there underflows where evaluation at 1.1 does.
+    code, out, err = run(
+        capsys, "deriv", "--q", "0.5", "--omega", "0.5", "--expr", "(1e-200*t)*(1e-200*t)",
+        "--t", t, "--order", "2",
+    )
+    assert code == 3 and not out
+    assert err.count("error:") == 1 and "underflowed" in err
+
+
 def test_nesting_past_the_bound_exits_2(capsys):
     deep = "(" * 300 + "t" + ")" * 300
     code, _, err = run(

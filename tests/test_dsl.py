@@ -463,7 +463,7 @@ def _rounded(e, bindings):
     v = _walk_eval(e, bindings)
     if not isinstance(e, (Neg, Call, BinOp)):
         return v, 0.0  # a number or a variable is exact
-    if isinstance(e, BinOp) and not (e.op == "^" and dsl._literal_int_exponent(e.right) is not None):
+    if isinstance(e, BinOp) and not (e.op == "^" and dsl.literal_int_exponent(e.right) is not None):
         a, ea = _rounded(e.left, bindings)
         b, eb = _rounded(e.right, bindings)
         if e.op in "+-":
@@ -481,7 +481,7 @@ def _rounded(e, bindings):
         if fn in ("neg", "abs"):
             slope = 1.0
         elif fn == "^":
-            k = dsl._literal_int_exponent(e.right)
+            k = dsl.literal_int_exponent(e.right)
             slope = abs(k * v / a) if a != 0.0 else float(k == 1)
         elif fn in ("sin", "cos"):
             slope = abs(math.cos(a) if fn == "sin" else math.sin(a))
@@ -972,7 +972,7 @@ def _renumbered(tree, values):
         return Call(tree.fn, _renumbered(tree.operand, values))
     if isinstance(tree, BinOp):
         left = _renumbered(tree.left, values)
-        if tree.op == "^" and dsl._literal_int_exponent(tree.right) is not None:
+        if tree.op == "^" and dsl.literal_int_exponent(tree.right) is not None:
             return BinOp("^", left, tree.right)
         return BinOp(tree.op, left, _renumbered(tree.right, values))
     return tree

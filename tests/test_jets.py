@@ -127,7 +127,7 @@ def _exact(problem, source):
     w0 = omega / (1 - q)
     jet = jets.integrand(problem.lagrangian.expr, problem.r, parse(source), q, w0)
     assert jet is not None
-    sides = [jet.terms(Fraction(seed) - w0) for seed in (problem.b, problem.a)]
+    sides = [jets.terms(jet, q, Fraction(seed) - w0) for seed in (problem.b, problem.a)]
     return sum(sides[0]) - sum(sides[1]), sum(abs(x) for side in sides for x in side)
 
 
@@ -157,8 +157,7 @@ def test_a_closed_polynomial_functional_is_within_roundoff_of_the_exact_jets(see
 
 
 # ---------------------------------------------------------------------------
-# Where the jet refuses, is a series or cannot close, the series walks as
-# before
+# Where the jet refuses or is a series, the series walks as before
 # ---------------------------------------------------------------------------
 
 _P = HahnParams(0.5, 0.5)  # omega0 = 1
@@ -168,7 +167,9 @@ def _bits(res):
     return res.value.hex(), res.terms_used, res.tail_bound.hex(), res.converged
 
 
-@pytest.mark.parametrize("source", ["sqrt(abs(t - 1))", "abs(t - 1)"])
+# The jet of t + 1e-170*t^2 refuses too, though it is smooth: the square
+# of its t^2 coefficient underflows, where no value on the orbits does.
+@pytest.mark.parametrize("source", ["sqrt(abs(t - 1))", "abs(t - 1)", "t + 1e-170*t^2"])
 @pytest.mark.parametrize("r", [1, 2])
 def test_a_candidate_not_smooth_at_omega0_walks_its_orbits_bit_for_bit(source, r):
     problem = Problem(_P, r, -1.0, 2.5, (0.0,) * r, (0.0,) * r, "u0^2 + t*u1^2")
@@ -181,16 +182,6 @@ def test_a_candidate_not_smooth_at_omega0_walks_its_orbits_bit_for_bit(source, r
     assert walked.terms_used > 0
 
 
-def test_a_kink_between_omega0_and_an_endpoint_is_walked_past_before_the_series_closes():
-    # abs(t - 2) is smooth at omega0 = 1, but its jet there (1 - s, exact)
-    # holds only for |s| < 1: orbit b from 3.5 walks to s_2 = 0.625.
-    problem = Problem(_P, 1, -1.0, 3.5, (0.0,), (0.0,), "u0^2 + u1^2")
-    got = functional_value(problem, "abs(t - 2)")
-    walked = functional_value(problem, lambda t: abs(t - 2.0), tol=1e-15)
-    assert got.converged and got.tail_bound == 0.0 and got.terms_used == 2
-    assert got.value == pytest.approx(walked.value, abs=1e-13)
-
-
 @pytest.mark.parametrize("source, lagrangian", [
     # The jet of sin(t - 1)^26 at omega0 = 1 vanishes through order 25, so
     # no truncated series of it could tell the integral from 3.
@@ -199,6 +190,12 @@ def test_a_kink_between_omega0_and_an_endpoint_is_walked_past_before_the_series_
     ("t^2", "exp(u0)*u1"),
     ("t", "u1/(1 + u0^2)"),
     ("(t - 1)^70", "u0"),
+    # abs of a non-constant operand has a series jet, kinked in range or
+    # not: abs(t - 2) at the seed b = 2, abs(u1) at t = -1/3, where
+    # D[t^2] = q*t + omega + t vanishes, and abs(t + 5) nowhere on [-1, 2].
+    ("abs(t - 2)", "u0^2 + u1^2"),
+    ("t^2", "abs(u1)"),
+    ("abs(t + 5)", "u0^2 + u1^2"),
 ])
 def test_a_candidate_whose_integrand_jet_is_a_series_walks_its_orbits_bit_for_bit(source, lagrangian):
     problem = Problem(_P, 1, -1.0, 2.0, (0.0,), (0.0,), lagrangian)
@@ -207,6 +204,19 @@ def test_a_candidate_whose_integrand_jet_is_a_series_walks_its_orbits_bit_for_bi
     walked = functional_value(problem, lambda t: evaluate(tree, {"t": t}))
     assert _bits(functional_value(problem, source)) == _bits(walked)
     assert walked.terms_used > 0
+
+
+def test_a_jet_that_underflows_raises_where_the_callable_raises():
+    # Slot u0 of 1e-200*t has coefficients near 1e-200, so u0*u0 underflows
+    # in the jet as on every orbit node.
+    problem = Problem(_P, 1, -1.0, 2.0, (0.0,), (0.0,), "u0*u0")
+    tree = parse("1e-200*t")
+    with pytest.raises(DomainError, match="underflowed"):
+        jets.integrand(problem.lagrangian.expr, 1, tree, _P.q, _P.omega0)
+    with pytest.raises(DomainError, match="underflowed"):
+        functional_value(problem, lambda t: evaluate(tree, {"t": t}))
+    with pytest.raises(DomainError, match="underflowed"):
+        functional_value(problem, tree)
 
 
 def test_an_endpoint_on_omega0_as_a_float_closes_where_the_walk_runs_out():

@@ -32,3 +32,31 @@ def private_sibling_imports():
 
 def test_no_module_imports_a_private_name_from_a_sibling():
     assert private_sibling_imports() == []
+
+
+def function_bodies():
+    """(where, body) per function or method of the package with at least two
+    statements past its docstring; the body is its AST dump, with the
+    function's own name, as in a recursive call, made anonymous."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            body = node.body
+            if ast.get_docstring(node) is not None:
+                body = body[1:]
+            if len(body) >= 2:
+                dump = ast.dump(ast.Module(body=body, type_ignores=[]))
+                out.append((f"{path.name}:{node.lineno} {node.name}",
+                            dump.replace(f"id='{node.name}'", "id=''")))
+    return out
+
+
+def test_no_two_functions_have_the_same_body():
+    first, copies = {}, []
+    for where, body in function_bodies():
+        if body in first:
+            copies.append(f"{first[body]} == {where}")
+        first.setdefault(body, where)
+    assert copies == []
