@@ -210,20 +210,6 @@ def _load_config(args) -> dict:
     return {key: _CONFIG_CHECKS[key](value, f"config key {key!r}") for key, value in cfg.items()}
 
 
-def _build_problem(cfg: dict) -> Problem:
-    from .variational import Problem
-
-    return Problem(
-        params=HahnParams(cfg["q"], cfg["omega"]),
-        r=cfg["r"],
-        a=cfg["a"],
-        b=cfg["b"],
-        alpha=cfg["alpha"],
-        beta=cfg["beta"],
-        lagrangian=cfg["lagrangian"],
-    )
-
-
 def _expr_of_t(source: str) -> Expr:
     tree = parse(source)
     others = sorted(variables(tree) - {"t"})
@@ -382,10 +368,10 @@ def _problem_echo(problem: Problem) -> dict:
 
 
 def _cmd_evaluate(args) -> int:
-    from .variational import functional_value
+    from .variational import functional_value, problem_of
 
     cfg = _load_config(args)
-    problem = _build_problem(cfg)
+    problem = problem_of(cfg)
     depth = _setting(args, cfg, "depth", DEFAULT_DEPTH)
     tol = _setting(args, cfg, "tol", DEFAULT_TOL)
     max_terms = _setting(args, cfg, "max_terms", DEFAULT_MAX_TERMS)
@@ -397,10 +383,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_el_check(args) -> int:
-    from .variational import el_report
+    from .variational import el_report, problem_of
 
     cfg = _load_config(args)
-    problem = _build_problem(cfg)
+    problem = problem_of(cfg)
     depth = _depth(args, cfg, 2 * problem.r + 1, problem.r)
     tol = _setting(args, cfg, "tol", 1e-9)
     include_omega0 = _setting(args, cfg, "include_omega0", False)
@@ -436,9 +422,10 @@ def _cmd_el_check(args) -> int:
 
 def _cmd_minimize(args) -> int:
     from .minimize import minimize_direct
+    from .variational import problem_of
 
     cfg = _load_config(args)
-    problem = _build_problem(cfg)
+    problem = problem_of(cfg)
     depth = _depth(args, cfg, 2 * problem.r + 2, problem.r)
     step_tol = _setting(args, cfg, "tol", 1e-10)
     seed = args.seed if args.seed is not None else 0

@@ -38,14 +38,34 @@ DEFAULT_DEPTH = 64
 
 class Record:
     """Base of the package's value classes.  As on a dataclass, a subclass
-    declares its fields by annotation, in order, and its ``__init__`` sets
-    them in that order; the repr lists them, == compares them between
-    instances of one class, and an instance is unhashable."""
+    declares its fields by annotation, in order; ``__init__`` takes them by
+    position or by name and sets them in that order, in ``__dict__``; the
+    repr lists them, == compares them between instances of one class, and an
+    instance is unhashable.  The classes that check or convert their inputs
+    (``HahnParams``, ``Lattice``, ``LatticePoint``, ``GridFunction``, ``Number``,
+    ``Lagrangian``, ``Problem``) write their own ``__init__``, as do the
+    expression nodes, built by the thousand: a written-out one is faster."""
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__annotations__) or cls._fields
+
+    def __init__(self, *args, **kwargs) -> None:
+        name, fields = type(self).__qualname__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key in kwargs:
+            if key not in fields:
+                raise TypeError(f"{name} has no field {key!r}")
+            if key in values:
+                raise TypeError(f"{name} got field {key!r} twice")
+        values.update(kwargs)
+        if len(values) < len(fields):
+            missing = next(key for key in fields if key not in values)
+            raise TypeError(f"{name} is missing field {missing!r}")
+        self.__dict__.update((key, values[key]) for key in fields)
 
     def _values(self) -> list:
         return [getattr(self, name) for name in self._fields]

@@ -24,7 +24,7 @@ import random
 
 from .core import GridFunction, HahnParams, Orbit, Origin
 from .operators import fit_leading_values, hahn_derivative_n
-from .variational import Problem, el_report, functional_value
+from .variational import Problem, el_report, functional_value, problem_of
 
 # (q, omega) sequence the beam demo sweeps, approaching the classical limit.
 BEAM_SEQUENCE = ((0.9, 0.1), (0.99, 0.01), (0.999, 0.001))
@@ -62,9 +62,7 @@ def ystar(t: float) -> float:
 def double_well_problem() -> Problem:
     """First-order model problem: minimize the product-of-squares integrand
     on [-1, 1] with y(-1) = 0 and y(1) = -1 at q = omega = 1/2."""
-    cfg = BUILTIN_CONFIGS["double-well"]
-    return Problem(HahnParams(cfg["q"], cfg["omega"]), cfg["r"], cfg["a"], cfg["b"],
-                   cfg["alpha"], cfg["beta"], cfg["lagrangian"])
+    return problem_of(BUILTIN_CONFIGS["double-well"])
 
 
 def beam_problem(

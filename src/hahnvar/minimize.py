@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import replace
 from itertools import chain
 from operator import mul
 from typing import Callable
@@ -57,18 +56,6 @@ class MinimizeResult(Record):
     iterations: int
     boundary_violation_norm: float
     penalty_weight: float
-
-    def __init__(self, grid: GridFunction, objective: float, functional: float,
-                 history: list[float], converged: bool, iterations: int,
-                 boundary_violation_norm: float, penalty_weight: float) -> None:
-        self.grid = grid
-        self.objective = objective
-        self.functional = functional
-        self.history = history
-        self.converged = converged
-        self.iterations = iterations
-        self.boundary_violation_norm = boundary_violation_norm
-        self.penalty_weight = penalty_weight
 
 
 class _Orbit:
@@ -372,7 +359,8 @@ def minimize_direct(
         raise ValueError(f"step_tol must be positive and finite, got {step_tol!r}")
     if maximize:
         neg = Lagrangian(Neg(problem.lagrangian.expr), problem.lagrangian.order)
-        problem = replace(problem, lagrangian=neg)
+        problem = Problem(problem.params, problem.r, problem.a, problem.b, problem.alpha,
+                          problem.beta, neg)
 
     search = _Newton(problem, depth, random.Random(seed))
     x = search.x0

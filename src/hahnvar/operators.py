@@ -13,9 +13,9 @@ grid data are computed through stencils of consecutive orbit points;
 the value of any iterate *at* omega0 is recovered by geometric
 extrapolation along an orbit, using that for g continuous at omega0 with
 one-sided slope, g(t_n) - g(omega0) shrinks by a factor q per step.
-Every such estimate in the package reads the points that
-``fixed_point_window`` chooses, and every iterate D^i there, of grid data,
-a candidate or the minimizer's rows, comes from ``iterates_at_fixed``.
+Every such estimate reads the points ``fixed_point_window`` chooses, and
+every extrapolated D^i there (of stored grid values, a ``variational``
+candidate or the minimizer's rows) comes from ``iterates_at_fixed``.
 """
 
 from __future__ import annotations

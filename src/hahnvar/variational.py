@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, Union
 
 from .core import (
@@ -75,8 +74,7 @@ Resolved = Union[GridFunction, Callable[[float], float]]
 Orbits = dict[Origin, Orbit]
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(Frozen):
     """Fixed-endpoint variational problem of order r on [a, b]."""
 
     params: HahnParams
@@ -87,29 +85,34 @@ class Problem:
     beta: tuple[float, ...]
     lagrangian: Lagrangian
 
-    def __post_init__(self) -> None:
-        if isinstance(self.r, bool) or not isinstance(self.r, int):
-            raise ValueError(f"order r must be an integer, got {self.r!r}")
-        if isinstance(self.lagrangian, (str, Expr)):
-            object.__setattr__(self, "lagrangian", compile_lagrangian(self.lagrangian, self.r))
-        object.__setattr__(self, "alpha", tuple(float(v) for v in self.alpha))
-        object.__setattr__(self, "beta", tuple(float(v) for v in self.beta))
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
-            raise ValueError(f"need finite a < b, got {self.a!r}, {self.b!r}")
-        if self.r < 1:
+    def __init__(self, params: HahnParams, r: int, a: float, b: float, alpha: Sequence[float],
+                 beta: Sequence[float], lagrangian: Lagrangian | Expr | str) -> None:
+        if isinstance(r, bool) or not isinstance(r, int):
+            raise ValueError(f"order r must be an integer, got {r!r}")
+        if isinstance(lagrangian, (str, Expr)):
+            lagrangian = compile_lagrangian(lagrangian, r)
+        alpha, beta = tuple(float(v) for v in alpha), tuple(float(v) for v in beta)
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            raise ValueError(f"need finite a < b, got {a!r}, {b!r}")
+        if r < 1:
             raise ValueError("order r must be at least 1")
-        if self.lagrangian.order != self.r:
-            raise ValueError(
-                f"lagrangian has {self.lagrangian.order + 1} slots but the order is {self.r}"
-            )
-        if len(self.alpha) != self.r or len(self.beta) != self.r:
-            raise ValueError(f"alpha and beta must each hold r = {self.r} values")
-        for v in (*self.alpha, *self.beta):
-            if not math.isfinite(v):
-                raise ValueError("boundary values must be finite")
+        if lagrangian.order != r:
+            raise ValueError(f"lagrangian has {lagrangian.order + 1} slots but the order is {r}")
+        if len(alpha) != r or len(beta) != r:
+            raise ValueError(f"alpha and beta must each hold r = {r} values")
+        if not all(map(math.isfinite, alpha + beta)):
+            raise ValueError("boundary values must be finite")
+        self.__dict__.update(params=params, r=r, a=a, b=b, alpha=alpha, beta=beta,
+                             lagrangian=lagrangian)
 
     def lattice(self, depth: int = DEFAULT_DEPTH) -> Lattice:
         return Lattice(self.params, self.a, self.b, depth)
+
+
+def problem_of(config: dict) -> Problem:
+    """The problem of a run config, a dict of JSON values as in ``demos.BUILTIN_CONFIGS``."""
+    return Problem(HahnParams(config["q"], config["omega"]), config["r"], config["a"],
+                   config["b"], config["alpha"], config["beta"], config["lagrangian"])
 
 
 def _resolve(y: Candidate) -> Resolved:
@@ -335,11 +338,6 @@ class BoundaryViolation(Frozen):
     target: float
     error: float
 
-    def __init__(self, endpoint: str, index: int, actual: float, target: float,
-                 error: float) -> None:
-        self.__dict__.update(endpoint=endpoint, index=index, actual=actual, target=target,
-                             error=error)
-
 
 def _boundary_violations(
     problem: Problem, y: Resolved, orbits: Orbits, targets: Sequence[Sequence[float]],
@@ -511,19 +509,6 @@ class ElReport(Record):
     omega0_residual: float | None
     tol: float
     passed: bool
-
-    def __init__(self, residuals: dict[LatticePoint, float], max_abs_residual: float,
-                 boundary_violations: list[BoundaryViolation], depth_used: int,
-                 omega0_included: bool, omega0_residual: float | None, tol: float,
-                 passed: bool) -> None:
-        self.residuals = residuals
-        self.max_abs_residual = max_abs_residual
-        self.boundary_violations = boundary_violations
-        self.depth_used = depth_used
-        self.omega0_included = omega0_included
-        self.omega0_residual = omega0_residual
-        self.tol = tol
-        self.passed = passed
 
 
 def el_report(

@@ -333,10 +333,13 @@ def test_an_endpoint_rounding_onto_omega0_exits_3(tmp_path, capsys, command):
 
 
 def test_the_builtin_double_well_config_is_the_demo_problem():
-    from hahnvar.cli import _build_problem
+    from hahnvar import HahnParams, Problem
     from hahnvar.demos import BUILTIN_CONFIGS, double_well_problem
+    from hahnvar.variational import problem_of
 
-    assert _build_problem(BUILTIN_CONFIGS["double-well"]) == double_well_problem()
+    want = Problem(HahnParams(0.5, 0.5), 1, -1.0, 1.0, (0.0,), (-1.0,),
+                   "(u0 + 0.5)^2 * (u1^2 - 1)^2")
+    assert problem_of(BUILTIN_CONFIGS["double-well"]) == double_well_problem() == want
 
 
 def _double_well_config(tmp_path, **extra):

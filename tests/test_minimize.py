@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 from operator import mul
 
 import pytest
@@ -140,7 +139,8 @@ def test_an_endpoint_at_omega0_with_too_short_a_live_orbit_raises(q, r, error):
 
 
 def test_first_partials_that_fault_at_the_start_end_the_search_unconverged():
-    got = minimize_direct(replace(QUAD, lagrangian="sqrt(u1 - u1)"), depth=8)
+    faulty = Problem(QUAD.params, QUAD.r, QUAD.a, QUAD.b, QUAD.alpha, QUAD.beta, "sqrt(u1 - u1)")
+    got = minimize_direct(faulty, depth=8)
     assert not got.converged
     assert got.iterations == 0 and got.history == [got.objective]
 
@@ -391,7 +391,8 @@ def test_second_partials_faulting_at_the_optimum_leave_the_result_unchanged():
                 raise NotDifferentiable("second partials fault at the optimum")
             return super().derivatives(t, us)
 
-    faulty = replace(problem, lagrangian=FaultsAtOptimum(problem.lagrangian.expr, 1))
+    faulty = Problem(problem.params, problem.r, problem.a, problem.b, problem.alpha, problem.beta,
+                     FaultsAtOptimum(problem.lagrangian.expr, 1))
     with pytest.raises(NotDifferentiable):
         _Newton(faulty, 8, random.Random(0)).derivatives(
             [v for origin in (Origin.A, Origin.B) for v in clean.grid.orbit_values(origin)[1:]]

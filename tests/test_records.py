@@ -1,6 +1,7 @@
 """The package's value classes behave as dataclasses of their fields: repr
 text, == and hash, refused assignment when frozen, field order in vars(),
-pickles and copies."""
+pickles and copies, and a constructor that takes the fields by position or
+by name."""
 
 import copy
 import pickle
@@ -17,8 +18,10 @@ from hahnvar import (
     LatticePoint,
     MinimizeResult,
     Origin,
+    Problem,
     parse,
 )
+from hahnvar.core import Frozen
 from hahnvar.dsl import BinOp, Call, Neg, Number, Var
 
 _PARAMS = "HahnParams(q=0.5, omega=0.25)"
@@ -107,3 +110,69 @@ def test_cached_properties_stay_out_of_the_fields():
     assert repr(params) == _PARAMS and repr(lattice) == _LATTICE
     assert params == HahnParams(0.5, 0.25) and lattice == _lattice()
     assert hash(lattice) == hash(_lattice())
+
+
+def _problem():
+    return Problem(HahnParams(0.5, 0.25), 1, -1.0, 1.0, [0], (1,), "u1^2")
+
+
+_PROBLEM = (f"Problem(params={_PARAMS}, r=1, a=-1.0, b=1.0, alpha=(0.0,), beta=(1.0,), "
+            "lagrangian=Lagrangian(expr=BinOp(op='^', left=Var(name='u1'), "
+            "right=Number(value=2.0)), order=1))")
+
+
+def test_a_problem_is_a_frozen_record_with_an_unhashable_field():
+    obj, twin = _problem(), _problem()
+    assert isinstance(obj, Frozen)
+    assert repr(obj) == _PROBLEM
+    assert list(vars(obj)) == ["params", "r", "a", "b", "alpha", "beta", "lagrangian"]
+    assert obj == twin and not obj != twin and obj is not twin
+    assert obj.__eq__(_PROBLEM) is NotImplemented and obj != _PROBLEM
+    for clone in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert clone == obj and repr(clone) == _PROBLEM
+    with pytest.raises(AttributeError, match="cannot assign to field 'r'"):
+        obj.r = 2
+    with pytest.raises(TypeError, match="unhashable type: 'Lagrangian'"):
+        hash(obj)
+    assert repr(obj) == _PROBLEM
+
+
+# Each class with the generic constructor, and Problem, which writes its
+# own: its field values in order.
+FIELDS = [
+    pytest.param(BoundaryViolation, ("a", 1, 0.5, 0.25, 0.25), id="BoundaryViolation"),
+    pytest.param(ElReport, ({LatticePoint(Origin.A, 0): 0.0}, 0.0, [], 0, False, None, 1e-9, True),
+                 id="ElReport"),
+    pytest.param(MinimizeResult, (_grid(), 0.5, 0.5, [1.0, 0.5], True, 1, 0.0, 0.0),
+                 id="MinimizeResult"),
+    pytest.param(Problem, (HahnParams(0.5, 0.25), 1, -1.0, 1.0, (0.0,), (1.0,),
+                           Lagrangian(parse("u1^2"), 1)), id="Problem"),
+]
+
+
+@pytest.mark.parametrize("cls, values", FIELDS)
+def test_a_record_takes_its_fields_by_position_or_by_name(cls, values):
+    obj = cls(*values)
+    names = list(vars(obj))
+    assert list(vars(obj).values()) == list(values)
+    assert cls(**dict(zip(names, values))) == obj
+    assert cls(*values[:2], **dict(zip(names[2:], values[2:]))) == obj
+    assert cls(**dict(zip(reversed(names), reversed(values)))) == obj
+
+
+@pytest.mark.parametrize("cls, values", FIELDS)
+def test_a_record_refuses_a_missing_repeated_or_unknown_field(cls, values):
+    names = list(vars(cls(*values)))
+    without_second = {k: v for k, v in zip(names, values) if k != names[1]}
+    # Each wrong call, with what its message names after the class.
+    wrong = [
+        (lambda: cls(*values[:-1]), repr(names[-1])),  # missing, by position
+        (lambda: cls(**without_second), repr(names[1])),  # missing, by name
+        (lambda: cls(*values, **{names[0]: values[0]}), repr(names[0])),  # repeated
+        (lambda: cls(*values, values[-1]), "were given"),  # one too many
+        (lambda: cls(*values, nope=1), "'nope'"),  # unknown
+        (lambda: cls(*values[:-1], nope=values[-1]), "'nope'"),  # unknown for a missing one
+    ]
+    for build, named in wrong:
+        with pytest.raises(TypeError, match=f"^{cls.__name__}.*{named}"):
+            build()
