@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterator
 
 from .errors import DegenerateDenominator, InsufficientDepth, NonFiniteValue
@@ -146,12 +147,13 @@ class Orbit:
     Nodes are realized once, by the recurrence, into ``nodes``.  The list
     stops at the first merge t[n+1] == t[n]: merges are absorbing, so
     every later node equals the last one.  ``values`` is either grid data,
-    read directly, or filled lazily from a function of t.  The usable
-    depth (the cap) is the smaller of the grid depth and the merge index:
-    up to it every value exists and every step t[j+1] - t[j] is nonzero.
-    ``cap`` finds it from the nodes, ``window`` reads nodes and values on
-    a run of indices, and ``walk`` streams both through the cap.  Built
-    from raw (q, omega, seed), so the omega = 0 q-lattice fits too.
+    read directly, or filled lazily from a function of t, the ``source``.
+    The usable depth (the cap) is the smaller of the grid depth and the
+    merge index: up to it every value exists and every step
+    t[j+1] - t[j] is nonzero.  ``cap`` finds it from the nodes, ``window``
+    reads nodes and values on a run of indices, ``trail`` streams the
+    nodes through the cap and ``walk`` nodes and values.  Built from raw
+    (q, omega, seed), so the omega = 0 q-lattice fits too.
     """
 
     def __init__(
@@ -167,10 +169,10 @@ class Orbit:
         self.degenerate = self.prefactor == 0.0
         self.nodes = [seed]
         self.values: list[float] = []
-        self._source: Callable[[float], float] | None = None
+        self.source: Callable[[float], float] | None = None
         self._grid_depth = math.inf
         if callable(values):
-            self._source = values
+            self.source = values
         elif values is not None:
             self.values = values
             self._grid_depth = len(values) - 1
@@ -180,7 +182,7 @@ class Orbit:
         """Extend the realized orbit prefix ``nodes`` in place by
         t[n+1] = q*t[n] + omega through index m, stopping early at the
         first merge t[n+1] == t[n]; returns ``nodes``.  The one node
-        recurrence: every orbit node, ``walk``'s too, and every point
+        recurrence: every orbit node, ``trail``'s too, and every point
         stencil of order r >= 2 comes from it."""
         while len(nodes) <= m:
             t = nodes[-1]
@@ -203,22 +205,40 @@ class Orbit:
             self.grow(self.q, self.omega, nodes, m)
         return min(m, len(nodes) - 1)
 
+    def trail(self) -> Iterator[float]:
+        """t[0], t[1], ... through the cap, one C-level iterator over runs of
+        realized nodes: past the last run, at node n, it asks ``grow`` for
+        index min(2n, grid depth), so a reader pays one call per doubling
+        and realizes no node past a grid's depth."""
+        nodes, depth = self.nodes, self._grid_depth
+
+        def runs() -> Iterator[list[float]]:
+            n = 0
+            while n <= depth:
+                run = nodes[n : min(len(nodes), depth + 1)]
+                yield run
+                n += len(run)
+                if n > depth or n == len(self.grow(self.q, self.omega, nodes, min(2 * n, depth))):
+                    return
+
+        return chain.from_iterable(runs())
+
     def walk(self) -> Iterator[tuple[float, float]]:
-        """Yield (t[n], value[n]) for n = 0, 1, ... through the cap, realizing
-        each value when the walk gets to it, into ``values``.  The walk runs
-        a ``for`` loop over each chunk of realized nodes; past the last it
-        asks ``grow`` for index min(2n, grid depth), so it pays one call per
-        doubling and realizes no node past a grid's depth."""
-        nodes, vals, source, depth = self.nodes, self.values, self._source, self._grid_depth
-        n = 0
-        while n <= depth:
-            for t in nodes[n : min(len(nodes), depth + 1)]:
-                if n == len(vals):
-                    vals.append(source(t))
-                yield t, vals[n]
-                n += 1
-            if n > depth or n == len(self.grow(self.q, self.omega, nodes, min(2 * n, depth))):
-                return
+        """(t[n], value[n]) for n = 0, 1, ... through the cap, off ``trail``.
+        Grid data streams through C-level iterators alone, the nodes zipped
+        with the stored values; a function of t walks a generator that
+        realizes each value when the walk gets to it, into ``values``, so
+        walks and windows of one orbit share what any of them realized."""
+        if self.source is None:
+            return zip(self.trail(), self.values)
+        return self._realizing()
+
+    def _realizing(self) -> Iterator[tuple[float, float]]:
+        vals, source = self.values, self.source
+        for n, t in enumerate(self.trail()):
+            if n == len(vals):
+                vals.append(source(t))
+            yield t, vals[n]
 
     def window(self, k: int, width: int) -> tuple[list[float], list[float]]:
         """Nodes and values at indices k .. k + width - 1.  A window past
@@ -232,7 +252,7 @@ class Orbit:
             raise InsufficientDepth(f"orbit index {end} exceeds grid depth {self._grid_depth}")
         if len(self.grow(self.q, self.omega, self.nodes, end)) <= end:
             raise DegenerateDenominator(f"orbit step underflowed to zero near t={self.nodes[-1]!r}")
-        source, vals = self._source, self.values
+        source, vals = self.source, self.values
         if source is not None:
             if len(vals) < k:
                 return self.nodes[k : end + 1], [source(t) for t in self.nodes[k : end + 1]]

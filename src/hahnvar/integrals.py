@@ -10,10 +10,11 @@ The classical limits are parameter values of the same sum, summed by
 the same driver: omega = 0 is Jackson's q-integral (fixed point 0), and
 q = 1 with omega = h is the Noerlund sum -h * sum_k f(x + k*h).  The
 driver draws its samples from an iterator, one per term, so a series is
-one streaming pass over its orbit (``Orbit.walk``): no sample past the
-stopping term is formed, and an iterator that runs out is an exhausted
-orbit.  ``_orbit_samples`` takes an integral's samples off the walk through
-C-level iterators, so a term resumes one generator, the walk.
+one streaming pass over its orbit: no sample past the stopping term is
+formed, and an iterator that runs out is an exhausted orbit.
+``_orbit_samples`` maps an integral's f over the orbit's nodes
+(``Orbit.trail``) through C-level iterators, so a term resumes no
+generator and costs one call of f.
 
 For q < 1 convergence is judged by a geometric tail bound: if later
 samples stay below M, the largest of the last five, the unsummed remainder
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, repeat, tee
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -94,7 +95,8 @@ def _indexed_series(
     Kahan-compensated.
 
     A ``closed`` value, the whole series known exactly, is returned
-    converged with 0 terms and bound 0.0, and no sample is drawn.
+    converged with 0 terms and bound 0.0, and no sample is drawn.  A bool
+    is no term budget: ``max_terms=True`` raises TypeError, as a float does.
 
     A sample is drawn only when its term is summed, so nothing past the
     stopping term is evaluated.  A zero prefactor is an exact empty sum
@@ -109,6 +111,8 @@ def _indexed_series(
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if isinstance(max_terms, bool):
+        raise TypeError(f"max_terms must be an integer, got {max_terms!r}")
     if max_terms < 1:
         raise ValueError(f"max_terms must be at least 1, got {max_terms!r}")
     if prefactor == 0.0:
@@ -144,14 +148,19 @@ def _indexed_series(
 def _orbit_samples(orbit: Orbit) -> Iterator[float]:
     """The orbit's values through the cap, then the value at the cap
     forever: past a merge every node is the merged point.  That is not
-    ``values[-1]`` on a grid that merges below its depth.  The values come
-    off the walk through C-level iterators, so a term resumes one
-    generator; the tail is formed once the walk has ended."""
+    ``values[-1]`` on a grid that merges below its depth.  A function of t
+    is mapped over the orbit's ``trail``, each value formed when its term
+    draws it and not stored; grid data comes off the walk.  Both are C-level
+    iterators, so a term resumes no generator; ``tee`` keeps the values
+    drawn, and the tail takes the last of them once the trail has ended."""
+    source = orbit.source
+    values = map(itemgetter(1), orbit.walk()) if source is None else map(source, orbit.trail())
+    head, drawn = tee(values)
 
     def at_cap() -> Iterator[float]:
-        yield from repeat(orbit.values[orbit.cap(len(orbit.nodes))])
+        yield from repeat(deque(drawn, maxlen=1).pop())
 
-    return chain(map(itemgetter(1), orbit.walk()), at_cap())
+    return chain(head, at_cap())
 
 
 def _one_sided(

@@ -107,8 +107,24 @@ def hahn_derivative(params: HahnParams, f, t) -> float:
 
     At t == omega0 (exact float identity) it is the classical derivative.
     A vanishing denominator anywhere else raises DegenerateDenominator.
+    A callable's first quotient off omega0, the case series integrands
+    take per node, is formed here in one frame, as the quotient table over
+    (t, sigma(t)) forms it: f(t) and f(sigma(t)) are checked finite in
+    that order, then the step; ``hahn_derivative_n`` at r = 1 comes here.
     """
-    return hahn_derivative_n(params, f, 1, t)
+    if callable(f) and not isinstance(t, LatticePoint) and t != params.omega0:
+        s = params.q * t + params.omega
+        fx = f(t)
+        if not math.isfinite(fx):
+            raise NonFiniteValue(f"function returned {fx!r} at t={t!r}")
+        fs = f(s)
+        if not math.isfinite(fs):
+            raise NonFiniteValue(f"function returned {fs!r} at t={s!r}")
+        den = s - t
+        if den == 0.0:
+            raise DegenerateDenominator(f"orbit step underflowed to zero near t={t!r}")
+        return (fs - fx) / den
+    return _derivative_n(params, f, 1, t)
 
 
 def hahn_derivative_n(params: HahnParams, f, r: int, t) -> float:
@@ -119,17 +135,17 @@ def hahn_derivative_n(params: HahnParams, f, r: int, t) -> float:
     Taylor jet there (``jets.derivative_at``, which raises DomainError
     where f is not smooth at omega0), and [r]_q!/r! * f^(r)(omega0) for a
     callable, with f^(r) a central-difference estimate
-    (``_central_derivative`` states its accuracy).  A callable's
-    first quotient off omega0, the case series integrands take per node,
-    is formed here, as the quotient table over (t, sigma(t)) forms it."""
+    (``_central_derivative`` states its accuracy).  r = 1 is
+    ``hahn_derivative``."""
     _order(r)
-    if r == 1 and callable(f) and not isinstance(t, LatticePoint) and t != params.omega0:
-        s = params.q * t + params.omega
-        fx, fs = _checked(f(t), t), _checked(f(s), s)
-        den = s - t
-        if den == 0.0:
-            raise DegenerateDenominator(f"orbit step underflowed to zero near t={t!r}")
-        return (fs - fx) / den
+    if r == 1:
+        return hahn_derivative(params, f, t)
+    return _derivative_n(params, f, r, t)
+
+
+def _derivative_n(params: HahnParams, f, r: int, t) -> float:
+    """D^r[f] at t for a valid order r, but a callable's first quotient
+    off omega0, which ``hahn_derivative`` forms."""
     if isinstance(f, GridFunction):
         if not isinstance(t, LatticePoint):
             raise TypeError("grid functions are differentiated at LatticePoints")

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+from operator import mul
 from typing import Callable, Iterator, Sequence, Union
 
 from .core import (
@@ -405,7 +406,7 @@ def first_variation(
         vy = ys[origin]
         windows = zip(stream(vy.walk()), stream(etas[origin].walk()))
         samples = (
-            math.fsum(g * e for g, e in zip(gradient(t, us), es)) for (t, us), (_, es) in windows
+            math.fsum(map(mul, gradient(t, us), es)) for (t, us), (_, es) in windows
         )
         parts.append(_indexed_series(problem.params.q, vy.prefactor, samples, tol, max_terms))
     return parts[0] - parts[1]

@@ -280,6 +280,58 @@ def test_walks_and_windows_interleaved_on_one_orbit_share_its_values():
     assert calls == orbit.nodes[:20]
 
 
+def test_walks_and_a_window_interleaved_on_one_grid_orbit_read_the_same_pairs():
+    from hahnvar.core import Orbit
+
+    # Two walks of one grid orbit in turn, and a window under a suspended
+    # walk that realizes nodes ahead of both: every reader sees the same
+    # (node, stored value) pairs, through the depth and no further.
+    values = [float(n) for n in range(41)]
+    orbit = Orbit(0.9, 0.1, 3.0, values)
+    first, second = orbit.walk(), orbit.walk()
+    pairs = []
+    for n in range(41):
+        pairs += [next(first), next(second)]
+        if n == 5:
+            assert orbit.window(0, 30) == (orbit.nodes[:30], values[:30])
+    assert pairs == [(t, v) for t, v in zip(orbit.nodes, values) for _ in range(2)]
+    assert next(first, None) is next(second, None) is None
+    assert len(orbit.nodes) == 41
+
+
+def test_a_grid_walk_stops_at_the_first_merge_below_its_depth():
+    from hahnvar.core import Orbit
+
+    # the orbit of 3.0 under t -> t/2 + 1/2 merges into 1.0 after 54 steps
+    values = [float(n) for n in range(81)]
+    orbit = Orbit(0.5, 0.5, 3.0, values)
+    pairs = list(orbit.walk())
+    assert len(orbit.nodes) == 55
+    assert pairs == list(zip(orbit.nodes, values[:55]))
+
+
+@pytest.mark.parametrize("depth", [math.inf, 1000])
+def test_a_walk_calls_grow_once_per_doubling(monkeypatch, depth):
+    from hahnvar.core import Orbit
+
+    grow, asked = Orbit.grow, []
+
+    def counted(q, omega, nodes, m):
+        asked.append(m)
+        return grow(q, omega, nodes, m)
+
+    monkeypatch.setattr(Orbit, "grow", staticmethod(counted))
+    # a function of t walks to its merge, grid data to its depth
+    values = (lambda t: t) if depth == math.inf else [float(n) for n in range(depth + 1)]
+    orbit = Orbit(0.999, 0.001, 3.0, values)
+    walked = sum(1 for _ in orbit.walk())
+    # past its n-th node it asks for index min(2n, depth): 2**k - 1 nodes
+    # after k doublings, until the merge or the depth ends the walk
+    assert asked == [min(2 * min(2**k - 1, walked), depth) for k in range(1, len(asked) + 1)]
+    assert len(asked) <= walked.bit_length() + 1
+    assert walked == len(orbit.nodes) == orbit.cap(depth) + 1
+
+
 def test_series_samples_repeat_the_value_at_the_cap_of_a_grid_merging_below_its_depth():
     from itertools import islice
 

@@ -138,6 +138,10 @@ def test_control_validation():
     # A float term budget past the check is a TypeError, as range raises it.
     with pytest.raises(TypeError):
         integral_from_fixed(P, lambda t: t, 2.0, max_terms=1e4)
+    # A bool is not a term budget, as it is not an operator order.
+    for flag in (True, False):
+        with pytest.raises(TypeError, match="max_terms must be an integer"):
+            integral_from_fixed(P, lambda t: t, 2.0, max_terms=flag)
     for x in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="endpoint must be finite"):
             integral_from_fixed(P, lambda t: t, x)

@@ -281,6 +281,10 @@ def _first_order_paths(q, omega):
     ]
 
 
+class _Real(float):
+    """A float subclass, as numpy's float64 is one."""
+
+
 @given(
     q=st.floats(0.01, 0.99),
     omega=st.floats(0.01, 5.0),
@@ -288,25 +292,29 @@ def _first_order_paths(q, omega):
     k=st.integers(0, len(_SMOOTH) - 1),
 )
 def test_first_order_quotient_is_the_table_bit_for_bit(q, omega, t, k):
+    # An int t and a float subclass take the table's value too, with the
+    # same calls of f: t itself, then sigma(t) as a float.
     f = _SMOOTH[k]
-    for scale, shift, derivative in _first_order_paths(q, omega):
-        if t == (shift / (1.0 - scale) if scale < 1.0 else None):
-            continue
-        calls = []
+    for t in (t, round(t), _Real(t)):
+        for scale, shift, derivative in _first_order_paths(q, omega):
+            if t == (shift / (1.0 - scale) if scale < 1.0 else None):
+                continue
+            calls = []
 
-        def counted(x):
-            calls.append(x)
-            return f(x)
+            def counted(x):
+                calls.append(x)
+                return f(x)
 
-        try:
-            want = _table_quotient(scale, shift, f, t)
-        except DegenerateDenominator:
-            with pytest.raises(DegenerateDenominator):
-                derivative(counted, t)
-            assert calls == [t, t]
-            continue
-        assert derivative(counted, t).hex() == want.hex()
-        assert calls == [t, scale * t + shift]
+            try:
+                want = _table_quotient(scale, shift, f, t)
+            except DegenerateDenominator:
+                with pytest.raises(DegenerateDenominator):
+                    derivative(counted, t)
+                assert calls == [t, t]
+                continue
+            assert derivative(counted, t).hex() == want.hex()
+            assert calls == [t, scale * t + shift]
+            assert [type(x) for x in calls] == [type(t), float]
 
 
 @pytest.mark.parametrize(
